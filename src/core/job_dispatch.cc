@@ -98,7 +98,8 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
                                  global_attempt)) {
         ++out.recovery.faults_injected;
       }
-      StatusOr<JobResult> attempt = env.run_attempt(*job, *ctx);
+      StatusOr<JobResult> attempt =
+          (*env.runner)(*job, *env.ops, *ctx, &out.charged);
       ++out.recovery.attempts;
       out.recovery.attempt_log.push_back(
           {global_attempt, job->engine,
@@ -128,9 +129,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
       return Annotate(last_error, "retries exhausted on " +
                                       std::string(EngineKindName(job->engine)));
     }
-    const std::vector<int>& job_ops =
-        env.ops != nullptr ? *env.ops
-                           : plan.partitioning.jobs[env.job_index].ops;
+    const std::vector<int>& job_ops = *env.ops;
     StatusOr<EngineKind> next = NextFailoverEngine(
         workflow, plan, job_ops, options,
         env.dfs_sizes ? env.dfs_sizes() : RelationSizes{}, tried);

@@ -1,4 +1,4 @@
-// Per-job retry / cross-engine-failover dispatch (PR 5, extracted PR 8).
+// Per-job retry / cross-engine-failover dispatch for Musketeer::Execute.
 //
 // One job's journey from planned to done: up to retry.max_attempts tries on
 // its planned engine (with deterministic backoff), then — if failover is
@@ -7,42 +7,30 @@
 // engine remains. Attempt numbers are global across engines so the fault
 // injector's (workflow, job@engine, attempt) key never repeats within a run.
 //
-// Extracted from Musketeer::Execute so the ShardCoordinator reuses the exact
-// same recovery semantics: it supplies a `run_attempt` that routes the
-// attempt to a placed shard's service instead of executing inline, and shard
-// failover composes naturally — a dead shard surfaces as a retryable failure,
-// and the next attempt's run_attempt re-places among the shards still alive.
+// Each attempt goes through the run's JobRunner, so placement composes with
+// recovery: the sharded coordinator's runner routes the attempt to a placed
+// shard's service, a dead shard surfaces as a retryable failure, and the
+// next attempt re-places among the shards still alive.
 
 #ifndef MUSKETEER_SRC_CORE_JOB_DISPATCH_H_
 #define MUSKETEER_SRC_CORE_JOB_DISPATCH_H_
 
-#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "src/core/musketeer.h"
 
 namespace musketeer {
 
-// Runs one attempt of `job` (re-planned across failovers; the dispatcher
-// sets ctx.attempt before each call). Retryable error codes (IsRetryable)
-// re-enter the loop; anything else is terminal.
-using JobAttemptFn =
-    std::function<StatusOr<JobResult>(const JobPlan& job,
-                                      const ExecutionContext& ctx)>;
-
 struct JobDispatchEnv {
   const WorkflowSpec* workflow = nullptr;
-  // Plan the job came from: dag/base_schemas drive failover re-planning,
-  // partitioning.jobs[job_index].ops is the job's operator set.
+  // Plan the job came from: dag/base_schemas drive failover re-planning.
   const WorkflowPlan* plan = nullptr;
-  size_t job_index = 0;
-  // Operator set of the job being dispatched. When null, falls back to
-  // plan->partitioning.jobs[job_index].ops. Callers that may have re-planned
-  // mid-run (online re-planning) must point this at the run's own job list:
-  // the shared plan's job boundaries no longer match after a suffix replan.
+  // The run's own operator set for the job. The shared plan's job
+  // boundaries no longer match after a mid-run suffix re-plan.
   const std::vector<int>* ops = nullptr;
   const RunOptions* options = nullptr;
-  JobAttemptFn run_attempt;
+  const JobRunner* runner = nullptr;
   // Current DFS base-relation sizes — queried lazily, only when a failover
   // actually needs to re-cost the job.
   std::function<RelationSizes()> dfs_sizes;
@@ -53,6 +41,7 @@ struct JobDispatchOutcome {
   JobRecovery recovery;
   int retries = 0;    // failed attempts that were retried (incl. failovers)
   int failovers = 0;  // engine switches after retry exhaustion
+  DfsTraffic charged;  // summed over every attempt, failed ones included
 };
 
 // Drives `*job` to success or terminal failure under `env`. On engine
@@ -65,7 +54,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(JobPlan* job,
 // The failover choice: cheapest engine among the run's candidates, minus
 // `tried`, that can run `ops` as a single job. Mirrors Plan()'s cost-model
 // construction so failover uses the same cost basis as the original
-// partitioning. Exposed for the coordinator's placement re-costing.
+// partitioning.
 StatusOr<EngineKind> NextFailoverEngine(const WorkflowSpec& workflow,
                                         const WorkflowPlan& wplan,
                                         const std::vector<int>& ops,

@@ -48,6 +48,24 @@ ExecutionContext MakeContext(const WorkflowSpec& workflow,
 
 }  // namespace
 
+RunOptions PinDeadline(RunOptions options) {
+  options.absolute_deadline = EffectiveDeadline(options);
+  return options;
+}
+
+StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
+                                      const ClusterConfig& cluster, Dfs* dfs,
+                                      const ExecutionContext& ctx,
+                                      DfsTraffic* charged,
+                                      const JobStreamIo* stream) {
+  ScopedDfsRunCounters scope;
+  StatusOr<JobResult> result = ExecuteJob(job, cluster, dfs, ctx, stream);
+  charged->read += scope.bytes_read();
+  charged->written += scope.bytes_written();
+  charged->remote_read += scope.bytes_remote_read();
+  return result;
+}
+
 SchemaMap Musketeer::DfsSchemas() const {
   SchemaMap out;
   for (const std::string& name : dfs_->ListRelations()) {
@@ -164,7 +182,8 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
 
 StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
                                        const WorkflowPlan& plan,
-                                       const RunOptions& options) {
+                                       const RunOptions& options,
+                                       const JobRunner& runner) {
   RunResult result;
   result.partitioning = plan.partitioning;
   result.plans = plan.plans;
@@ -173,12 +192,17 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
 
   // 5. Execution with critical-path scheduling: a job starts when every job
   // producing one of its inputs has finished; independent jobs overlap.
-  // DFS traffic is attributed to this run with a thread-scoped counter (the
-  // engines record bytes on this thread), so concurrent workflows against
-  // the same DFS do not pollute each other's deltas.
+  // DFS traffic is attributed to this run by summing what each attempt
+  // charged on the thread that ran it, so concurrent workflows against the
+  // same DFS do not pollute each other's deltas.
   Span exec_span("stage.execute", "stage");
-  ScopedDfsRunCounters run_bytes;
   ExecutionContext ctx = MakeContext(workflow, options);
+  const JobRunner run_inline = [&](const JobPlan& job, const std::vector<int>&,
+                                   const ExecutionContext& c,
+                                   DfsTraffic* charged) {
+    return ExecuteJobCharged(job, options.cluster, dfs_, c, charged);
+  };
+  const JobRunner& run_attempt = runner ? runner : run_inline;
 
   static Counter& reused_metric =
       MetricsRegistry::Global().counter("musketeer.stream.jobs_reused");
@@ -222,11 +246,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
   SimSeconds makespan = 0;
   int predicted_jobs = 0;
   double error_sum = 0;
-  // DFS bytes charged on group-member threads (their ScopedDfsRunCounters
-  // cannot propagate into `run_bytes`, which lives on this thread).
-  Bytes extra_read = 0;
-  Bytes extra_written = 0;
-  Bytes extra_remote = 0;
 
   // Outcome of a job that ran ahead of its fold position (group execution)
   // or is being skipped entirely (fingerprint reuse).
@@ -256,14 +275,11 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     JobDispatchEnv env;
     env.workflow = &workflow;
     env.plan = &plan;
-    env.job_index = i;
     // The run's (possibly re-planned) operator set for this job; the shared
-    // plan is immutable, so failover re-costing must read the run's copy.
+    // plan is immutable, so placement and failover re-costing read this copy.
     env.ops = &result.partitioning.jobs[i].ops;
     env.options = &options;
-    env.run_attempt = [&](const JobPlan& j, const ExecutionContext& c) {
-      return ExecuteJob(j, options.cluster, dfs_, c);
-    };
+    env.runner = &run_attempt;
     env.dfs_sizes = [this] { return DfsSizes(); };
     return DispatchJobWithRecovery(&result.plans[i], &ctx, env);
   };
@@ -301,9 +317,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       size_t index = 0;
       JobStreamIo io;
       StatusOr<JobResult> attempt = InternalError("not attempted");
-      Bytes read = 0;
-      Bytes written = 0;
-      Bytes remote = 0;
+      DfsTraffic charged;
     };
     std::unordered_map<size_t, LiveRun> runs;
     for (size_t m : members) {
@@ -340,20 +354,17 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
         LiveRun* r = &run;
         threads.emplace_back([this, r, &result, &options, &ctx, width] {
           ScopedParallelThreads inherit(width);
-          ScopedDfsRunCounters scope;
           ExecutionContext attempt_ctx = ctx;
           attempt_ctx.attempt = 1;
-          r->attempt = ExecuteJob(result.plans[r->index], options.cluster,
-                                  dfs_, attempt_ctx, &r->io);
+          r->attempt =
+              ExecuteJobCharged(result.plans[r->index], options.cluster, dfs_,
+                                attempt_ctx, &r->charged, &r->io);
           if (!r->attempt.ok()) {
             // Unblock producers still pushing toward this failed consumer.
             for (const auto& [relation, channel] : r->io.inputs) {
               channel->CloseReceiver();
             }
           }
-          r->read = scope.bytes_read();
-          r->written = scope.bytes_written();
-          r->remote = scope.bytes_remote_read();
         });
       }
       for (std::thread& t : threads) {
@@ -369,11 +380,9 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       }
       LiveRun& r = runs[m];
       if (concurrent && r.attempt.ok()) {
-        extra_read += r.read;
-        extra_written += r.written;
-        extra_remote += r.remote;
         Pending p;
         p.outcome.result = std::move(r.attempt).value();
+        p.outcome.charged = r.charged;
         p.outcome.recovery.job = result.plans[m].name;
         p.outcome.recovery.planned_engine = result.plans[m].engine;
         p.outcome.recovery.final_engine = result.plans[m].engine;
@@ -421,6 +430,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     JobResult jr;
     if (p.reused) {
       jr.reused = true;
+      jr.internal_jobs = 0;  // no engine job ran
       jr.detail = std::string(EngineKindName(job.engine)) + " job '" +
                   job.name + "': reused (fingerprint match, " +
                   std::to_string(job.outputs.size()) +
@@ -434,6 +444,9 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       reused_metric.Increment();
     } else {
       jr = std::move(p.outcome.result);
+      result.dfs_bytes_read += p.outcome.charged.read;
+      result.dfs_bytes_written += p.outcome.charged.written;
+      result.dfs_bytes_remote_read += p.outcome.charged.remote_read;
       result.total_retries += p.outcome.retries;
       result.total_failovers += p.outcome.failovers;
       result.total_faults_injected += p.outcome.recovery.faults_injected;
@@ -592,9 +605,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     maybe_replan(i);
   }
   result.makespan = makespan;
-  result.dfs_bytes_read = run_bytes.bytes_read() + extra_read;
-  result.dfs_bytes_written = run_bytes.bytes_written() + extra_written;
-  result.dfs_bytes_remote_read = run_bytes.bytes_remote_read() + extra_remote;
   if (predicted_jobs > 0) {
     result.cost_model_error = error_sum / predicted_jobs;
   }
@@ -636,8 +646,7 @@ StatusOr<RunResult> Musketeer::Run(const WorkflowSpec& workflow,
                                    const RunOptions& options) {
   // Pin the deadline at entry so a relative budget spans Plan + Execute
   // instead of restarting at the plan/execute boundary.
-  RunOptions pinned = options;
-  pinned.absolute_deadline = EffectiveDeadline(options);
+  RunOptions pinned = PinDeadline(options);
   MUSKETEER_ASSIGN_OR_RETURN(WorkflowPlan plan, Plan(workflow, pinned));
   return Execute(workflow, plan, pinned);
 }

@@ -27,6 +27,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,7 +96,7 @@ struct RunOptions {
   // Pipelined job-to-job handoff: kAuto streams pipeline-safe edges that win
   // on cost (barrier DFS write+read vs channel handoff), kForce streams every
   // safe edge, kOff keeps the seed's full materialization barrier. Results
-  // stay Table::Identical across modes. The sharded coordinator ignores this
+  // stay Table::Identical across modes. The sharded coordinator forces kOff
   // (jobs live in different placement domains) and keeps the barrier plane.
   PipelineMode pipeline = PipelineMode::kOff;
   size_t pipeline_batch_rows = 8192;
@@ -187,6 +188,37 @@ struct RunResult {
   int replans = 0;
 };
 
+// DFS bytes one job attempt charged, counted by a ScopedDfsRunCounters on
+// the thread that ran it. Execute() sums them into RunResult.dfs_bytes_*.
+struct DfsTraffic {
+  Bytes read = 0;
+  Bytes written = 0;
+  Bytes remote_read = 0;  // subset of `read` fetched from another shard
+};
+
+// Runs one attempt of one job: the placement hook of Musketeer::Execute.
+// `ops` is the run's own operator set for the job, which a suffix re-plan
+// may have rewritten since Plan(). The runner adds the DFS bytes the attempt
+// charged, failed attempts included, to *charged — ExecuteJobCharged does
+// that on whichever thread the job runs. Retryable error codes re-enter the
+// recovery loop (src/core/job_dispatch.h); anything else ends the run.
+using JobRunner = std::function<StatusOr<JobResult>(
+    const JobPlan& job, const std::vector<int>& ops,
+    const ExecutionContext& ctx, DfsTraffic* charged)>;
+
+// ExecuteJob on the calling thread under a thread-scoped DFS byte counter;
+// adds what the attempt charged to *charged, whether or not it succeeded.
+StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
+                                      const ClusterConfig& cluster, Dfs* dfs,
+                                      const ExecutionContext& ctx,
+                                      DfsTraffic* charged,
+                                      const JobStreamIo* stream = nullptr);
+
+// Resolves a relative `deadline` into `absolute_deadline` now (an explicit
+// absolute deadline wins), so one budget spans everything that follows —
+// Plan + Execute, or queue wait + both.
+RunOptions PinDeadline(RunOptions options);
+
 class Musketeer {
  public:
   // `dfs` holds workflow inputs and receives outputs; not owned.
@@ -201,10 +233,15 @@ class Musketeer {
                               const RunOptions& options = {}) const;
 
   // Back half: executes a previously built plan's jobs against the DFS with
-  // critical-path scheduling, collects sinks and records history.
+  // critical-path scheduling, collects sinks and records history. This is
+  // the only job-execution loop: fingerprint reuse, retry and failover,
+  // calibration and suffix re-planning all live here. `runner` places each
+  // attempt; the default runs it inline via ExecuteJobCharged on this
+  // DFS, and the sharded coordinator hands it to a shard's worker instead.
   StatusOr<RunResult> Execute(const WorkflowSpec& workflow,
                               const WorkflowPlan& plan,
-                              const RunOptions& options = {});
+                              const RunOptions& options = {},
+                              const JobRunner& runner = {});
 
   // Full pipeline: parse, optimize, partition, generate, execute.
   StatusOr<RunResult> Run(const WorkflowSpec& workflow,

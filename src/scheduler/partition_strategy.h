@@ -1,9 +1,7 @@
 // Pluggable partitioning strategies (§5) behind one planner configuration.
 //
-// The partitioner grew three free functions (PartitionDp / PartitionExhaustive
-// / PartitionDag) steered by force_* booleans; at production scale the planner
-// needs to be selectable, parameterized and extensible without touching
-// src/core/. This header replaces that surface:
+// At production scale the planner needs to be selectable, parameterized and
+// extensible without touching src/core/. This header is its whole surface:
 //
 //   * PartitionStrategyKind — the built-in strategies: kAuto (exhaustive up
 //     to a size threshold, DP above it — the paper's switch), kDp (§5.1.2
@@ -16,9 +14,6 @@
 //     with PartitionStrategyRegistry under a name; new strategies (beam
 //     search, ILP, ...) slot in by registering, with no core changes.
 //   * PartitionWorkflow — the single entry point Musketeer::Plan calls.
-//
-// The old free functions live on in partitioner.h as [[deprecated]] shims
-// for this transition only.
 
 #ifndef MUSKETEER_SRC_SCHEDULER_PARTITION_STRATEGY_H_
 #define MUSKETEER_SRC_SCHEDULER_PARTITION_STRATEGY_H_

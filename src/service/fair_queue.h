@@ -1,9 +1,9 @@
 // Multi-tenant bounded queue with weighted fair scheduling and per-tenant
-// admission control — the scheduling heart of the network front door.
+// admission control — the workflow service's one submission queue.
 //
-// BoundedQueue (queue.h) gives one FIFO lane; a shared server needs one lane
-// per tenant so a single heavy submitter cannot starve everyone behind it.
-// FairQueue keeps a deque per tenant and picks the next item by stride
+// A shared server needs one FIFO lane per tenant so a single heavy submitter
+// cannot starve everyone behind it. FairQueue keeps a deque per tenant and
+// picks the next item by stride
 // scheduling: each tenant carries a virtual-time "pass", the eligible tenant
 // with the smallest pass is served next, and serving advances its pass by
 // 1/weight — so over any busy window tenants drain in proportion to their
@@ -23,9 +23,12 @@
 // OnFinished() form a strict pair — every successful Pop must be matched by
 // exactly one OnFinished(tenant) or eligibility accounting wedges.
 //
-// Thread-safety: one mutex, two condition variables (producer/consumer),
-// exactly like BoundedQueue; Close() makes the queue drain-only and wakes
-// every waiter.
+// Backpressure: TryPush rejects when full, Push blocks the producer until a
+// slot (and the tenant's allowance) frees up.
+//
+// Thread-safety: one mutex, two condition variables (producer/consumer);
+// Close() makes the queue drain-only and wakes every waiter, which is how
+// the service shuts its worker pool down without losing accepted work.
 
 #ifndef MUSKETEER_SRC_SERVICE_FAIR_QUEUE_H_
 #define MUSKETEER_SRC_SERVICE_FAIR_QUEUE_H_

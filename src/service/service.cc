@@ -292,10 +292,7 @@ WorkflowHandle WorkflowService::Enqueue(const std::string& tenant,
   }
   // Pin a relative deadline at submission time so queue wait burns the same
   // budget as execution (enforced at pickup and at every checkpoint after).
-  if (!options.absolute_deadline.has_value() && options.deadline.count() > 0) {
-    options.absolute_deadline =
-        std::chrono::steady_clock::now() + options.deadline;
-  }
+  options = PinDeadline(std::move(options));
   {
     // Count the submission as outstanding *before* it is visible to a
     // worker, so Drain() can never observe accepted-but-uncounted work.

@@ -48,7 +48,6 @@
 #include "src/core/musketeer.h"
 #include "src/service/fair_queue.h"
 #include "src/service/plan_cache.h"
-#include "src/service/queue.h"
 
 namespace musketeer {
 

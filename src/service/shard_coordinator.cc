@@ -1,47 +1,12 @@
 #include "src/service/shard_coordinator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <limits>
-#include <unordered_map>
 
 #include "src/base/logging.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/stream/fingerprint.h"
 
 namespace musketeer {
-
-namespace {
-
-// Mirrors Musketeer's deadline/context construction so a sharded run honors
-// the exact same cancellation, deadline, fault-seed and backoff semantics.
-DeadlinePoint EffectiveDeadline(const RunOptions& options) {
-  if (options.absolute_deadline.has_value()) {
-    return options.absolute_deadline;
-  }
-  if (options.deadline.count() > 0) {
-    return std::chrono::steady_clock::now() + options.deadline;
-  }
-  return std::nullopt;
-}
-
-ExecutionContext MakeContext(const WorkflowSpec& workflow,
-                             const RunOptions& options) {
-  ExecutionContext ctx;
-  ctx.workflow_id = workflow.id;
-  ctx.cancel = options.cancel;
-  ctx.deadline = EffectiveDeadline(options);
-  ctx.faults = FaultInjector(options.fault_rate, options.fault_seed);
-  ctx.retry = options.retry;
-  if (ctx.retry.backoff_seed == 0) {
-    ctx.retry.backoff_seed = options.fault_seed;
-  }
-  return ctx;
-}
-
-}  // namespace
 
 ShardCoordinator::ShardCoordinator(ShardedDfs* dfs, CoordinatorConfig config)
     : dfs_(dfs),
@@ -120,7 +85,7 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
     const WorkflowPlan& plan, const std::vector<int>& ops, const JobPlan& job,
     const ExecutionContext& ctx, const RunOptions& options,
     const CostModel& model, const std::vector<Bytes>& sizes,
-    RunResult* result) {
+    DfsTraffic* charged) {
   // Placement inputs: the job's declared input relations at their *actual*
   // current nominal sizes (upstream jobs have already committed).
   std::vector<std::pair<std::string, Bytes>> inputs;
@@ -176,28 +141,18 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
   }
 
   // Route the attempt to the placed shard's worker pool and wait for it.
-  // The per-job DFS byte deltas are harvested with a thread-scoped counter
-  // *on the worker thread* (the coordinator thread never touches the DFS
-  // during execution), then folded into the run totals here.
-  struct TaskOutcome {
-    StatusOr<JobResult> result = InternalError("shard task did not run");
-    Bytes read = 0;
-    Bytes written = 0;
-    Bytes remote = 0;
-  };
-  TaskOutcome out;
+  // The worker counts the DFS bytes the attempt charges on its own thread
+  // (the coordinator thread never executes jobs); the future's wait makes
+  // them visible here.
+  StatusOr<JobResult> out = InternalError("shard task did not run");
   std::promise<void> done;
   std::future<void> done_future = done.get_future();
   ExecutionContext shard_ctx = ctx;
   shard_ctx.shard = shard;
   const bool accepted = shards_[static_cast<size_t>(shard)]->SubmitTask(
-      [this, &job, &options, &shard_ctx, &out, &done, shard] {
-        ScopedDfsRunCounters scope;
-        out.result =
-            ExecuteJob(job, options.cluster, dfs_->View(shard), shard_ctx);
-        out.read = scope.bytes_read();
-        out.written = scope.bytes_written();
-        out.remote = scope.bytes_remote_read();
+      [this, &job, &options, &shard_ctx, &out, &done, charged, shard] {
+        out = ExecuteJobCharged(job, options.cluster, dfs_->View(shard),
+                                shard_ctx, charged);
         done.set_value();
       });
   if (!accepted) {
@@ -208,11 +163,7 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
   }
   done_future.wait();
 
-  result->dfs_bytes_read += out.read;
-  result->dfs_bytes_written += out.written;
-  result->dfs_bytes_remote_read += out.remote;
-
-  if (!out.result.ok()) {
+  if (!out.ok()) {
     // A dead shard surfaces as a retryable failure; the dispatcher's next
     // attempt re-places among the survivors (next-cheapest shard).
     std::lock_guard lock(mu_);
@@ -220,7 +171,7 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
       ++shard_failovers_;
     }
   }
-  return out.result;
+  return out;
 }
 
 StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow) {
@@ -231,19 +182,13 @@ StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow,
                                           RunOptions options) {
   // Plan once, globally: the planner's Dfs view treats every relation as
   // local, so the plan is identical to an unsharded run's — placement, not
-  // planning, is where shards enter.
-  options.absolute_deadline = EffectiveDeadline(options);
-  Musketeer planner(dfs_);
-  MUSKETEER_ASSIGN_OR_RETURN(WorkflowPlan plan, planner.Plan(workflow, options));
-
-  RunResult result;
-  result.partitioning = plan.partitioning;
-  result.plans = plan.plans;
-  result.optimizer_stats = plan.optimizer_stats;
-  result.partition_strategy = plan.partitioning.strategy;
-
-  Span exec_span("stage.shard_execute", "stage");
-  ExecutionContext ctx = MakeContext(workflow, options);
+  // planning, is where shards enter. Jobs live in different placement
+  // domains, so the run keeps the barrier plane.
+  options = PinDeadline(std::move(options));
+  options.pipeline = PipelineMode::kOff;
+  Musketeer musketeer(dfs_);
+  MUSKETEER_ASSIGN_OR_RETURN(WorkflowPlan plan,
+                             musketeer.Plan(workflow, options));
 
   // Cost/size basis for placement ranking — the same model construction
   // Plan() used, so shard choice and partitioning share one cost basis.
@@ -254,226 +199,19 @@ StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow,
   CostModel model(options.cluster, options.history, workflow.id,
                   options.conservative_first_run,
                   calibration.has_observations ? &calibration : nullptr);
-  MUSKETEER_ASSIGN_OR_RETURN(std::vector<Bytes> sizes,
-                             model.PredictSizes(*plan.dag, planner.DfsSizes()));
+  MUSKETEER_ASSIGN_OR_RETURN(
+      std::vector<Bytes> sizes,
+      model.PredictSizes(*plan.dag, musketeer.DfsSizes()));
 
-  std::unordered_map<std::string, SimSeconds> ready_at;
-  SimSeconds makespan = 0;
-  int predicted_jobs = 0;
-  double error_sum = 0;
-  int replans_done = 0;
-  static Counter& reused_metric =
-      MetricsRegistry::Global().counter("musketeer.stream.jobs_reused");
-  static Counter& recomputed_metric =
-      MetricsRegistry::Global().counter("musketeer.stream.jobs_recomputed");
-  for (size_t i = 0; i < result.plans.size(); ++i) {
-    JobPlan& job = result.plans[i];
-    SimSeconds start = 0;
-    for (const std::string& in : job.inputs) {
-      auto it = ready_at.find(in);
-      if (it != ready_at.end()) {
-        start = std::max(start, it->second);
-      }
-    }
-
-    // Incremental reuse, exactly as the unsharded Execute does it: the
-    // fingerprint is taken over the *global* DFS view, so a shard-failover
-    // re-put (which bumps the aggregate version) invalidates reuse the same
-    // way an overwrite does on one node. Placement never sees reused jobs.
-    if (options.incremental && options.fingerprints != nullptr &&
-        options.fingerprints->CanReuse(workflow.id, job.name,
-                                       FingerprintJob(workflow.id, job, *dfs_),
-                                       *dfs_)) {
-      JobResult jr;
-      jr.reused = true;
-      jr.internal_jobs = 0;
-      jr.detail = "[" + std::string(EngineKindName(job.engine)) + "] " +
-                  job.name +
-                  ": reused (fingerprint match, " +
-                  std::to_string(job.outputs.size()) +
-                  " output(s) served from the DFS)";
-      MLOG_INFO << jr.detail;
-      JobRecovery recovery;
-      recovery.job = job.name;
-      recovery.planned_engine = job.engine;
-      recovery.final_engine = job.engine;
-      recovery.attempts = 0;
-      result.recovery.push_back(std::move(recovery));
-      ++result.jobs_reused;
-      reused_metric.Increment();
-      for (const std::string& out : job.outputs) {
-        ready_at[out] = start;
-      }
-      makespan = std::max(makespan, start);
-      result.job_results.push_back(std::move(jr));
-      continue;
-    }
-
-    JobDispatchEnv env;
-    env.workflow = &workflow;
-    env.plan = &plan;
-    env.job_index = i;
-    env.options = &options;
-    // Read the run's own job list: a mid-run replan (below) rewrites the
-    // tail, and the shared plan's job boundaries no longer match after it.
-    env.ops = &result.partitioning.jobs[i].ops;
-    env.run_attempt = [&](const JobPlan& j, const ExecutionContext& c) {
-      return DispatchAttempt(plan, result.partitioning.jobs[i].ops, j, c,
-                             options, model, sizes, &result);
-    };
-    env.dfs_sizes = [&] { return planner.DfsSizes(); };
-    MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome,
-                               DispatchJobWithRecovery(&job, &ctx, env));
-    JobResult jr = std::move(outcome.result);
-    result.total_retries += outcome.retries;
-    result.total_failovers += outcome.failovers;
-    result.total_faults_injected += outcome.recovery.faults_injected;
-    result.recovery.push_back(std::move(outcome.recovery));
-    MLOG_INFO << jr.detail;
-
-    if (options.fingerprints != nullptr) {
-      // Post-commit: the aggregate versions recorded here are exactly what
-      // the next resubmission's pre-dispatch fingerprint will observe.
-      std::vector<std::pair<std::string, uint64_t>> outs;
-      outs.reserve(job.outputs.size());
-      for (const std::string& out : job.outputs) {
-        outs.emplace_back(out, dfs_->VersionOf(out));
-      }
-      options.fingerprints->Record(workflow.id, job.name,
-                                   FingerprintJob(workflow.id, job, *dfs_),
-                                   std::move(outs));
-      if (options.incremental) {
-        recomputed_metric.Increment();
-      }
-    }
-
-    bool job_measured = false;
-    double job_predicted = 0;
-    if (options.runtime_history != nullptr) {
-      const std::string engine = EngineKindName(job.engine);
-      const std::string signature = job.name + "@" + engine;
-      double predicted = options.runtime_history->PredictWallSeconds(
-          workflow.id, signature, engine, jr.makespan);
-      result.predicted_wall_seconds += predicted;
-      result.measured_wall_seconds += jr.wall_seconds;
-      error_sum += std::abs(predicted - jr.wall_seconds) /
-                   std::max(jr.wall_seconds, 1e-9);
-      ++predicted_jobs;
-      options.runtime_history->RecordJob(workflow.id, signature, engine,
-                                         jr.makespan, jr.wall_seconds);
-      job_measured = true;
-      job_predicted = predicted;
-    }
-    const double job_wall = jr.wall_seconds;
-    SimSeconds finish = start + jr.makespan;
-    for (const std::string& out : job.outputs) {
-      ready_at[out] = finish;
-    }
-    makespan = std::max(makespan, finish);
-    result.total_engine_time += jr.makespan;
-    result.job_results.push_back(std::move(jr));
-    // Online re-planning, mirroring Musketeer::Execute: a badly mispredicted
-    // job triggers a re-partition of the not-yet-run suffix with the freshly
-    // recalibrated cost model. The shared plan is untouched; only the run's
-    // own partitioning/plans tail is spliced — which is why this happens
-    // after the last use of the `job` reference, whose storage the splice
-    // may reallocate. Placement then operates on the new job boundaries
-    // (env.ops above reads the run's list).
-    if (job_measured && options.planner.replan_threshold > 0 &&
-        replans_done < std::max(0, options.planner.max_replans) &&
-        plan.dag != nullptr &&
-        RuntimeHistory::ErrorRatio(job_predicted, job_wall) >
-            options.planner.replan_threshold &&
-        result.plans.size() - (i + 1) >= 2) {
-      std::vector<int> remaining_ops;
-      for (size_t j = i + 1; j < result.plans.size(); ++j) {
-        const std::vector<int>& job_ops = result.partitioning.jobs[j].ops;
-        remaining_ops.insert(remaining_ops.end(), job_ops.begin(),
-                             job_ops.end());
-      }
-      RuntimeCalibration recal = options.runtime_history->Calibration();
-      CostModel remodel(options.cluster, options.history, workflow.id,
-                        options.conservative_first_run,
-                        recal.has_observations ? &recal : nullptr);
-      PlannerConfig pconfig = options.planner;
-      if (pconfig.engines.empty()) {
-        pconfig.engines = options.engines;
-      }
-      auto resizes = remodel.PredictSizes(*plan.dag, planner.DfsSizes());
-      auto repart = resizes.ok()
-                        ? PartitionRemainder(*plan.dag, remodel, *resizes,
-                                             pconfig, remaining_ops)
-                        : resizes.status();
-      if (repart.ok()) {
-        std::vector<JobPlan> new_plans;
-        new_plans.reserve(repart->jobs.size());
-        bool generated = true;
-        for (const JobAssignment& assignment : repart->jobs) {
-          auto jp = BackendFor(assignment.engine)
-                        .GeneratePlan(*plan.dag, assignment.ops,
-                                      plan.base_schemas, options.codegen);
-          if (!jp.ok()) {
-            generated = false;  // best-effort: keep the original tail
-            break;
-          }
-          new_plans.push_back(std::move(jp).value());
-        }
-        if (generated) {
-          MLOG_INFO << "re-planning " << (result.plans.size() - (i + 1))
-                    << " remaining job(s) of '" << workflow.id << "' into "
-                    << new_plans.size() << " (prediction off by "
-                    << RuntimeHistory::ErrorRatio(job_predicted, job_wall)
-                    << "x, threshold " << options.planner.replan_threshold
-                    << ")";
-          result.partitioning.jobs.resize(i + 1);
-          for (JobAssignment& assignment : repart->jobs) {
-            result.partitioning.jobs.push_back(std::move(assignment));
-          }
-          result.plans.resize(i + 1);
-          for (JobPlan& jp : new_plans) {
-            result.plans.push_back(std::move(jp));
-          }
-          ++result.replans;
-          ++replans_done;
-        }
-      }
-    }
-  }
-  result.makespan = makespan;
-  if (predicted_jobs > 0) {
-    result.cost_model_error = error_sum / predicted_jobs;
-  }
-  if (exec_span.active()) {
-    exec_span.SetAttr("workflow", workflow.id);
-    exec_span.SetAttr("jobs", std::to_string(result.plans.size()));
-    exec_span.SetAttr("shards", std::to_string(num_shards()));
-  }
-
-  // Sinks resolve through the global view — wherever a shard put them.
-  for (const std::string& name : plan.sink_relations) {
-    auto table = dfs_->Get(name);
-    if (table.ok()) {
-      result.outputs[name] = *table;
-    }
-  }
-
-  // History recording, exactly as the unsharded Execute does it.
-  if (options.history != nullptr) {
-    for (const JobPlan& job : result.plans) {
-      for (const std::string& out : job.outputs) {
-        auto table = dfs_->Get(out);
-        if (table.ok()) {
-          options.history->Record(workflow.id, out, (*table)->nominal_bytes());
-        }
-      }
-    }
-    for (const JobResult& jr : result.job_results) {
-      for (const auto& [relation, bytes] : jr.observed_sizes) {
-        options.history->Record(workflow.id, relation, bytes);
-      }
-    }
-  }
-  return result;
+  // Everything but placement — reuse, recovery, calibration, re-planning,
+  // sinks and history — is Execute's one loop.
+  return musketeer.Execute(
+      workflow, plan, options,
+      [&](const JobPlan& job, const std::vector<int>& ops,
+          const ExecutionContext& ctx, DfsTraffic* charged) {
+        return DispatchAttempt(plan, ops, job, ctx, options, model, sizes,
+                               charged);
+      });
 }
 
 }  // namespace musketeer

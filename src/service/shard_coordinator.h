@@ -17,11 +17,14 @@
 //   - kRandom: seeded hash of the job name — the locality-blind control arm
 //     bench_shard_scaling compares against.
 //
-// Dispatch rides the PR 5 recovery loop (src/core/job_dispatch.h): per-engine
-// retries, cross-engine failover — and, new here, next-cheapest-shard
-// failover. A dead shard (DrainShard, or the seeded shard-fault config)
-// surfaces as a retryable kUnavailable; the re-attempt re-places among the
-// shards still alive, which the cost ranking makes the next-cheapest choice.
+// Placement is the coordinator's only job. It plugs into Musketeer::Execute
+// as that loop's JobRunner, so a sharded run shares everything else with an
+// unsharded one: fingerprint reuse, per-engine retries and cross-engine
+// failover (src/core/job_dispatch.h), calibration, suffix re-planning, sink
+// collection and history. Shard failover composes with the recovery loop: a
+// dead shard (DrainShard, or the seeded shard-fault config) surfaces as a
+// retryable kUnavailable, and the re-attempt re-places among the shards
+// still alive, which the cost ranking makes the next-cheapest choice.
 // The dead shard's DFS partition survives (the HDFS-replication stand-in):
 // reads fall back to a directory-repairing scan, so results stay
 // Table::Identical to the 1-shard run even across failovers.
@@ -36,7 +39,6 @@
 #include <vector>
 
 #include "src/cluster/sharded_dfs.h"
-#include "src/core/job_dispatch.h"
 #include "src/core/musketeer.h"
 #include "src/scheduler/placement.h"
 #include "src/service/service.h"
@@ -82,11 +84,12 @@ class ShardCoordinator {
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
-  // Plans `workflow` against the global namespace and fans its jobs out
-  // across the shards by placement. Blocking; jobs dispatch in dependency
-  // order and the returned RunResult is byte-for-byte comparable to an
-  // unsharded Musketeer::Run (same makespan accounting, outputs
-  // Table::Identical at any shard count).
+  // Plans `workflow` against the global namespace and runs it through
+  // Musketeer::Execute with placement as the job runner, so its jobs fan out
+  // across the shards. Blocking; the returned RunResult is byte-for-byte
+  // comparable to an unsharded Musketeer::Run (same makespan accounting,
+  // outputs Table::Identical at any shard count). `options.pipeline` is
+  // ignored: shards keep the barrier plane.
   StatusOr<RunResult> Run(const WorkflowSpec& workflow);
   StatusOr<RunResult> Run(const WorkflowSpec& workflow, RunOptions options);
 
@@ -102,10 +105,10 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
-  // One dispatch attempt: place `job` (whose operator set is `ops` — the
-  // run's possibly re-planned set, not the shared plan's), route it to the
-  // placed shard's service, harvest the per-job DFS byte deltas into the
-  // run totals.
+  // The JobRunner Run() hands to Execute: place `job` (whose operator set
+  // is `ops` — the run's possibly re-planned set, not the shared plan's),
+  // run it on the placed shard's service, and add the DFS bytes it charged
+  // there to *charged.
   StatusOr<JobResult> DispatchAttempt(const WorkflowPlan& plan,
                                       const std::vector<int>& ops,
                                       const JobPlan& job,
@@ -113,7 +116,7 @@ class ShardCoordinator {
                                       const RunOptions& options,
                                       const CostModel& model,
                                       const std::vector<Bytes>& sizes,
-                                      RunResult* result);
+                                      DfsTraffic* charged);
 
   std::vector<int> AliveShardsLocked() const;  // requires mu_
   void KillShardLocked(int shard);             // requires mu_

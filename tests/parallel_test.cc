@@ -17,7 +17,7 @@
 
 #include "src/frontends/frontend.h"
 #include "src/relational/ops.h"
-#include "src/scheduler/partitioner.h"
+#include "src/scheduler/partition_strategy.h"
 
 namespace musketeer {
 namespace {

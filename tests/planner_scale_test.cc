@@ -1,9 +1,9 @@
 // Planner-at-scale coverage (DESIGN.md "Planner at scale"): the synthetic
 // DAG generator's exact-count/determinism contract, the DP heuristic's
 // optimality gap against exhaustive search on small DAGs, the kAuto size
-// switch, seeded multi-order DP determinism, online mid-run re-planning
-// staying bit-identical across all nine evaluation workflows plus a
-// 100-operator synthetic DAG, and the deprecated partitioner shims.
+// switch, seeded multi-order DP determinism, and online mid-run re-planning
+// staying bit-identical across all nine evaluation workflows (unsharded and
+// on three shards) plus a 100-operator synthetic DAG.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/sharded_dfs.h"
 #include "src/core/musketeer.h"
 #include "src/frontends/frontend.h"
 #include "src/ir/eval.h"
+#include "src/obs/metrics.h"
 #include "src/obs/runtime_history.h"
 #include "src/scheduler/partition_strategy.h"
+#include "src/service/shard_coordinator.h"
 #include "src/workloads/synthetic_dag.h"
 #include "tests/workflow_setups.h"
 
@@ -215,18 +218,25 @@ TEST(PlannerScaleTest, ThousandOperatorDagPartitions) {
 // Online re-planning end to end: force a mid-run re-plan (threshold below
 // the >= 1 error ratio, so the first measured job always trips it) and
 // assert the outputs stay BIT-identical to the undisturbed run on every
-// evaluation workflow. Regrouping moves job boundaries, never bytes.
+// evaluation workflow, unsharded and through a 3-shard coordinator (which
+// re-plans in the same Execute loop, so /metrics counts its re-plans too).
+// Regrouping moves job boundaries, never bytes.
 TEST(ReplanningTest, NineWorkflowsStayIdenticalUnderForcedReplan) {
+  Counter& replans_metric =
+      MetricsRegistry::Global().counter("musketeer.execute.replans");
+  const uint64_t metric_before = replans_metric.Value();
   int replans_observed = 0;
+  int sharded_replans = 0;
   for (Wf wf : kAllWorkflows) {
     WfSetup setup = MakeSetup(wf);
 
-    auto run = [&](bool replan) {
-      Dfs dfs;
+    auto load = [&](Dfs* dfs) {
       for (const auto& [name, table] : setup.inputs) {
-        dfs.Put(name, table);
+        dfs->Put(name, table);
       }
-      Musketeer m(&dfs);
+    };
+    // shards == 0 runs unsharded Musketeer::Run on a plain Dfs.
+    auto run = [&](bool replan, int shards) {
       RunOptions options;
       options.cluster = Ec2Cluster(16);
       // Unmerged plans have one job per operator, so every workflow has
@@ -240,27 +250,46 @@ TEST(ReplanningTest, NineWorkflowsStayIdenticalUnderForcedReplan) {
         options.planner.replan_threshold = 0.5;
         options.planner.max_replans = 2;
       }
-      auto result = m.Run(setup.workflow, options);
+      StatusOr<RunResult> result = InternalError("not run");
+      if (shards > 0) {
+        ShardedDfs dfs(shards);
+        load(&dfs);
+        ShardCoordinator coordinator(&dfs);
+        result = coordinator.Run(setup.workflow, options);
+      } else {
+        Dfs dfs;
+        load(&dfs);
+        Musketeer m(&dfs);
+        result = m.Run(setup.workflow, options);
+      }
       EXPECT_TRUE(result.ok()) << WfName(wf) << ": " << result.status();
       return result;
     };
 
-    auto baseline = run(false);
-    auto replanned = run(true);
-    if (!baseline.ok() || !replanned.ok()) {
+    auto baseline = run(false, 0);
+    auto replanned = run(true, 0);
+    auto sharded = run(true, 3);
+    if (!baseline.ok() || !replanned.ok() || !sharded.ok()) {
       continue;
     }
     ASSERT_EQ(baseline->outputs.count(setup.result_relation), 1u);
-    ASSERT_EQ(replanned->outputs.count(setup.result_relation), 1u);
-    EXPECT_TRUE(Table::Identical(*baseline->outputs[setup.result_relation],
-                                 *replanned->outputs[setup.result_relation]))
-        << WfName(wf) << " diverged under forced re-planning";
+    for (const RunResult* r : {&*replanned, &*sharded}) {
+      ASSERT_EQ(r->outputs.count(setup.result_relation), 1u);
+      EXPECT_TRUE(Table::Identical(*baseline->outputs[setup.result_relation],
+                                   *r->outputs.at(setup.result_relation)))
+          << WfName(wf) << " diverged under forced re-planning"
+          << (r == &*sharded ? " on 3 shards" : "");
+    }
     EXPECT_EQ(baseline->replans, 0);
     replans_observed += replanned->replans;
+    sharded_replans += sharded->replans;
   }
   // At least one of the nine workflows has enough remaining jobs after the
-  // first fold for a re-plan to actually fire.
+  // first fold for a re-plan to actually fire, on either path.
   EXPECT_GT(replans_observed, 0);
+  EXPECT_GT(sharded_replans, 0);
+  EXPECT_EQ(replans_metric.Value() - metric_before,
+            static_cast<uint64_t>(replans_observed + sharded_replans));
 }
 
 // Same contract on a 100-operator synthetic DAG, where the job list is long
@@ -316,60 +345,3 @@ TEST(ReplanningTest, SyntheticDagReplansAndStaysIdentical) {
 
 }  // namespace
 }  // namespace musketeer
-
-// Deprecated-shim compatibility (removed next PR with partitioner.h): the
-// legacy free functions must keep producing exactly what the strategy
-// registry produces.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#include "src/scheduler/partitioner.h"
-
-namespace musketeer {
-namespace {
-
-TEST(DeprecatedShimTest, FreeFunctionsMatchStrategyRegistry) {
-  SyntheticDagSpec spec;
-  spec.target_ops = 9;
-  spec.seed = 4;
-  SyntheticDagWorkload workload = MakeSyntheticDag(spec);
-  auto dag = ParseWorkflow(FrontendLanguage::kBeer, workload.source);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-  CostModel model(Ec2Cluster(16), nullptr, "syn");
-  auto sizes = model.PredictSizes(**dag, BaseSizes(workload));
-  ASSERT_TRUE(sizes.ok()) << sizes.status();
-
-  auto same = [](const Partitioning& a, const Partitioning& b) {
-    ASSERT_EQ(a.jobs.size(), b.jobs.size());
-    for (size_t i = 0; i < a.jobs.size(); ++i) {
-      EXPECT_EQ(a.jobs[i].ops, b.jobs[i].ops);
-      EXPECT_EQ(a.jobs[i].engine, b.jobs[i].engine);
-    }
-    EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
-  };
-
-  auto legacy_dp = PartitionDp(**dag, model, *sizes);
-  ASSERT_TRUE(legacy_dp.ok());
-  PlannerConfig config;
-  config.strategy = PartitionStrategyKind::kDp;
-  auto new_dp = PartitionWorkflow(**dag, model, *sizes, config);
-  ASSERT_TRUE(new_dp.ok());
-  same(*legacy_dp, *new_dp);
-
-  auto legacy_ex = PartitionExhaustive(**dag, model, *sizes);
-  ASSERT_TRUE(legacy_ex.ok());
-  config.strategy = PartitionStrategyKind::kExhaustive;
-  auto new_ex = PartitionWorkflow(**dag, model, *sizes, config);
-  ASSERT_TRUE(new_ex.ok());
-  same(*legacy_ex, *new_ex);
-
-  auto legacy_auto = PartitionDag(**dag, model, *sizes);
-  ASSERT_TRUE(legacy_auto.ok());
-  config.strategy = PartitionStrategyKind::kAuto;
-  auto new_auto = PartitionWorkflow(**dag, model, *sizes, config);
-  ASSERT_TRUE(new_auto.ok());
-  same(*legacy_auto, *new_auto);
-}
-
-}  // namespace
-}  // namespace musketeer
-#pragma GCC diagnostic pop

@@ -1,7 +1,7 @@
 // Scheduler tests: size prediction with and without history, job costing,
 // the DP heuristic vs. exhaustive search, and the decision-tree baseline.
 
-#include "src/scheduler/partitioner.h"
+#include "src/scheduler/partition_strategy.h"
 
 #include <cstdio>
 

@@ -15,65 +15,11 @@
 
 #include "src/obs/metrics.h"
 #include "src/service/plan_cache.h"
-#include "src/service/queue.h"
 #include "src/workloads/datasets.h"
 #include "src/workloads/workflows.h"
 
 namespace musketeer {
 namespace {
-
-// ---- BoundedQueue ----------------------------------------------------------
-
-TEST(BoundedQueueTest, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.Pop(), std::optional<int>(1));
-  EXPECT_TRUE(q.TryPush(3));
-}
-
-TEST(BoundedQueueTest, CloseDrainsThenStops) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.TryPush(7));
-  q.Close();
-  EXPECT_FALSE(q.TryPush(8));      // closed rejects producers
-  EXPECT_EQ(q.Pop(), std::optional<int>(7));  // accepted work still drains
-  EXPECT_EQ(q.Pop(), std::nullopt);           // then signals exhaustion
-}
-
-TEST(BoundedQueueTest, ConcurrentProducersConsumers) {
-  constexpr int kPerProducer = 200;
-  constexpr int kProducers = 4;
-  BoundedQueue<int> q(8);
-  std::atomic<int> sum{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = q.Pop()) {
-        sum.fetch_add(*v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q] {
-      for (int i = 1; i <= kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(i));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-
-  EXPECT_EQ(popped.load(), kProducers * kPerProducer);
-  EXPECT_EQ(sum.load(), kProducers * kPerProducer * (kPerProducer + 1) / 2);
-}
 
 // ---- PlanCache -------------------------------------------------------------
 
@@ -463,55 +409,6 @@ TEST(WorkflowServiceTest, ConcurrentSubmittersAllAccountedFor) {
   EXPECT_EQ(stats.failed, 0u);
 }
 
-// ---- BoundedQueue edge cases -----------------------------------------------
-
-TEST(BoundedQueueTest, CapacityOneAlternatesStrictly) {
-  BoundedQueue<int> q(1);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(q.TryPush(i));
-    EXPECT_FALSE(q.TryPush(i + 100));  // one slot, always full after a push
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.Pop(), std::optional<int>(i));
-    EXPECT_EQ(q.size(), 0u);
-  }
-}
-
-// Blocking producers racing Close(): every Push() must return a definite
-// verdict (true = the item will drain, false = rejected at close), no item
-// may be lost or duplicated, and nobody may hang.
-TEST(BoundedQueueTest, BlockingPushRacesClose) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(0));  // producers start blocked on a full queue
-
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 50;
-  std::atomic<int> accepted{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (q.Push(1)) {
-          accepted.fetch_add(1);
-        } else {
-          return;  // closed: every later Push would also fail
-        }
-      }
-    });
-  }
-  std::atomic<int> popped{0};
-  std::thread consumer([&] {
-    while (q.Pop().has_value()) {
-      popped.fetch_add(1);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Close();
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(popped.load(), accepted.load() + 1);  // +1 for the seed item
-  EXPECT_EQ(q.Pop(), std::nullopt);               // drained and closed
-}
-
 // ---- FairQueue -------------------------------------------------------------
 
 TEST(FairQueueTest, SingleLaneDegeneratesToFifo) {
@@ -556,10 +453,101 @@ TEST(FairQueueTest, PerTenantMaxQueuedRejectsOnlyThatTenant) {
   EXPECT_EQ(q.TryPush("b", 4), AdmitResult::kOk);  // others unaffected
   EXPECT_EQ(q.QueuedFor("a"), 2u);
 
-  // Global capacity exhaustion reports kQueueFull, not over-quota.
+  // Global capacity exhaustion reports kQueueFull, not over-quota, and a
+  // pop frees the slot again.
   FairQueue<int> tiny(1);
   EXPECT_EQ(tiny.TryPush("x", 1), AdmitResult::kOk);
   EXPECT_EQ(tiny.TryPush("y", 2), AdmitResult::kQueueFull);
+  auto popped = tiny.Pop();
+  ASSERT_TRUE(popped.has_value());
+  tiny.OnFinished(popped->tenant);
+  EXPECT_EQ(tiny.TryPush("y", 2), AdmitResult::kOk);
+}
+
+TEST(FairQueueTest, CloseDrainsThenStops) {
+  FairQueue<int> q(4);
+  ASSERT_EQ(q.TryPush("a", 7), AdmitResult::kOk);
+  q.Close();
+  EXPECT_EQ(q.TryPush("a", 8), AdmitResult::kClosed);  // rejects producers
+  EXPECT_EQ(q.Push("b", 9), AdmitResult::kClosed);
+  auto popped = q.Pop();  // accepted work still drains
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(popped->item, 7);
+  q.OnFinished(popped->tenant);
+  EXPECT_EQ(q.Pop(), std::nullopt);  // then signals exhaustion
+}
+
+// Blocking producers (one tenant each) and consumers over a small shared
+// capacity: nothing lost, nothing duplicated, nobody hangs.
+TEST(FairQueueTest, ConcurrentProducersConsumers) {
+  constexpr int kPerProducer = 200;
+  constexpr int kProducers = 4;
+  FairQueue<int> q(8);
+  std::atomic<int> sum{0};
+  std::atomic<int> popped{0};
+
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 3; ++c) {
+    consumers.emplace_back([&] {
+      while (auto v = q.Pop()) {
+        sum.fetch_add(v->item);
+        popped.fetch_add(1);
+        q.OnFinished(v->tenant);
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      const std::string tenant = "t" + std::to_string(p);
+      for (int i = 1; i <= kPerProducer; ++i) {
+        ASSERT_EQ(q.Push(tenant, i), AdmitResult::kOk);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.Close();
+  for (auto& t : consumers) t.join();
+
+  EXPECT_EQ(popped.load(), kProducers * kPerProducer);
+  EXPECT_EQ(sum.load(), kProducers * kPerProducer * (kPerProducer + 1) / 2);
+}
+
+// Blocking producers racing Close(): every Push() must return a definite
+// verdict (kOk = the item will drain, kClosed = rejected at close), no item
+// may be lost or duplicated, and nobody may hang.
+TEST(FairQueueTest, BlockingPushRacesClose) {
+  FairQueue<int> q(1);
+  ASSERT_EQ(q.TryPush("seed", 0), AdmitResult::kOk);  // producers start blocked
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 50;
+  std::atomic<int> accepted{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, &accepted, p] {
+      const std::string tenant = "t" + std::to_string(p);
+      for (int i = 0; i < kPerProducer; ++i) {
+        if (q.Push(tenant, 1) != AdmitResult::kOk) {
+          return;  // closed: every later Push would also fail
+        }
+        accepted.fetch_add(1);
+      }
+    });
+  }
+  std::atomic<int> popped{0};
+  std::thread consumer([&] {
+    while (auto v = q.Pop()) {
+      popped.fetch_add(1);
+      q.OnFinished(v->tenant);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.Close();
+  for (auto& t : producers) t.join();
+  consumer.join();
+  EXPECT_EQ(popped.load(), accepted.load() + 1);  // +1 for the seed item
+  EXPECT_EQ(q.Pop(), std::nullopt);               // drained and closed
 }
 
 TEST(FairQueueTest, MaxInFlightHoldsItemsBackWithoutRejecting) {

@@ -711,6 +711,34 @@ TEST(IncrementalTest, ShardedResubmitReusesAndMatches) {
     EXPECT_TRUE(Table::Identical(*table, *warm->outputs.at(name)));
   }
 
+  // A reused job reads the same on both paths: no engine job ran, and the
+  // detail lines match.
+  Dfs plain;
+  for (const auto& [name, table] : setup.inputs) {
+    plain.Put(name, table);
+  }
+  FingerprintStore plain_store;
+  RunOptions plain_options = options;
+  plain_options.fingerprints = &plain_store;
+  plain_options.incremental = false;
+  Musketeer m(&plain);
+  ASSERT_TRUE(m.Run(setup.workflow, plain_options).ok());
+  plain_options.incremental = true;
+  auto plain_warm = m.Run(setup.workflow, plain_options);
+  ASSERT_TRUE(plain_warm.ok()) << plain_warm.status();
+  ASSERT_EQ(warm->job_results.size(), plain_warm->job_results.size());
+  for (size_t i = 0; i < warm->job_results.size(); ++i) {
+    const JobResult& sharded_job = warm->job_results[i];
+    const JobResult& plain_job = plain_warm->job_results[i];
+    EXPECT_TRUE(sharded_job.reused);
+    EXPECT_TRUE(plain_job.reused);
+    EXPECT_EQ(sharded_job.internal_jobs, 0);
+    EXPECT_EQ(plain_job.internal_jobs, 0);
+    EXPECT_EQ(sharded_job.detail, plain_job.detail);
+    EXPECT_EQ(sharded_job.makespan, plain_job.makespan);
+    EXPECT_EQ(warm->recovery[i].attempts, plain_warm->recovery[i].attempts);
+  }
+
   const std::string target = AppendTarget(setup);
   TableMap appended = AppendedInputs(setup, target);
   dfs.Put(target, appended.at(target));

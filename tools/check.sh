@@ -24,8 +24,8 @@
 # --incremental output is byte-identical to --pipeline=off, and
 # bench_stream_pipeline's pipelined-speedup / reused-job acceptance), and
 # finally the planner-at-scale gate (the forced re-planning sweep under
-# TSan, a scripted CLI run asserting every --partitioner choice produces
-# byte-identical output, and bench_partitioner_scale's 250 ms planning
+# TSan, a scripted CLI run asserting every --partitioner choice, and a
+# re-planning run on three shards, produces byte-identical output, and bench_partitioner_scale's 250 ms planning
 # budget on 1000-operator synthetic DAGs plus the DP optimality-gap
 # acceptance).
 # Run from anywhere;
@@ -196,6 +196,10 @@ echo "== [9/11] sharded execution: TSan coordinator tests + CLI bit-identity + s
 # reads the shared directory and fetch counters.
 "$repo/build-tsan/tests/shard_test" \
     --gtest_filter='ShardCoordinatorTest.*:*SeededShardDeath*'
+# Forced mid-run re-planning through the 3-shard coordinator: the suffix
+# re-plan happens in Execute's loop while shard workers run the jobs.
+"$repo/build-tsan/tests/planner_scale_test" \
+    --gtest_filter='ReplanningTest.NineWorkflowsStayIdenticalUnderForcedReplan'
 
 # Scripted CLI bit-identity: the same workflow at --shards=1 and --shards=3
 # (and at 3 shards with a mid-run shard death) must produce byte-identical
@@ -259,8 +263,9 @@ echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selecti
     --gtest_filter='ReplanningTest.*:PlannerScaleTest.*'
 
 # Scripted CLI strategy selection: every built-in partitioner must produce
-# byte-identical output on the same workflow, the report must name the
-# strategy that ran, and an unknown strategy name must be rejected.
+# byte-identical output on the same workflow (also when the run re-plans on
+# three shards), the report must name the strategy that ran, and an unknown
+# strategy name must be rejected.
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
     --output=joined=part_auto.csv --partitioner=auto tiny.beer > part_auto_out.txt)
@@ -271,8 +276,13 @@ echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selecti
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
     --output=joined=part_ex.csv --partitioner=exhaustive tiny.beer > part_ex_out.txt)
+(cd "$obs_tmp" && "$repo/build/tools/musketeer" \
+    --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
+    --output=joined=part_shard.csv --shards=3 --partitioner=dp \
+    --replan-threshold=0.5 tiny.beer > part_shard_out.txt)
 cmp "$obs_tmp/part_auto.csv" "$obs_tmp/part_dp.csv"
 cmp "$obs_tmp/part_auto.csv" "$obs_tmp/part_ex.csv"
+cmp "$obs_tmp/part_auto.csv" "$obs_tmp/part_shard.csv"
 grep -q "exhaustive partitioner" "$obs_tmp/part_auto_out.txt"
 grep -q "dp partitioner" "$obs_tmp/part_dp_out.txt"
 if "$repo/build/tools/musketeer" --partitioner=bogus tiny.beer \
