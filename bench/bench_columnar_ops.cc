@@ -1,16 +1,15 @@
 // Columnar vs row-of-variants data plane: wall-clock time of the hot
-// relational kernels (hash join, grouped aggregation, sort, and the fused
-// select→map→aggregate pipeline) on the typed columnar kernels
-// (src/relational/ops.cc) against their reference implementation at every
-// thread width in {1, 2, 4, 8}.
+// relational kernels (hash join, grouped aggregation, sort) on the typed
+// columnar kernels (src/relational/ops.cc) against their reference
+// implementation at every thread width in {1, 2, 4, 8}.
 //
 // Three gates, all of which make the binary exit non-zero:
 //   * identity: every columnar result is bit-checked (Table::Identical)
-//     against its reference at every width, re-asserting the migration and
-//     fusion contracts on big inputs;
+//     against its reference at every width, re-asserting the migration
+//     contract on big inputs;
 //   * the 1.5x single-threaded columnar-vs-row floor on join and group-by;
 //   * thread scaling on EVERY op, hardware-aware: the floor at 8 threads is
-//     the op's full floor (4x join/group-by/fused, 2.5x sort) scaled by
+//     the op's full floor (4x join/group-by, 2.5x sort) scaled by
 //     min(8, hardware_threads)/8, never below 0.85x — on a 1-core host
 //     timeslicing cannot speed anything up, so the honest gate there is
 //     "parallelism must not regress", while >= 8 real cores get the full
@@ -18,10 +17,8 @@
 //
 // Results are written to BENCH_columnar.json as
 // [{"op", "rows", "threads", "wall_ms"}, ...] with op names suffixed
-// _row / _columnar (for fused_pipeline: _row = unfused columnar operator
-// pipeline, _columnar = fused kernel), plus one "hardware_threads" metadata
-// record so scaling numbers can be judged against the host that produced
-// them.
+// _row / _columnar, plus one "hardware_threads" metadata record so scaling
+// numbers can be judged against the host that produced them.
 
 #include <algorithm>
 #include <chrono>
@@ -35,7 +32,6 @@
 
 #include "bench/bench_common.h"
 #include "src/base/parallel.h"
-#include "src/ir/expr.h"
 #include "src/relational/ops.h"
 #include "tests/row_reference.h"
 
@@ -124,37 +120,6 @@ int RunAll() {
   const std::vector<int> group_cols = {0};
   const std::vector<int> sort_cols = {0, 1};
 
-  // Fused pipeline: SELECT k < kAggGroups/2 → MAP {k, y = x*2 + v} →
-  // GROUP BY k {SUM(y), COUNT}. The reference side runs the same chain as
-  // three unfused columnar operators; the test side runs the one-pass fused
-  // kernel — outputs must be bit-identical (same filtered-row chunking, same
-  // merge tree).
-  ExprPtr sel_cond = Expr::Binary(BinOp::kLt, Expr::Column("k"),
-                                  Expr::Literal(kAggGroups / 2));
-  ExprPtr map_y = Expr::Binary(
-      BinOp::kAdd,
-      Expr::Binary(BinOp::kMul, Expr::Column("x"), Expr::Literal(2.0)),
-      Expr::Column("v"));
-  MaskEval sel_mask = std::move(sel_cond->CompileMask(agg_in.schema())).value();
-  FusedTransform ft;
-  ft.gather_cols = {0, 2, 1};  // k, x, v — first-use order of the MAP
-  ft.scratch_schema = Schema({{"k", FieldType::kInt64},
-                              {"x", FieldType::kDouble},
-                              {"v", FieldType::kInt64}});
-  ft.out_schema =
-      Schema({{"k", FieldType::kInt64}, {"y", FieldType::kDouble}});
-  ft.exprs.push_back(
-      std::move(Expr::Column("k")->CompileBatch(ft.scratch_schema)).value());
-  ft.exprs.push_back(std::move(map_y->CompileBatch(ft.scratch_schema)).value());
-  const std::vector<AggSpec> fused_aggs{{AggFn::kSum, 1, "sy"},
-                                        {AggFn::kCount, 0, "c"}};
-  const std::vector<int> fused_group = {0};
-  BatchEval map_k =
-      std::move(Expr::Column("k")->CompileBatch(agg_in.schema())).value();
-  BatchEval map_y_full =
-      std::move(map_y->CompileBatch(agg_in.schema())).value();
-  Schema map_out({{"k", FieldType::kInt64}, {"y", FieldType::kDouble}});
-
   std::vector<BenchOp> ops;
   ops.push_back(
       {"hash_join", kJoinRows, /*enforce_floor=*/true, /*scale_floor8=*/4.0,
@@ -171,19 +136,6 @@ int RunAll() {
                  /*scale_floor8=*/2.5,
                  [&] { return rowref::SortBy(agg_in, sort_cols); },
                  [&] { return SortBy(agg_in, sort_cols); }});
-  ops.push_back(
-      {"fused_pipeline", kAggRows, /*enforce_floor=*/false,
-       /*scale_floor8=*/4.0,
-       [&] {
-         Table selected = SelectRowsMask(agg_in, {sel_mask});
-         Table mapped = MapRowsBatch(selected, map_out, {map_k, map_y_full});
-         return std::move(GroupByAgg(mapped, fused_group, fused_aggs)).value();
-       },
-       [&] {
-         return std::move(FusedSelectTransformAgg(agg_in, {sel_mask}, ft,
-                                                  fused_group, fused_aggs))
-             .value();
-       }});
 
   PrintHeader("Columnar vs row data plane",
               "wall-clock ms (min of 3); columnar output bit-checked against "

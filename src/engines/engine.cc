@@ -117,8 +117,9 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   jobs.Increment();
 
   // Register the context's token/deadline as this thread's interrupt state so
-  // the interpreter's operator loop and the substrates' stage/iteration loops
-  // (which cannot take a context parameter) observe them via CheckInterrupt.
+  // the DAG walker's node loop, the WHILE driver's trips and the vertex
+  // runtime's supersteps (which cannot take a context parameter) observe
+  // them via CheckInterrupt.
   ScopedInterrupt interrupt(ctx.cancel, ctx.deadline);
   ChannelAbortGuard abort_guard{stream, plan.name};
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());

@@ -1,21 +1,23 @@
 // Simulated execution engines.
 //
 // ExecuteJob runs a JobPlan against the DFS: it pulls the job's inputs,
-// executes the plan's sub-DAG on real data (all engines share the relational
-// kernel, so results are engine-independent and verified against the
-// reference interpreter by tests), pushes outputs back to the DFS, and
-// returns the simulated makespan charged according to the engine's
-// performance model (see src/backends/perf_model.cc for the calibration and
-// DESIGN.md for the substitution rationale).
+// executes the plan's sub-DAG on real data through the shared relational
+// kernel (TraceExecuteDag — the one IR interpreter of src/ir/eval.h, so
+// results are engine-independent by construction) and the engine's own
+// substrate, pushes outputs back to the DFS, and returns the simulated
+// makespan charged according to the engine's performance model (see
+// src/backends/perf_model.cc for the calibration and DESIGN.md for the
+// substitution rationale).
 //
 // The ExecutionContext overload is the execution boundary for fault-tolerant
 // runs: it observes the context's cancellation token and deadline at phase
-// boundaries (and, via ScopedInterrupt, inside the interpreter's operator
-// loop and the substrates' stage/iteration loops), consults the seeded
-// FaultInjector to decide whether this attempt fails, and verifies the
-// engine substrate's outputs against the shared relational kernel before
-// committing the kernel's tables to the DFS — which is what makes
-// cross-engine failover bit-identical (Table::Identical) by construction.
+// boundaries (and, via ScopedInterrupt, inside the DAG walker's node loop,
+// the WHILE driver's trips and the vertex runtime's supersteps), consults
+// the seeded FaultInjector to decide whether this attempt fails, and
+// verifies the engine substrate's outputs against the shared relational
+// kernel before committing the kernel's tables to the DFS — which is what
+// makes cross-engine failover bit-identical (Table::Identical) by
+// construction.
 
 #ifndef MUSKETEER_SRC_ENGINES_ENGINE_H_
 #define MUSKETEER_SRC_ENGINES_ENGINE_H_

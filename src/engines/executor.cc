@@ -1,108 +1,47 @@
 #include "src/engines/executor.h"
 
-#include "src/base/cancel.h"
-
 namespace musketeer {
 
 namespace {
 
-Status TraceInto(const Dag& dag, const TableMap& base, int iteration,
-                 ExecTrace* trace, TableMap* produced) {
-  TableMap relations = base;
-  std::vector<TablePtr> by_node(dag.num_nodes());
-
-  for (const OperatorNode& node : dag.nodes()) {
-    // Per-operator-batch cancellation/deadline checkpoint (no-op unless the
-    // thread has a ScopedInterrupt installed, i.e. a context-bearing run).
-    MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
-    if (node.kind == OpKind::kInput) {
-      const auto& p = std::get<InputParams>(node.params);
-      auto it = relations.find(p.relation);
-      if (it == relations.end()) {
-        return NotFoundError("base relation '" + p.relation + "' not provided");
-      }
-      by_node[node.id] = it->second;
-      relations[node.output] = it->second;
-      continue;
-    }
-
-    if (node.kind == OpKind::kWhile) {
-      const auto& p = std::get<WhileParams>(node.params);
-      TableMap body_base = base;
-      for (size_t i = 0; i < p.bindings.size(); ++i) {
-        body_base[p.bindings[i].loop_input] = by_node[node.inputs[i]];
-      }
-      for (size_t i = p.bindings.size(); i < node.inputs.size(); ++i) {
-        body_base[dag.node(node.inputs[i]).output] = by_node[node.inputs[i]];
-      }
-      TableMap iter_out;
-      for (int64_t iter = 0; iter < p.iterations; ++iter) {
-        iter_out.clear();
-        MUSKETEER_RETURN_IF_ERROR(TraceInto(*p.body, body_base,
-                                            static_cast<int>(iter), trace,
-                                            &iter_out));
-        bool stable = p.until_fixpoint;
-        for (const LoopBinding& b : p.bindings) {
-          auto it = iter_out.find(b.body_output);
-          if (it == iter_out.end()) {
-            return InternalError("loop relation '" + b.body_output + "' missing");
-          }
-          stable = stable &&
-                   Table::SameContent(*body_base[b.loop_input], *it->second);
-          body_base[b.loop_input] = it->second;
-          trace->loop_state_bytes += it->second->nominal_bytes();
+// Walks `dag`, appending one OpTrace per executed operator; `iteration` is
+// the enclosing loop trip (-1 at top level).
+StatusOr<TableMap> TraceWalk(const Dag& dag, const TableMap& base,
+                             int iteration, ExecTrace* trace) {
+  return WalkDag(
+      dag, base,
+      [trace, iteration](const OperatorNode& node,
+                         const std::vector<const Table*>& inputs)
+          -> StatusOr<Table> {
+        Bytes in_bytes = 0;
+        for (const Table* t : inputs) {
+          in_bytes += t->nominal_bytes();
         }
-        ++trace->total_iterations;
-        if (stable) {
-          break;
-        }
-      }
-      auto it = iter_out.find(p.result);
-      if (it == iter_out.end()) {
-        return InternalError("WHILE result relation '" + p.result + "' missing");
-      }
-      by_node[node.id] = it->second;
-      relations[node.output] = it->second;
-      (*produced)[node.output] = it->second;
-      continue;
-    }
-
-    std::vector<const Table*> inputs;
-    Bytes in_bytes = 0;
-    for (int i : node.inputs) {
-      inputs.push_back(by_node[i].get());
-      in_bytes += by_node[i]->nominal_bytes();
-    }
-    auto result = EvaluateOperator(node, inputs);
-    if (!result.ok()) {
-      return Status(result.status().code(),
-                    node.DebugString() + ": " + result.status().message());
-    }
-    auto table = std::make_shared<Table>(std::move(result).value());
-
-    OpTrace op;
-    op.node = &node;
-    op.kind = node.kind;
-    op.in_bytes = in_bytes;
-    op.out_bytes = table->nominal_bytes();
-    op.iteration = iteration;
-    trace->ops.push_back(op);
-
-    by_node[node.id] = table;
-    relations[node.output] = table;
-    (*produced)[node.output] = table;
-  }
-  return OkStatus();
+        MUSKETEER_ASSIGN_OR_RETURN(Table out, EvaluateOperator(node, inputs));
+        trace->ops.push_back(OpTrace{.node = &node,
+                                     .kind = node.kind,
+                                     .in_bytes = in_bytes,
+                                     .out_bytes = out.nominal_bytes(),
+                                     .iteration = iteration});
+        return out;
+      },
+      [trace](const Dag& outer, const OperatorNode& node,
+              const TableMap& outer_base, const std::vector<TablePtr>& inputs) {
+        return RunWhileLoop(
+            outer, node, outer_base, inputs,
+            [trace](const Dag& body, const TableMap& trip_base, int trip) {
+              ++trace->total_iterations;
+              return TraceWalk(body, trip_base, trip, trace);
+            });
+      });
 }
 
 }  // namespace
 
 StatusOr<ExecTrace> TraceExecuteDag(const Dag& dag, const TableMap& base) {
   ExecTrace trace;
-  TableMap produced;
-  MUSKETEER_RETURN_IF_ERROR(TraceInto(dag, base, /*iteration=*/-1, &trace,
-                                      &produced));
-  trace.relations = std::move(produced);
+  MUSKETEER_ASSIGN_OR_RETURN(trace.relations,
+                             TraceWalk(dag, base, /*iteration=*/-1, &trace));
   return trace;
 }
 

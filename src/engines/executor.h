@@ -1,10 +1,11 @@
-// Tracing DAG executor.
+// The production kernel: a traced walk of the IR interpreter.
 //
-// Runs a job's sub-DAG on real data through the shared relational kernel —
-// identical semantics for every engine — while recording, per executed
-// operator, the nominal data volumes flowing through it (including one record
-// per loop iteration for WHILE bodies). Engine simulators price these traces
-// according to their own execution strategy.
+// Runs a job's sub-DAG on real data through the one DAG walker and WHILE
+// driver of src/ir/eval.h — identical semantics for every engine — with an
+// operator callback that records, per executed operator, the nominal data
+// volumes flowing through it (one record per loop trip for WHILE bodies).
+// Engine simulators price these traces according to their own execution
+// strategy.
 
 #ifndef MUSKETEER_SRC_ENGINES_EXECUTOR_H_
 #define MUSKETEER_SRC_ENGINES_EXECUTOR_H_
@@ -29,9 +30,6 @@ struct ExecTrace {
   std::vector<OpTrace> ops;
   // Total number of loop iterations executed across all WHILE nodes.
   int total_iterations = 0;
-  // Nominal bytes of loop-carried state summed over all iterations (what a
-  // materializing engine writes+reads between iterations).
-  Bytes loop_state_bytes = 0;
 };
 
 StatusOr<ExecTrace> TraceExecuteDag(const Dag& dag, const TableMap& base);

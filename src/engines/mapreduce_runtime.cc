@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "src/backends/job.h"
-#include "src/base/cancel.h"
 #include "src/base/parallel.h"
 #include "src/relational/ops.h"
 
@@ -230,98 +229,33 @@ class MapReduceRuntime {
   MapReduceRuntime(const MapReduceOptions& options, MapReduceStats* stats)
       : options_(options), stats_(stats) {}
 
-  Status Run(const Dag& dag, const TableMap& base, TableMap* produced) {
-    TableMap relations = base;
-    std::vector<TablePtr> by_node(dag.num_nodes());
-    for (const OperatorNode& node : dag.nodes()) {
-      if (node.kind == OpKind::kInput) {
-        const auto& p = std::get<InputParams>(node.params);
-        auto it = relations.find(p.relation);
-        if (it == relations.end()) {
-          return NotFoundError("base relation '" + p.relation + "' not provided");
-        }
-        by_node[node.id] = it->second;
-        relations[node.output] = it->second;
-        continue;
-      }
-      if (node.kind == OpKind::kWhile) {
-        MUSKETEER_RETURN_IF_ERROR(
-            RunWhile(dag, node, base, by_node, &relations, produced));
-        continue;
-      }
-      std::vector<const Table*> inputs;
-      for (int i : node.inputs) {
-        inputs.push_back(by_node[i].get());
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(Table result, RunOperator(node, inputs));
-      result.set_scale(OutputScale(node, inputs));
-      auto table = std::make_shared<Table>(std::move(result));
-      by_node[node.id] = table;
-      relations[node.output] = table;
-      (*produced)[node.output] = table;
-    }
-    return OkStatus();
+  StatusOr<TableMap> Run(const Dag& dag, const TableMap& base) {
+    return WalkDag(
+        dag, base,
+        [this](const OperatorNode& node,
+               const std::vector<const Table*>& inputs) -> StatusOr<Table> {
+          MUSKETEER_ASSIGN_OR_RETURN(Table result, RunOperator(node, inputs));
+          std::vector<ScaledRows> scales;
+          for (const Table* t : inputs) {
+            scales.push_back(
+                {static_cast<double>(t->num_rows()), t->scale()});
+          }
+          result.set_scale(OutputScale(node.kind, scales));
+          return result;
+        },
+        [this](const Dag& outer, const OperatorNode& node,
+               const TableMap& outer_base,
+               const std::vector<TablePtr>& inputs) {
+          // One body pass per trip.
+          return RunWhileLoop(
+              outer, node, outer_base, inputs,
+              [this](const Dag& body, const TableMap& trip_base, int) {
+                return Run(body, trip_base);
+              });
+        });
   }
 
  private:
-  Status RunWhile(const Dag& dag, const OperatorNode& node, const TableMap& base,
-                  std::vector<TablePtr>& by_node, TableMap* relations,
-                  TableMap* produced) {
-    const auto& p = std::get<WhileParams>(node.params);
-    TableMap body_base = base;
-    for (size_t i = 0; i < p.bindings.size(); ++i) {
-      body_base[p.bindings[i].loop_input] = by_node[node.inputs[i]];
-    }
-    for (size_t i = p.bindings.size(); i < node.inputs.size(); ++i) {
-      body_base[dag.node(node.inputs[i]).output] = by_node[node.inputs[i]];
-    }
-    TableMap iter_out;
-    for (int64_t iter = 0; iter < p.iterations; ++iter) {
-      MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
-      iter_out.clear();
-      MUSKETEER_RETURN_IF_ERROR(Run(*p.body, body_base, &iter_out));
-      bool stable = p.until_fixpoint;
-      for (const LoopBinding& b : p.bindings) {
-        TablePtr next = iter_out.at(b.body_output);
-        stable = stable && Table::SameContent(*body_base[b.loop_input], *next);
-        body_base[b.loop_input] = std::move(next);
-      }
-      if (stable) {
-        break;
-      }
-    }
-    TablePtr result = iter_out.at(p.result);
-    by_node[node.id] = result;
-    (*relations)[node.output] = result;
-    (*produced)[node.output] = result;
-    return OkStatus();
-  }
-
-  // Preserves the scale-propagation rules of the relational kernel.
-  static double OutputScale(const OperatorNode& node,
-                            const std::vector<const Table*>& inputs) {
-    switch (OpSizeBehavior(node.kind)) {
-      case SizeBehavior::kAdditive: {
-        double rows = 0;
-        double nominal = 0;
-        for (const Table* t : inputs) {
-          rows += static_cast<double>(t->num_rows());
-          nominal += t->nominal_rows();
-        }
-        return rows > 0 ? nominal / rows : inputs[0]->scale();
-      }
-      case SizeBehavior::kConstant:
-        return 1.0;
-      default: {
-        double scale = 0;
-        for (const Table* t : inputs) {
-          scale = std::max(scale, t->scale());
-        }
-        return scale;
-      }
-    }
-  }
-
   StatusOr<Table> RunOperator(const OperatorNode& node,
                               const std::vector<const Table*>& inputs) {
     if (IsRowwiseOp(node.kind) || node.kind == OpKind::kUnion) {
@@ -623,7 +557,7 @@ StatusOr<MapReduceResult> ExecuteViaMapReduce(const Dag& dag, const TableMap& ba
                                               const MapReduceOptions& options) {
   MapReduceResult result;
   MapReduceRuntime runtime(options, &result.stats);
-  MUSKETEER_RETURN_IF_ERROR(runtime.Run(dag, base, &result.relations));
+  MUSKETEER_ASSIGN_OR_RETURN(result.relations, runtime.Run(dag, base));
   return result;
 }
 

@@ -8,7 +8,7 @@
 // combiner when the aggregation is associative, sorted/grouped per reducer,
 // and reduced. Row-wise operators fuse into the surrounding map phases.
 //
-// Results match the reference interpreter (identical up to floating-point
+// Results match the shared IR interpreter (identical up to floating-point
 // summation order — combiners and partitioned reduces legitimately reorder
 // double addition; verified by the cross-engine equivalence tests). The
 // returned statistics expose the volumes a real deployment would shuffle.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/backends/job.h"
-#include "src/base/cancel.h"
 #include "src/base/parallel.h"
 #include "src/relational/ops.h"
 
@@ -53,49 +52,32 @@ class RddRuntime {
   RddRuntime(const RddOptions& options, RddStats* stats)
       : p_(std::max(1, options.num_partitions)), stats_(stats) {}
 
-  Status Run(const Dag& dag, const TableMap& base, TableMap* produced) {
-    TableMap relations = base;
+  StatusOr<TableMap> Run(const Dag& dag, const TableMap& base) {
+    TableMap produced;
     std::vector<std::shared_ptr<Rdd>> by_node(dag.num_nodes());
     for (const OperatorNode& node : dag.nodes()) {
       if (node.kind == OpKind::kInput) {
         const auto& p = std::get<InputParams>(node.params);
-        auto it = relations.find(p.relation);
-        if (it == relations.end()) {
+        auto it = base.find(p.relation);
+        if (it == base.end()) {
           return NotFoundError("base relation '" + p.relation + "' not provided");
         }
         by_node[node.id] = std::make_shared<Rdd>(Parallelize(*it->second, p_));
         continue;
       }
       if (node.kind == OpKind::kWhile) {
-        const auto& wp = std::get<WhileParams>(node.params);
-        TableMap body_base = base;
-        for (size_t i = 0; i < wp.bindings.size(); ++i) {
-          body_base[wp.bindings[i].loop_input] =
-              std::make_shared<Table>(Collect(*by_node[node.inputs[i]]));
+        // Driver iterations over collected, in-memory relations.
+        std::vector<TablePtr> seeds;
+        for (int i : node.inputs) {
+          seeds.push_back(std::make_shared<Table>(Collect(*by_node[i])));
         }
-        for (size_t i = wp.bindings.size(); i < node.inputs.size(); ++i) {
-          body_base[dag.node(node.inputs[i]).output] =
-              std::make_shared<Table>(Collect(*by_node[node.inputs[i]]));
-        }
-        TableMap iter_out;
-        for (int64_t iter = 0; iter < wp.iterations; ++iter) {
-          MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
-          iter_out.clear();
-          MUSKETEER_RETURN_IF_ERROR(Run(*wp.body, body_base, &iter_out));
-          bool stable = wp.until_fixpoint;
-          for (const LoopBinding& b : wp.bindings) {
-            TablePtr next = iter_out.at(b.body_output);
-            stable = stable && Table::SameContent(*body_base[b.loop_input], *next);
-            body_base[b.loop_input] = std::move(next);
-          }
-          if (stable) {
-            break;
-          }
-        }
-        TablePtr result = iter_out.at(wp.result);
+        MUSKETEER_ASSIGN_OR_RETURN(
+            TablePtr result,
+            RunWhileLoop(dag, node, base, seeds,
+                         [this](const Dag& body, const TableMap& trip_base,
+                                int) { return Run(body, trip_base); }));
         by_node[node.id] = std::make_shared<Rdd>(Parallelize(*result, p_));
-        (*produced)[node.output] = result;
-        relations[node.output] = result;
+        produced[node.output] = std::move(result);
         continue;
       }
 
@@ -104,42 +86,19 @@ class RddRuntime {
         inputs.push_back(by_node[i].get());
       }
       MUSKETEER_ASSIGN_OR_RETURN(Rdd result, RunOperator(node, inputs));
-      // Nominal-scale propagation mirrors the kernel's rules.
-      result.scale = OutputScale(node, inputs);
+      std::vector<ScaledRows> scales;
+      for (const Rdd* r : inputs) {
+        scales.push_back({static_cast<double>(r->TotalRows()), r->scale});
+      }
+      result.scale = OutputScale(node.kind, scales);
       auto rdd = std::make_shared<Rdd>(std::move(result));
       by_node[node.id] = rdd;
-      auto table = std::make_shared<Table>(Collect(*rdd));
-      (*produced)[node.output] = table;
-      relations[node.output] = table;
+      produced[node.output] = std::make_shared<Table>(Collect(*rdd));
     }
-    return OkStatus();
+    return produced;
   }
 
  private:
-  static double OutputScale(const OperatorNode& node,
-                            const std::vector<const Rdd*>& inputs) {
-    switch (OpSizeBehavior(node.kind)) {
-      case SizeBehavior::kAdditive: {
-        double rows = 0;
-        double nominal = 0;
-        for (const Rdd* r : inputs) {
-          rows += static_cast<double>(r->TotalRows());
-          nominal += static_cast<double>(r->TotalRows()) * r->scale;
-        }
-        return rows > 0 ? nominal / rows : inputs[0]->scale;
-      }
-      case SizeBehavior::kConstant:
-        return 1.0;
-      default: {
-        double scale = 0;
-        for (const Rdd* r : inputs) {
-          scale = std::max(scale, r->scale);
-        }
-        return scale;
-      }
-    }
-  }
-
   StatusOr<Rdd> RunOperator(const OperatorNode& node,
                             const std::vector<const Rdd*>& inputs) {
     if (IsRowwiseOp(node.kind)) {
@@ -363,7 +322,7 @@ StatusOr<RddResult> ExecuteViaRdd(const Dag& dag, const TableMap& base,
                                   const RddOptions& options) {
   RddResult result;
   RddRuntime runtime(options, &result.stats);
-  MUSKETEER_RETURN_IF_ERROR(runtime.Run(dag, base, &result.relations));
+  MUSKETEER_ASSIGN_OR_RETURN(result.relations, runtime.Run(dag, base));
   return result;
 }
 

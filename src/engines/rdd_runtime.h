@@ -6,7 +6,7 @@
 // transformations (JOIN, GROUP BY, set operations) hash-repartition their
 // inputs by key first — Spark's narrow/wide dependency distinction. Loops
 // run as driver iterations over in-memory partitions (no materialization
-// between trips). Results match the reference interpreter, identical up to
+// between trips). Results match the shared IR interpreter, identical up to
 // floating-point summation order across partitions.
 
 #ifndef MUSKETEER_SRC_ENGINES_RDD_RUNTIME_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/backends/job.h"
-#include "src/base/cancel.h"
 #include "src/relational/ops.h"
 
 // Parallelism note: this runtime is deliberately NOT morsel-parallelized.
@@ -59,7 +58,11 @@ class TimelyGraph {
       if (op.collected == nullptr) {
         return InternalError("operator '" + node.output + "' never fired");
       }
-      op.collected->set_scale(OutputScale(node));
+      std::vector<ScaledRows> scales;
+      for (int in : node.inputs) {
+        scales.push_back({SourceRows(in), SourceScale(in)});
+      }
+      op.collected->set_scale(OutputScale(node.kind, scales));
       relations_[node.output] = op.collected;
       (*produced)[node.output] = op.collected;
     }
@@ -256,37 +259,26 @@ class TimelyGraph {
   }
 
   Status RunWhile(const OperatorNode& node, TableMap* produced) {
-    const auto& wp = std::get<WhileParams>(node.params);
     OpState& op = ops_[node.id];
-    TableMap body_base = base_;
-    for (size_t i = 0; i < wp.bindings.size(); ++i) {
+    // Loop ingress: the buffered ports become the loop's seeds.
+    std::vector<TablePtr> seeds;
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
       auto seed = std::make_shared<Table>(std::move(op.buffers[i]));
       seed->set_scale(SourceScale(node.inputs[i]));
-      body_base[wp.bindings[i].loop_input] = std::move(seed);
+      seeds.push_back(std::move(seed));
     }
-    for (size_t i = wp.bindings.size(); i < node.inputs.size(); ++i) {
-      auto inv = std::make_shared<Table>(std::move(op.buffers[i]));
-      inv->set_scale(SourceScale(node.inputs[i]));
-      body_base[dag_.node(node.inputs[i]).output] = std::move(inv);
-    }
-    TableMap iter_out;
-    for (int64_t iter = 0; iter < wp.iterations; ++iter) {
-      MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
-      ++stats_->epochs;
-      iter_out.clear();
-      TimelyGraph epoch(*wp.body, body_base, stats_);
-      MUSKETEER_RETURN_IF_ERROR(epoch.Run(&iter_out));
-      bool stable = wp.until_fixpoint;
-      for (const LoopBinding& b : wp.bindings) {
-        TablePtr next = iter_out.at(b.body_output);
-        stable = stable && Table::SameContent(*body_base[b.loop_input], *next);
-        body_base[b.loop_input] = std::move(next);
-      }
-      if (stable) {
-        break;
-      }
-    }
-    TablePtr result = iter_out.at(wp.result);
+    // Each trip is one epoch through a fresh instantiation of the body.
+    MUSKETEER_ASSIGN_OR_RETURN(
+        TablePtr result,
+        RunWhileLoop(dag_, node, base_, seeds,
+                     [this](const Dag& body, const TableMap& trip_base,
+                            int) -> StatusOr<TableMap> {
+                       ++stats_->epochs;
+                       TableMap out;
+                       TimelyGraph epoch(body, trip_base, stats_);
+                       MUSKETEER_RETURN_IF_ERROR(epoch.Run(&out));
+                       return out;
+                     }));
     // Egress: stream the loop result onward.
     for (size_t i = 0; i < result->num_rows(); ++i) {
       MUSKETEER_RETURN_IF_ERROR(Fanout(node.id, result->MaterializeRow(i)));
@@ -296,32 +288,6 @@ class TimelyGraph {
     relations_[node.output] = result;
     (*produced)[node.output] = result;
     return OkStatus();
-  }
-
-  // Nominal-scale propagation, mirroring the kernel's rules.
-  double OutputScale(const OperatorNode& node) const {
-    switch (OpSizeBehavior(node.kind)) {
-      case SizeBehavior::kAdditive: {
-        double rows = 0;
-        double nominal = 0;
-        for (int in : node.inputs) {
-          double s = SourceScale(in);
-          double n = SourceRows(in);
-          rows += n;
-          nominal += n * s;
-        }
-        return rows > 0 ? nominal / rows : 1.0;
-      }
-      case SizeBehavior::kConstant:
-        return 1.0;
-      default: {
-        double scale = 0;
-        for (int in : node.inputs) {
-          scale = std::max(scale, SourceScale(in));
-        }
-        return scale > 0 ? scale : 1.0;
-      }
-    }
   }
 
   double SourceScale(int id) const {

@@ -11,7 +11,7 @@
 // the same operator graph, feeding each epoch's loop output back as the next
 // epoch's input.
 //
-// Results match the reference interpreter (identical up to floating-point
+// Results match the shared IR interpreter (identical up to floating-point
 // summation order); the stats expose how much of the workflow streamed
 // without buffering — the structural property the paper's Naiad numbers
 // come from.

@@ -24,7 +24,7 @@ struct ValueEq {
 };
 
 // Compiled MAP: output schema plus per-column projectors with the same type
-// coercion the reference interpreter applies.
+// coercion the kernel's MAP applies.
 struct CompiledMap {
   Schema schema;
   std::vector<RowProjector> projectors;
@@ -392,71 +392,48 @@ StatusOr<Table> RunSupersteps(const VertexProgram& program, const Table& vertice
 StatusOr<VertexRuntimeResult> ExecuteViaVertexRuntime(const Dag& dag,
                                                       const TableMap& base) {
   VertexRuntimeResult result;
-  TableMap relations = base;
-  std::vector<TablePtr> by_node(dag.num_nodes());
-
-  for (const OperatorNode& node : dag.nodes()) {
-    if (node.kind == OpKind::kInput) {
-      const auto& p = std::get<InputParams>(node.params);
-      auto it = relations.find(p.relation);
-      if (it == relations.end()) {
-        return NotFoundError("base relation '" + p.relation + "' not provided");
-      }
-      by_node[node.id] = it->second;
-      relations[node.output] = it->second;
-      continue;
+  // Batch pre/post-processing operators run through the kernel; each WHILE
+  // runs as supersteps of its extracted vertex program.
+  auto supersteps = [&result](const Dag& outer, const OperatorNode& node,
+                              const TableMap&,
+                              const std::vector<TablePtr>& inputs)
+      -> StatusOr<TablePtr> {
+    if (!IsGraphIdiom(outer, node.id)) {
+      return FailedPreconditionError(
+          "vertex runtime can only execute graph-idiom loops");
     }
-    if (node.kind == OpKind::kWhile) {
-      if (!IsGraphIdiom(dag, node.id)) {
-        return FailedPreconditionError(
-            "vertex runtime can only execute graph-idiom loops");
-      }
-      const auto& wp = std::get<WhileParams>(node.params);
-      if (wp.bindings.size() != 1) {
-        return FailedPreconditionError(
-            "vertex runtime expects one loop-carried vertex relation");
-      }
-      // Schemas for the body: loop seed + loop-invariant inputs.
-      SchemaMap body_base;
-      TableMap body_tables;
-      body_base[wp.bindings[0].loop_input] = by_node[node.inputs[0]]->schema();
-      body_tables[wp.bindings[0].loop_input] = by_node[node.inputs[0]];
-      for (size_t i = 1; i < node.inputs.size(); ++i) {
-        const std::string& name = dag.node(node.inputs[i]).output;
-        body_base[name] = by_node[node.inputs[i]]->schema();
-        body_tables[name] = by_node[node.inputs[i]];
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(
-          VertexProgram program,
-          ExtractProgram(*wp.body, wp.bindings[0].loop_input, body_base));
-      auto edges_it = body_tables.find(program.edge_relation);
-      if (edges_it == body_tables.end()) {
-        return FailedPreconditionError("vertex runtime: edge relation '" +
-                                       program.edge_relation +
-                                       "' is not a loop input");
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(
-          Table final_state,
-          RunSupersteps(program, *body_tables[wp.bindings[0].loop_input],
-                        *edges_it->second, wp.iterations, wp.until_fixpoint,
-                        &result.stats));
-      auto table = std::make_shared<Table>(std::move(final_state));
-      by_node[node.id] = table;
-      relations[node.output] = table;
-      result.relations[node.output] = table;
-      continue;
+    const auto& wp = std::get<WhileParams>(node.params);
+    if (wp.bindings.size() != 1) {
+      return FailedPreconditionError(
+          "vertex runtime expects one loop-carried vertex relation");
     }
-    // Batch pre/post-processing operators run through the kernel.
-    std::vector<const Table*> inputs;
-    for (int i : node.inputs) {
-      inputs.push_back(by_node[i].get());
+    // Schemas for the body: loop seed + loop-invariant inputs.
+    SchemaMap body_base;
+    TableMap body_tables;
+    body_base[wp.bindings[0].loop_input] = inputs[0]->schema();
+    body_tables[wp.bindings[0].loop_input] = inputs[0];
+    for (size_t i = 1; i < node.inputs.size(); ++i) {
+      const std::string& name = outer.node(node.inputs[i]).output;
+      body_base[name] = inputs[i]->schema();
+      body_tables[name] = inputs[i];
     }
-    MUSKETEER_ASSIGN_OR_RETURN(Table out, EvaluateOperator(node, inputs));
-    auto table = std::make_shared<Table>(std::move(out));
-    by_node[node.id] = table;
-    relations[node.output] = table;
-    result.relations[node.output] = table;
-  }
+    MUSKETEER_ASSIGN_OR_RETURN(
+        VertexProgram program,
+        ExtractProgram(*wp.body, wp.bindings[0].loop_input, body_base));
+    auto edges_it = body_tables.find(program.edge_relation);
+    if (edges_it == body_tables.end()) {
+      return FailedPreconditionError("vertex runtime: edge relation '" +
+                                     program.edge_relation +
+                                     "' is not a loop input");
+    }
+    MUSKETEER_ASSIGN_OR_RETURN(
+        Table final_state,
+        RunSupersteps(program, *inputs[0], *edges_it->second, wp.iterations,
+                      wp.until_fixpoint, &result.stats));
+    return TablePtr(std::make_shared<Table>(std::move(final_state)));
+  };
+  MUSKETEER_ASSIGN_OR_RETURN(result.relations,
+                             WalkDag(dag, base, EvaluateOperator, supersteps));
   return result;
 }
 

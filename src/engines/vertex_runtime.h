@@ -30,8 +30,8 @@ struct VertexRuntimeResult {
 };
 
 // Executes `dag` with every graph-idiom WHILE run as a vertex program;
-// non-loop operators (batch pre/post-processing) use the reference
-// interpreter. Fails if a WHILE does not match the idiom.
+// non-loop operators (batch pre/post-processing) run through the shared DAG
+// walker and relational kernel. Fails if a WHILE does not match the idiom.
 StatusOr<VertexRuntimeResult> ExecuteViaVertexRuntime(const Dag& dag,
                                                       const TableMap& base);
 

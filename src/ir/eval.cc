@@ -1,8 +1,5 @@
 #include "src/ir/eval.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "src/base/cancel.h"
 #include "src/relational/ops.h"
 
@@ -10,10 +7,9 @@ namespace musketeer {
 
 namespace {
 
-// Resolves a kGroupBy/kAgg node's column names against `schema`.
-Status ResolveGroupArgs(const OperatorNode& node, const Schema& schema,
-                        std::vector<int>* group_idx,
-                        std::vector<AggSpec>* specs) {
+// Runs a kGroupBy/kAgg node: resolves its column names against `in`, then
+// aggregates.
+StatusOr<Table> EvalGroupByLike(const OperatorNode& node, const Table& in) {
   std::vector<std::string> group_columns;
   std::vector<NamedAgg> aggs;
   if (node.kind == OpKind::kGroupBy) {
@@ -23,32 +19,26 @@ Status ResolveGroupArgs(const OperatorNode& node, const Schema& schema,
   } else {
     aggs = std::get<AggParams>(node.params).aggs;
   }
+  std::vector<int> group_idx;
   for (const std::string& c : group_columns) {
-    auto idx = schema.IndexOf(c);
+    auto idx = in.schema().IndexOf(c);
     if (!idx.has_value()) {
       return InvalidArgumentError("GROUP BY: no column '" + c + "'");
     }
-    group_idx->push_back(*idx);
+    group_idx.push_back(*idx);
   }
+  std::vector<AggSpec> specs;
   for (const NamedAgg& a : aggs) {
     int col = 0;
     if (a.fn != AggFn::kCount) {
-      auto idx = schema.IndexOf(a.column);
+      auto idx = in.schema().IndexOf(a.column);
       if (!idx.has_value()) {
         return InvalidArgumentError("AGG: no column '" + a.column + "'");
       }
       col = *idx;
     }
-    specs->push_back(AggSpec{a.fn, col, a.output_name});
+    specs.push_back(AggSpec{a.fn, col, a.output_name});
   }
-  return OkStatus();
-}
-
-StatusOr<Table> EvalGroupByLike(const OperatorNode& node, const Table& in) {
-  std::vector<int> group_idx;
-  std::vector<AggSpec> specs;
-  MUSKETEER_RETURN_IF_ERROR(
-      ResolveGroupArgs(node, in.schema(), &group_idx, &specs));
   return GroupByAgg(in, group_idx, specs);
 }
 
@@ -91,7 +81,7 @@ StatusOr<Table> EvaluateOperator(const OperatorNode& node,
     case OpKind::kInput:
     case OpKind::kWhile:
       return InternalError(std::string(OpKindName(node.kind)) +
-                           " must be handled by the DAG executor");
+                           " must be handled by the DAG walker");
     case OpKind::kSelect: {
       const auto& p = std::get<SelectParams>(node.params);
       // Selection-bitmap predicate evaluation: the compiled mask writes one
@@ -99,7 +89,7 @@ StatusOr<Table> EvaluateOperator(const OperatorNode& node,
       // intermediate 0/1 column (kept set identical to CompilePredicate).
       MUSKETEER_ASSIGN_OR_RETURN(MaskEval pred,
                                  p.condition->CompileMask(inputs[0]->schema()));
-      return SelectRowsMask(*inputs[0], {pred});
+      return SelectRowsMask(*inputs[0], pred);
     }
     case OpKind::kProject: {
       const auto& p = std::get<ProjectParams>(node.params);
@@ -191,317 +181,127 @@ StatusOr<Table> EvaluateOperator(const OperatorNode& node,
   return InternalError("bad op kind");
 }
 
-namespace {
-
-// Relation names a caller will read from the result map. When non-null, any
-// intermediate whose output name is NOT in the set may be elided by operator
-// fusion; when null, every node output must be materialized (the public
-// EvaluateDag contract).
-using NeededSet = std::unordered_set<std::string>;
-
-// A fusible chain: selects* → (map | project)? → (group-by | agg)?, linked
-// by single-consumer edges, at least two nodes long. Executing it through
-// the fused kernels skips materializing every intermediate while staying
-// bit-identical to the node-at-a-time pipeline (see FusedSelectTransformAgg
-// for why the aggregate's FP merge tree is preserved).
-struct FusedChain {
-  std::vector<const OperatorNode*> nodes;
-  const OperatorNode* last() const { return nodes.back(); }
-};
-
-bool IsChainStart(OpKind k) {
-  return k == OpKind::kSelect || k == OpKind::kMap || k == OpKind::kProject;
-}
-
-// Plans fusible chains for one DAG evaluation. `consumers[id]` counts reader
-// edges; a node can be absorbed only when its single consumer is the next
-// chain node and its output relation is not in `needed`.
-std::vector<FusedChain> PlanFusedChains(const Dag& dag,
-                                        const NeededSet& needed) {
-  const size_t n = dag.num_nodes();
-  std::vector<int> consumers(n, 0);
-  std::vector<int> single_consumer(n, -1);
-  for (const OperatorNode& node : dag.nodes()) {
-    for (int in : node.inputs) {
-      ++consumers[in];
-      single_consumer[in] = node.id;
-    }
-  }
-  std::vector<FusedChain> chains;
-  std::vector<char> absorbed(n, 0);
-  for (const OperatorNode& node : dag.nodes()) {
-    if (absorbed[node.id] || !IsChainStart(node.kind)) continue;
-    if (node.inputs.size() != 1) continue;
-    FusedChain chain;
-    chain.nodes.push_back(&node);
-    bool have_transform = node.kind != OpKind::kSelect;
-    const OperatorNode* cur = &node;
-    while (true) {
-      if (consumers[cur->id] != 1) break;
-      if (needed.count(cur->output) != 0) break;
-      const OperatorNode& next = dag.node(single_consumer[cur->id]);
-      if (next.inputs.size() != 1) break;
-      if (next.kind == OpKind::kSelect && !have_transform) {
-        chain.nodes.push_back(&next);
-        cur = &next;
-        continue;
-      }
-      if ((next.kind == OpKind::kMap || next.kind == OpKind::kProject) &&
-          !have_transform) {
-        have_transform = true;
-        chain.nodes.push_back(&next);
-        cur = &next;
-        continue;
-      }
-      if (next.kind == OpKind::kGroupBy || next.kind == OpKind::kAgg) {
-        chain.nodes.push_back(&next);  // terminal aggregate
-      }
-      break;
-    }
-    if (chain.nodes.size() < 2) continue;
-    for (const OperatorNode* c : chain.nodes) absorbed[c->id] = 1;
-    chains.push_back(std::move(chain));
-  }
-  return chains;
-}
-
-// Compiles and runs one fused chain against its input table.
-StatusOr<Table> EvaluateFusedChain(const FusedChain& chain, const Table& src) {
-  const Schema& in_schema = src.schema();
-  std::vector<MaskEval> filters;
-  size_t j = 0;
-  for (; j < chain.nodes.size() && chain.nodes[j]->kind == OpKind::kSelect;
-       ++j) {
-    const auto& p = std::get<SelectParams>(chain.nodes[j]->params);
-    MUSKETEER_ASSIGN_OR_RETURN(MaskEval m, p.condition->CompileMask(in_schema));
-    filters.push_back(std::move(m));
-  }
-  const OperatorNode* transform = nullptr;
-  if (j < chain.nodes.size() && (chain.nodes[j]->kind == OpKind::kMap ||
-                                 chain.nodes[j]->kind == OpKind::kProject)) {
-    transform = chain.nodes[j];
-    ++j;
-  }
-  const OperatorNode* agg = j < chain.nodes.size() ? chain.nodes[j] : nullptr;
-
-  if (transform == nullptr && agg == nullptr) {
-    // Pure select chain: one masked pass over the full schema.
-    return SelectRowsMask(src, filters);
-  }
-
-  // Build the transform stage. The scratch schema holds only the columns the
-  // stage actually reads, and expressions are (re)compiled against it — the
-  // column values are identical to the unfused evaluation, so the output is
-  // too.
-  FusedTransform ft;
-  auto add_gather = [&](const std::string& name) -> Status {
-    auto idx = in_schema.IndexOf(name);
-    if (!idx.has_value()) {
-      return InvalidArgumentError("no column '" + name + "' in " +
-                                  in_schema.ToString());
-    }
-    ft.gather_cols.push_back(*idx);
-    ft.scratch_schema.AddField(in_schema.field(*idx));
-    return OkStatus();
-  };
-  if (transform != nullptr && transform->kind == OpKind::kProject) {
-    const auto& p = std::get<ProjectParams>(transform->params);
-    if (p.columns.empty()) {
-      // Degenerate zero-column projection: the scratch table could not carry
-      // a row count, so run the (cheap) two-step form instead.
-      Table sel = SelectRowsMask(src, filters);
-      if (agg == nullptr) {
-        return ProjectColumns(sel, {});
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(Table proj, ProjectColumns(sel, {}));
-      std::vector<int> group_idx;
-      std::vector<AggSpec> specs;
-      MUSKETEER_RETURN_IF_ERROR(
-          ResolveGroupArgs(*agg, proj.schema(), &group_idx, &specs));
-      return GroupByAgg(proj, group_idx, specs);
-    }
-    for (const std::string& c : p.columns) {
-      MUSKETEER_RETURN_IF_ERROR(add_gather(c));
-    }
-    ft.out_schema = ft.scratch_schema;  // identity over the projected columns
-  } else if (transform != nullptr) {
-    const auto& p = std::get<MapParams>(transform->params);
-    std::vector<std::string> used;
-    for (const NamedExpr& ne : p.outputs) {
-      ne.expr->CollectColumns(&used);
-    }
-    if (used.empty() && in_schema.num_fields() > 0) {
-      // Literal-only outputs: carry one input column so the scratch block
-      // keeps the surviving-row count (zero-column tables report 0 rows).
-      used.push_back(in_schema.field(0).name);
-    }
-    for (const std::string& c : used) {
-      MUSKETEER_RETURN_IF_ERROR(add_gather(c));
-    }
-    MUSKETEER_RETURN_IF_ERROR(
-        CompileMapExprs(p, ft.scratch_schema, &ft.out_schema, &ft.exprs));
-  } else {
-    // Aggregate directly over selected input rows: gather the group and
-    // aggregate columns (first-use order, deduplicated).
-    std::vector<std::string> used;
-    auto add_used = [&](const std::string& c) {
-      if (std::find(used.begin(), used.end(), c) == used.end()) {
-        used.push_back(c);
-      }
-    };
-    if (agg->kind == OpKind::kGroupBy) {
-      const auto& p = std::get<GroupByParams>(agg->params);
-      for (const std::string& c : p.group_columns) add_used(c);
-      for (const NamedAgg& a : p.aggs) {
-        if (a.fn != AggFn::kCount) add_used(a.column);
-      }
-    } else {
-      for (const NamedAgg& a : std::get<AggParams>(agg->params).aggs) {
-        if (a.fn != AggFn::kCount) add_used(a.column);
-      }
-    }
-    if (used.empty() && in_schema.num_fields() > 0) {
-      // Pure COUNT: keep one column so the block carries the row count.
-      used.push_back(in_schema.field(0).name);
-    }
-    for (const std::string& c : used) {
-      MUSKETEER_RETURN_IF_ERROR(add_gather(c));
-    }
-    ft.out_schema = ft.scratch_schema;
-  }
-
-  if (agg == nullptr) {
-    return FusedSelectTransform(src, filters, ft);
-  }
-  std::vector<int> group_idx;
-  std::vector<AggSpec> specs;
-  MUSKETEER_RETURN_IF_ERROR(
-      ResolveGroupArgs(*agg, ft.out_schema, &group_idx, &specs));
-  return FusedSelectTransformAgg(src, filters, ft, group_idx, specs);
-}
-
-// DAG evaluation with optional operator fusion. `needed` == nullptr keeps
-// the public EvaluateDag contract (every node output lands in the relation
-// map, nothing fuses); a non-null set lets select→map→aggregate chains whose
-// intermediates nobody reads run through the fused kernels.
-StatusOr<TableMap> EvaluateDagImpl(const Dag& dag, const TableMap& base,
-                                   const NeededSet* needed) {
-  TableMap relations = base;
+StatusOr<TableMap> WalkDag(const Dag& dag, const TableMap& base,
+                           const OperatorEval& op, const WhileEval& loop) {
+  TableMap produced;
   std::vector<TablePtr> by_node(dag.num_nodes());
-
-  std::vector<FusedChain> chains =
-      needed != nullptr ? PlanFusedChains(dag, *needed)
-                        : std::vector<FusedChain>();
-  // chain_at[id]: chain whose FIRST node is id; fused_into[id]: id of the
-  // chain's last node for every absorbed node (skip marker).
-  std::vector<const FusedChain*> chain_at(dag.num_nodes(), nullptr);
-  std::vector<char> absorbed(dag.num_nodes(), 0);
-  for (const FusedChain& c : chains) {
-    chain_at[c.nodes.front()->id] = &c;
-    for (const OperatorNode* n : c.nodes) absorbed[n->id] = 1;
-  }
-
+  std::vector<const Table*> inputs;
+  std::vector<TablePtr> loop_inputs;
   for (const OperatorNode& node : dag.nodes()) {
-    // Cooperative cancellation/deadline checkpoint: one probe per operator
-    // batch (and per loop iteration below). No-op unless the executing
-    // thread has a ScopedInterrupt installed.
+    // Cooperative cancellation/deadline checkpoint: a no-op unless the
+    // executing thread has a ScopedInterrupt installed.
     MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
     if (node.kind == OpKind::kInput) {
       const auto& p = std::get<InputParams>(node.params);
-      auto it = relations.find(p.relation);
-      if (it == relations.end()) {
+      auto it = base.find(p.relation);
+      if (it == base.end()) {
         return NotFoundError("base relation '" + p.relation + "' not provided");
       }
       by_node[node.id] = it->second;
-      relations[node.output] = it->second;
       continue;
     }
+    TablePtr table;
     if (node.kind == OpKind::kWhile) {
-      const auto& p = std::get<WhileParams>(node.params);
-      // Seed loop-carried relations from the WHILE node's inputs; pass
-      // loop-invariant extra inputs under their producing relation names.
-      TableMap body_base = base;
-      for (size_t i = 0; i < p.bindings.size(); ++i) {
-        body_base[p.bindings[i].loop_input] = by_node[node.inputs[i]];
+      loop_inputs.clear();
+      for (int i : node.inputs) {
+        loop_inputs.push_back(by_node[i]);
       }
-      for (size_t i = p.bindings.size(); i < node.inputs.size(); ++i) {
-        body_base[dag.node(node.inputs[i]).output] = by_node[node.inputs[i]];
+      MUSKETEER_ASSIGN_OR_RETURN(table, loop(dag, node, base, loop_inputs));
+    } else {
+      inputs.clear();
+      for (int i : node.inputs) {
+        inputs.push_back(by_node[i].get());
       }
-      // Body iterations surface only the loop-carried outputs and the result
-      // relation, so fusion inside the body is always safe — regardless of
-      // the outer call's `needed` contract.
-      NeededSet body_needed;
-      for (const LoopBinding& b : p.bindings) {
-        body_needed.insert(b.body_output);
-      }
-      body_needed.insert(p.result);
-      TableMap iter_state;
-      for (int64_t iter = 0; iter < p.iterations; ++iter) {
-        MUSKETEER_ASSIGN_OR_RETURN(
-            iter_state, EvaluateDagImpl(*p.body, body_base, &body_needed));
-        bool stable = p.until_fixpoint;
-        for (const LoopBinding& b : p.bindings) {
-          TablePtr next = iter_state[b.body_output];
-          stable = stable && Table::SameContent(*body_base[b.loop_input], *next);
-          body_base[b.loop_input] = std::move(next);
-        }
-        if (stable) {
-          break;
-        }
-      }
-      auto it = iter_state.find(p.result);
-      if (it == iter_state.end()) {
-        return InternalError("WHILE result relation '" + p.result + "' missing");
-      }
-      by_node[node.id] = it->second;
-      relations[node.output] = it->second;
-      continue;
-    }
-    if (absorbed[node.id]) {
-      const FusedChain* chain = chain_at[node.id];
-      if (chain == nullptr) {
-        continue;  // interior/terminal chain node; handled at the chain head
-      }
-      auto result =
-          EvaluateFusedChain(*chain, *by_node[chain->nodes.front()->inputs[0]]);
+      auto result = op(node, inputs);
       if (!result.ok()) {
         return Status(result.status().code(),
-                      chain->last()->DebugString() + " (fused): " +
-                          result.status().message());
+                      node.DebugString() + ": " + result.status().message());
       }
-      auto table = std::make_shared<Table>(std::move(result).value());
-      by_node[chain->last()->id] = table;
-      relations[chain->last()->output] = table;
-      continue;
+      table = std::make_shared<Table>(std::move(result).value());
     }
-    std::vector<const Table*> inputs;
-    inputs.reserve(node.inputs.size());
-    for (int i : node.inputs) {
-      inputs.push_back(by_node[i].get());
-    }
-    auto result = EvaluateOperator(node, inputs);
-    if (!result.ok()) {
-      return Status(result.status().code(),
-                    node.DebugString() + ": " + result.status().message());
-    }
-    auto table = std::make_shared<Table>(std::move(result).value());
     by_node[node.id] = table;
-    relations[node.output] = table;
+    produced[node.output] = std::move(table);
   }
-  return relations;
+  return produced;
+}
+
+StatusOr<TablePtr> RunWhileLoop(const Dag& dag, const OperatorNode& node,
+                                const TableMap& base,
+                                const std::vector<TablePtr>& inputs,
+                                const TripFn& trip) {
+  const auto& p = std::get<WhileParams>(node.params);
+  TableMap state = base;
+  for (size_t i = 0; i < p.bindings.size(); ++i) {
+    state[p.bindings[i].loop_input] = inputs[i];
+  }
+  for (size_t i = p.bindings.size(); i < node.inputs.size(); ++i) {
+    state[dag.node(node.inputs[i]).output] = inputs[i];
+  }
+  std::vector<TablePtr> next(p.bindings.size());
+  for (int64_t t = 0; t < p.iterations; ++t) {
+    MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
+    MUSKETEER_ASSIGN_OR_RETURN(TableMap out,
+                               trip(*p.body, state, static_cast<int>(t)));
+    auto resolve = [&](const std::string& name) -> TablePtr {
+      auto it = out.find(name);
+      if (it != out.end()) {
+        return it->second;
+      }
+      it = state.find(name);
+      return it != state.end() ? it->second : nullptr;
+    };
+    bool stable = p.until_fixpoint;
+    for (size_t i = 0; i < p.bindings.size(); ++i) {
+      next[i] = resolve(p.bindings[i].body_output);
+      if (next[i] == nullptr) {
+        return InternalError("loop relation '" + p.bindings[i].body_output +
+                             "' missing");
+      }
+      stable = stable && Table::SameContent(*state[p.bindings[i].loop_input],
+                                            *next[i]);
+    }
+    if (stable || t + 1 == p.iterations) {
+      TablePtr result = resolve(p.result);
+      if (result == nullptr) {
+        return InternalError("WHILE result relation '" + p.result +
+                             "' missing");
+      }
+      return result;
+    }
+    for (size_t i = 0; i < p.bindings.size(); ++i) {
+      state[p.bindings[i].loop_input] = std::move(next[i]);
+    }
+  }
+  return InternalError("WHILE '" + node.output + "' ran no trips");
+}
+
+namespace {
+
+StatusOr<TableMap> EvaluateWalk(const Dag& dag, const TableMap& base) {
+  return WalkDag(
+      dag, base, EvaluateOperator,
+      [](const Dag& outer, const OperatorNode& node, const TableMap& outer_base,
+         const std::vector<TablePtr>& inputs) {
+        return RunWhileLoop(outer, node, outer_base, inputs,
+                            [](const Dag& body, const TableMap& trip_base,
+                               int) { return EvaluateWalk(body, trip_base); });
+      });
 }
 
 }  // namespace
 
 StatusOr<TableMap> EvaluateDag(const Dag& dag, const TableMap& base) {
-  return EvaluateDagImpl(dag, base, nullptr);
+  MUSKETEER_ASSIGN_OR_RETURN(TableMap produced, EvaluateWalk(dag, base));
+  TableMap relations = base;
+  for (auto& [name, table] : produced) {
+    relations[name] = std::move(table);
+  }
+  return relations;
 }
 
 StatusOr<Table> EvaluateDagRelation(const Dag& dag, const TableMap& base,
                                     const std::string& name) {
-  // Only `name` must survive — everything else is fair game for fusion.
-  NeededSet needed{name};
-  MUSKETEER_ASSIGN_OR_RETURN(TableMap all, EvaluateDagImpl(dag, base, &needed));
+  MUSKETEER_ASSIGN_OR_RETURN(TableMap all, EvaluateDag(dag, base));
   auto it = all.find(name);
   if (it == all.end()) {
     return NotFoundError("relation '" + name + "' not produced by the workflow");

@@ -72,10 +72,10 @@ class Expr {
   StatusOr<BatchEval> CompileBatch(const Schema& schema) const;
 
   // Compiles as a selection-bitmap evaluator: writes the row's truthiness
-  // (1/0) into one byte per row — the predicate form the vectorized kernels
-  // consume (SelectRowsMask, the fused pipelines). Top-level comparisons and
-  // AND/OR trees fill the mask directly with typed branch-light loops, never
-  // materializing the intermediate 0/1 column CompileBatch would produce.
+  // (1/0) into one byte per row — the predicate form SelectRowsMask
+  // consumes. Top-level comparisons and AND/OR trees fill the mask directly
+  // with typed branch-light loops, never materializing the intermediate 0/1
+  // column CompileBatch would produce.
   // Kept rows are exactly those CompilePredicate accepts.
   StatusOr<MaskEval> CompileMask(const Schema& schema) const;
 

@@ -1,5 +1,6 @@
 #include "src/ir/operator.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/ir/dag.h"
@@ -78,6 +79,29 @@ SizeBehavior OpSizeBehavior(OpKind kind) {
       return SizeBehavior::kConstant;
   }
   return SizeBehavior::kGenerative;
+}
+
+double OutputScale(OpKind kind, const std::vector<ScaledRows>& inputs) {
+  switch (OpSizeBehavior(kind)) {
+    case SizeBehavior::kAdditive: {
+      double rows = 0;
+      double nominal = 0;
+      for (const ScaledRows& in : inputs) {
+        rows += in.rows;
+        nominal += in.rows * in.scale;
+      }
+      return rows > 0 ? nominal / rows : inputs[0].scale;
+    }
+    case SizeBehavior::kConstant:
+      return 1.0;
+    default: {
+      double scale = 0;
+      for (const ScaledRows& in : inputs) {
+        scale = std::max(scale, in.scale);
+      }
+      return scale;
+    }
+  }
 }
 
 int OpArity(OpKind kind) {

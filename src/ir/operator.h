@@ -61,6 +61,19 @@ enum class SizeBehavior {
 
 SizeBehavior OpSizeBehavior(OpKind kind);
 
+// Sample row count and nominal-size scale of one operator input.
+struct ScaledRows {
+  double rows = 0;
+  double scale = 1.0;
+};
+
+// Nominal-size scale of an operator's output, by the relational kernel's
+// propagation rules: row-weighted mean for additive operators (the first
+// input's scale when every input is empty), 1 for constant-size ones, the
+// largest input scale otherwise. Substrates that rebuild tables outside the
+// kernel restamp their outputs with it.
+double OutputScale(OpKind kind, const std::vector<ScaledRows>& inputs);
+
 // ---- Per-kind parameter payloads -----------------------------------------
 
 struct InputParams {

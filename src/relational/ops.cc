@@ -132,27 +132,6 @@ std::vector<uint32_t> ParallelStableSortPerm(size_t n, const Less& less) {
   return perm;
 }
 
-// Evaluates `filters` over rows [begin, end) into `mask` (1 = keep), ANDing
-// when there is more than one. `tmp` is caller-provided scratch so morsel
-// loops reuse one allocation. An empty filter list keeps every row.
-void EvalFilterMasks(const std::vector<MaskEval>& filters, const Table& t,
-                     size_t begin, size_t end, uint8_t* mask,
-                     std::vector<uint8_t>* tmp) {
-  const size_t n = end - begin;
-  if (filters.empty()) {
-    std::fill(mask, mask + n, static_cast<uint8_t>(1));
-    return;
-  }
-  filters[0](t, begin, end, mask);
-  if (filters.size() == 1) return;
-  tmp->resize(n);
-  for (size_t f = 1; f < filters.size(); ++f) {
-    filters[f](t, begin, end, tmp->data());
-    const uint8_t* m2 = tmp->data();
-    for (size_t k = 0; k < n; ++k) mask[k] &= m2[k];
-  }
-}
-
 // Compacts a 0/1 byte mask into absolute row indices (base + k for set
 // bytes). The fill loop is branch-free — the write cursor advances by the
 // mask byte — so it auto-vectorizes; the over-allocation is trimmed after.
@@ -198,54 +177,11 @@ bool AggFnIsAssociative(AggFn fn) {
   return false;
 }
 
-Table SelectRows(const Table& in, const RowPredicate& pred) {
-  auto parts = ParallelMapChunks<std::vector<uint32_t>>(
-      in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        std::vector<uint32_t> kept;
-        for (size_t i = begin; i < end; ++i) {
-          if (pred(in.MaterializeRow(i))) {
-            kept.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return kept;
-      });
-  return in.Gather(ConcatIndices(parts));
-}
-
-Table SelectRowsBatch(const Table& in, const BatchEval& pred) {
-  auto parts = ParallelMapChunks<std::vector<uint32_t>>(
-      in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        Column mask = pred(in, begin, end);
-        std::vector<uint32_t> kept;
-        switch (mask.type()) {
-          case FieldType::kInt64: {
-            const std::vector<int64_t>& m = mask.ints();
-            for (size_t k = 0; k < m.size(); ++k) {
-              if (m[k] != 0) kept.push_back(static_cast<uint32_t>(begin + k));
-            }
-            break;
-          }
-          case FieldType::kDouble: {
-            const std::vector<double>& m = mask.doubles();
-            for (size_t k = 0; k < m.size(); ++k) {
-              if (m[k] != 0) kept.push_back(static_cast<uint32_t>(begin + k));
-            }
-            break;
-          }
-          case FieldType::kString:
-            break;  // strings are falsy
-        }
-        return kept;
-      });
-  return in.Gather(ConcatIndices(parts));
-}
-
-Table SelectRowsMask(const Table& in, const std::vector<MaskEval>& filters) {
+Table SelectRowsMask(const Table& in, const MaskEval& filter) {
   auto parts = ParallelMapChunks<std::vector<uint32_t>>(
       in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
         std::vector<uint8_t> mask(end - begin);
-        std::vector<uint8_t> tmp;
-        EvalFilterMasks(filters, in, begin, end, mask.data(), &tmp);
+        filter(in, begin, end, mask.data());
         std::vector<uint32_t> kept;
         CompactMask(mask.data(), end - begin, begin, &kept);
         return kept;
@@ -272,29 +208,6 @@ StatusOr<Table> ProjectColumns(const Table& in, const std::vector<int>& columns)
   Table out = Table::FromColumns(std::move(out_schema), std::move(cols));
   out.set_scale(in.scale());
   return out;
-}
-
-Table MapRows(const Table& in, const Schema& out_schema,
-              const std::vector<RowProjector>& projectors) {
-  auto parts = ParallelMapChunks<std::vector<Column>>(
-      in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        std::vector<Column> block;
-        block.reserve(projectors.size());
-        for (const Field& f : out_schema.fields()) {
-          block.emplace_back(f.type);
-          block.back().Reserve(end - begin);
-        }
-        for (size_t i = begin; i < end; ++i) {
-          Row row = in.MaterializeRow(i);
-          for (size_t j = 0; j < projectors.size(); ++j) {
-            if (!block[j].Append(projectors[j](row))) {
-              block[j].Resize(block[j].size() + 1);
-            }
-          }
-        }
-        return block;
-      });
-  return ConcatChunkColumns(out_schema, std::move(parts), in.scale());
 }
 
 Table MapRowsBatch(const Table& in, const Schema& out_schema,
@@ -853,7 +766,7 @@ void MergeGroupPartial(GroupPartial* a, GroupPartial&& b, bool int_fast_path) {
   }
 }
 
-// Validated group-by shapes shared by GroupByAgg and the fused variant.
+// Validated group-by shapes: key and output schemas, int-key fast path.
 struct GroupPlan {
   Schema key_schema;
   Schema out_schema;
@@ -906,7 +819,7 @@ StatusOr<GroupPlan> PlanGroupBy(const Schema& in_schema,
 }
 
 // Accumulates rows [begin, end) of `src` into `part` — the phase-1 inner
-// loop of GroupByAgg, also driven per filtered chunk by the fused kernel.
+// loop of GroupByAgg.
 // Slot order is first-occurrence order of keys within the accumulated rows.
 void AccumulateGroupRows(GroupPartial* part, const Table& src, size_t begin,
                          size_t end, const std::vector<int>& group_columns,
@@ -984,9 +897,9 @@ void MergePartialsTree(std::vector<GroupPartial>* partials,
   }
 }
 
-// Output fill shared by GroupByAgg and the fused kernel: releases the merged
-// key table, computes the aggregate columns slot-parallel, and handles the
-// empty-input global-aggregate edge (`emit_empty_global_row`).
+// Output fill of GroupByAgg: releases the merged key table, computes the
+// aggregate columns slot-parallel, and handles the empty-input
+// global-aggregate edge (`emit_empty_global_row`).
 Table FinalizeGroupPartials(std::vector<GroupPartial>&& partials,
                             const Schema& out_schema, size_t num_group_cols,
                             const std::vector<AggSpec>& aggs, double scale,
@@ -1096,129 +1009,6 @@ StatusOr<Table> GroupByAgg(const Table& in, const std::vector<int>& group_column
   return FinalizeGroupPartials(
       std::move(partials), plan.out_schema, group_columns.size(), aggs,
       in.scale(), group_columns.empty() && in.num_rows() == 0);
-}
-
-namespace {
-
-// Gathers the transform's input columns at `idx` into a narrow scratch table.
-Table GatherScratch(const Table& in, const FusedTransform& t,
-                    const std::vector<uint32_t>& idx) {
-  std::vector<Column> cols;
-  cols.reserve(t.gather_cols.size());
-  for (int c : t.gather_cols) {
-    cols.push_back(in.col(c).Gather(idx));
-  }
-  return Table::FromColumns(t.scratch_schema, std::move(cols));
-}
-
-// Runs the transform stage over one scratch block. Identity transforms
-// release the scratch columns directly (a projection); otherwise each output
-// column is one batch-expression evaluation over the whole block.
-std::vector<Column> EvalTransformBlock(const FusedTransform& t,
-                                       Table&& scratch) {
-  if (t.exprs.empty()) {
-    return scratch.ReleaseColumns();
-  }
-  std::vector<Column> block;
-  block.reserve(t.exprs.size());
-  for (const BatchEval& e : t.exprs) {
-    block.push_back(e(scratch, 0, scratch.num_rows()));
-  }
-  return block;
-}
-
-}  // namespace
-
-Table FusedSelectTransform(const Table& in,
-                           const std::vector<MaskEval>& filters,
-                           const FusedTransform& t) {
-  Span span("kernel.fused_select_map", "kernel");
-  static Counter& calls = MetricsRegistry::Global().counter(
-      "musketeer.relational.fused_select_map.calls");
-  calls.Increment();
-  if (span.active()) {
-    span.SetAttr("rows", std::to_string(in.num_rows()));
-    span.SetAttr("filters", std::to_string(filters.size()));
-  }
-  auto parts = ParallelMapChunks<std::vector<Column>>(
-      in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        std::vector<uint8_t> mask(end - begin);
-        std::vector<uint8_t> tmp;
-        EvalFilterMasks(filters, in, begin, end, mask.data(), &tmp);
-        std::vector<uint32_t> sel;
-        CompactMask(mask.data(), end - begin, begin, &sel);
-        return EvalTransformBlock(t, GatherScratch(in, t, sel));
-      });
-  return ConcatChunkColumns(t.out_schema, std::move(parts), in.scale());
-}
-
-StatusOr<Table> FusedSelectTransformAgg(const Table& in,
-                                        const std::vector<MaskEval>& filters,
-                                        const FusedTransform& t,
-                                        const std::vector<int>& group_columns,
-                                        const std::vector<AggSpec>& aggs) {
-  Span span("kernel.fused_select_map_agg", "kernel");
-  static Counter& calls = MetricsRegistry::Global().counter(
-      "musketeer.relational.fused_select_map_agg.calls");
-  calls.Increment();
-  if (span.active()) {
-    span.SetAttr("rows", std::to_string(in.num_rows()));
-  }
-  StatusOr<GroupPlan> plan_or = PlanGroupBy(t.out_schema, group_columns, aggs);
-  if (!plan_or.ok()) return plan_or.status();
-  const GroupPlan& plan = plan_or.value();
-
-  const size_t n = in.num_rows();
-  const size_t in_chunks = NumChunks(n, kMorselRows);
-
-  // Pass A: selection bitmap over the whole input, one byte per row, plus
-  // per-chunk kept counts. The bitmap stays resident (n bytes) instead of a
-  // materialized filtered table (n × row width).
-  std::vector<uint8_t> mask(n);
-  std::vector<size_t> chunk_kept(in_chunks, 0);
-  ParallelChunks(n, kMorselRows, [&](size_t c, size_t begin, size_t end) {
-    std::vector<uint8_t> tmp;
-    EvalFilterMasks(filters, in, begin, end, mask.data() + begin, &tmp);
-    size_t cnt = 0;
-    for (size_t k = begin; k < end; ++k) cnt += mask[k];
-    chunk_kept[c] = cnt;
-  });
-
-  // Index exchange: exclusive prefix over the chunk counts gives every chunk
-  // its slice of the global filtered-row index vector; each chunk compacts
-  // into a local buffer and copies into place (no cross-chunk writes).
-  std::vector<size_t> offs(in_chunks + 1, 0);
-  for (size_t c = 0; c < in_chunks; ++c) offs[c + 1] = offs[c] + chunk_kept[c];
-  const size_t kept = offs[in_chunks];
-  std::vector<uint32_t> sel(kept);
-  ParallelChunks(n, kMorselRows, [&](size_t c, size_t begin, size_t end) {
-    std::vector<uint32_t> local;
-    CompactMask(mask.data() + begin, end - begin, begin, &local);
-    std::copy(local.begin(), local.end(), sel.begin() + offs[c]);
-  });
-
-  // Pass B: one GroupByAgg partial per *filtered* kMorselRows chunk — the
-  // same chunk boundaries GroupByAgg would see on the materialized
-  // select→map output, so the partial merge tree (and every FP bit of the
-  // result) is identical to the unfused pipeline. Each chunk gathers its
-  // scratch, runs the transform, and accumulates in filtered-row order.
-  auto partials = ParallelMapChunks<GroupPartial>(
-      kept, kMorselRows, [&](size_t, size_t begin, size_t end) {
-        std::vector<uint32_t> idx(sel.begin() + begin, sel.begin() + end);
-        Table block = Table::FromColumns(
-            t.out_schema, EvalTransformBlock(t, GatherScratch(in, t, idx)));
-        GroupPartial part;
-        part.num_aggs = aggs.size();
-        part.keys = Table(plan.key_schema);
-        AccumulateGroupRows(&part, block, 0, block.num_rows(), group_columns,
-                            aggs, plan.int_fast_path);
-        return part;
-      });
-
-  MergePartialsTree(&partials, plan.int_fast_path);
-  return FinalizeGroupPartials(std::move(partials), plan.out_schema,
-                               group_columns.size(), aggs, in.scale(),
-                               group_columns.empty() && kept == 0);
 }
 
 StatusOr<Table> ExtremeRow(const Table& in, int column, bool take_max) {

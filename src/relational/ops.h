@@ -56,64 +56,12 @@ struct AggSpec {
   std::string output_name;  // name of the produced column
 };
 
-// SELECT: rows matching `pred` (row-at-a-time compatibility path).
-Table SelectRows(const Table& in, const RowPredicate& pred);
-
-// SELECT over a batch-compiled predicate column: a row is kept when its mask
-// cell is truthy (non-zero numeric; strings are false).
-Table SelectRowsBatch(const Table& in, const BatchEval& pred);
-
-// SELECT over byte-mask predicates: evaluates every filter morsel-by-morsel,
-// ANDs the masks, and gathers the surviving rows. With multiple filters this
-// is the fused form of a select chain — the intermediate tables are never
-// materialized. Bit-identical to applying SelectRowsBatch per filter in
-// order (predicates are pure and total, so evaluation on filtered-out rows
-// cannot change the kept set).
-Table SelectRowsMask(const Table& in, const std::vector<MaskEval>& filters);
-
-// One fused select→transform(→aggregate) stage (see DESIGN.md "Vectorized
-// columnar kernels"). `gather_cols` lists the input columns the transform
-// reads; each morsel's surviving rows are gathered into a narrow
-// morsel-resident scratch table with `scratch_schema`, and `exprs` (compiled
-// against scratch_schema) produce `out_schema`. Empty `exprs` means the
-// transform is the identity / a projection: the scratch block IS the output
-// block (out_schema == scratch_schema).
-struct FusedTransform {
-  std::vector<int> gather_cols;
-  Schema scratch_schema;
-  Schema out_schema;
-  std::vector<BatchEval> exprs;
-};
-
-// select* → map/project in one parallel pass: per input morsel, AND the
-// filter masks, compact to indices, gather the narrow scratch, evaluate the
-// transform, emit the block. Bit-identical to SelectRowsBatch-per-filter
-// followed by MapRowsBatch/ProjectColumns (same rows, same per-row values,
-// same order).
-Table FusedSelectTransform(const Table& in,
-                           const std::vector<MaskEval>& filters,
-                           const FusedTransform& t);
-
-// select* → map/project → group-by aggregate without materializing either
-// intermediate. Pass A computes the selection bitmap + per-chunk prefix sums
-// (the index exchange); pass B re-chunks the *filtered* row list at
-// kMorselRows and accumulates one GroupByAgg partial per filtered chunk —
-// exactly the chunk boundaries GroupByAgg would see on the materialized
-// intermediate, so the partial merge tree and every floating-point bit of
-// the output are unchanged.
-StatusOr<Table> FusedSelectTransformAgg(const Table& in,
-                                        const std::vector<MaskEval>& filters,
-                                        const FusedTransform& t,
-                                        const std::vector<int>& group_columns,
-                                        const std::vector<AggSpec>& aggs);
+// SELECT over a byte-mask predicate: evaluates `filter` morsel-by-morsel
+// and gathers the surviving rows.
+Table SelectRowsMask(const Table& in, const MaskEval& filter);
 
 // PROJECT: keep `columns` (by index) in order.
 StatusOr<Table> ProjectColumns(const Table& in, const std::vector<int>& columns);
-
-// Generalized column mapping: output column i = projectors[i](row), with the
-// given output schema. Used for arithmetic ops (SUM/SUB/MUL/DIV on columns).
-Table MapRows(const Table& in, const Schema& out_schema,
-              const std::vector<RowProjector>& projectors);
 
 // Batch MAP: output column i = exprs[i] evaluated column-at-a-time. Each
 // expression's output column type must match out_schema (callers insert a

@@ -252,12 +252,6 @@ bool CellsCloseEnough(const Column& a, size_t i, const Column& b, size_t j) {
 
 }  // namespace
 
-void Table::SortRows() {
-  std::vector<uint32_t> perm = SortedPermutation(*this);
-  Table sorted = Gather(perm);
-  cols_ = std::move(sorted.cols_);
-}
-
 bool Table::SameContent(const Table& a, const Table& b) {
   if (a.num_rows() != b.num_rows()) {
     return false;

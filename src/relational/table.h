@@ -227,9 +227,6 @@ class Table {
   // Renders the first `limit` rows for debugging.
   std::string DebugString(size_t limit = 10) const;
 
-  // Sorts rows into canonical order (for order-insensitive comparisons).
-  void SortRows();
-
   // Lexicographic whole-row comparison (RowLess semantics: cell-wise
   // CompareValues, then arity).
   static int CompareRowsAt(const Table& a, size_t i, const Table& b, size_t j);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -124,7 +125,10 @@ TEST(ColumnTest, EmptyTableHasTypedEmptyColumns) {
   EXPECT_TRUE(t.MaterializeRows().empty());
 
   // Kernels accept empty tables.
-  Table sel = SelectRows(t, [](const Row&) { return true; });
+  Table sel = SelectRowsMask(
+      t, [](const Table&, size_t begin, size_t end, uint8_t* mask) {
+        std::fill(mask, mask + (end - begin), uint8_t{1});
+      });
   EXPECT_EQ(sel.num_rows(), 0u);
   Table d = Distinct(t);
   EXPECT_EQ(d.num_rows(), 0u);
@@ -198,30 +202,27 @@ Table MakeKernelInput(size_t rows, uint64_t seed) {
 }
 
 // SELECT via selection bitmaps (CompileMask + SelectRowsMask) keeps exactly
-// the rows the row oracle's compiled predicate keeps — bit-identical, with
-// multiple filters fused into one masked pass, at every thread width.
+// the rows the row oracle's compiled predicate keeps — bit-identical, for a
+// single comparison and an AND tree, at every thread width.
 TEST(VectorizedKernelTest, SelectRowsMaskMatchesRowOracle) {
   const Table in = MakeKernelInput(20'000, 99);
   ExprPtr k_lt = Expr::Binary(BinOp::kLt, Expr::Column("k"),
                               Expr::Literal(static_cast<int64_t>(700)));
   ExprPtr v_ge = Expr::Binary(BinOp::kGe, Expr::Column("v"),
                               Expr::Literal(static_cast<int64_t>(250)));
-  MaskEval m1 = std::move(k_lt->CompileMask(in.schema())).value();
-  MaskEval m2 = std::move(v_ge->CompileMask(in.schema())).value();
-
   ExprPtr both = Expr::Binary(BinOp::kAnd, k_lt, v_ge);
-  RowPredicate pred = std::move(both->CompilePredicate(in.schema())).value();
-  const Table expected = rowref::SelectRows(in, pred);
 
-  for (int threads : {1, 2, 8}) {
-    ScopedParallelThreads width(threads);
-    Table got = SelectRowsMask(in, {m1, m2});
-    EXPECT_TRUE(Table::Identical(expected, got))
-        << "mask selection diverged at " << threads << " thread(s)";
-    // The combined AND expression as a single mask agrees too.
-    MaskEval mboth = std::move(both->CompileMask(in.schema())).value();
-    Table got_one = SelectRowsMask(in, {mboth});
-    EXPECT_TRUE(Table::Identical(expected, got_one));
+  for (const ExprPtr& cond : {k_lt, both}) {
+    RowPredicate pred = std::move(cond->CompilePredicate(in.schema())).value();
+    MaskEval mask = std::move(cond->CompileMask(in.schema())).value();
+    const Table expected = rowref::SelectRows(in, pred);
+    for (int threads : {1, 2, 8}) {
+      ScopedParallelThreads width(threads);
+      Table got = SelectRowsMask(in, mask);
+      EXPECT_TRUE(Table::Identical(expected, got))
+          << "mask selection of " << cond->ToString() << " diverged at "
+          << threads << " thread(s)";
+    }
   }
 }
 
@@ -244,86 +245,38 @@ TEST(VectorizedKernelTest, CompileMaskTruthinessMatchesPredicate) {
   }
 }
 
-// Builds the fused transform stage used by the two pipeline tests:
-// gather {k, x, v}, emit {k, y = x*2 + v}.
-FusedTransform MakeFusedTransform() {
-  FusedTransform ft;
-  ft.gather_cols = {0, 2, 1};
-  ft.scratch_schema = Schema({{"k", FieldType::kInt64},
-                              {"x", FieldType::kDouble},
-                              {"v", FieldType::kInt64}});
-  ft.out_schema = Schema({{"k", FieldType::kInt64}, {"y", FieldType::kDouble}});
-  ExprPtr y = Expr::Binary(
-      BinOp::kAdd,
-      Expr::Binary(BinOp::kMul, Expr::Column("x"), Expr::Literal(2.0)),
-      Expr::Column("v"));
-  ft.exprs.push_back(
-      std::move(Expr::Column("k")->CompileBatch(ft.scratch_schema)).value());
-  ft.exprs.push_back(std::move(y->CompileBatch(ft.scratch_schema)).value());
-  return ft;
-}
-
-// Row-oracle version of the same select→map stage.
-Table RowOracleSelectMap(const Table& in) {
+// SELECT → MAP through the kernels production runs (SelectRowsMask, then
+// MapRowsBatch over CompileBatch evaluators) produces the same rows, order
+// and double bits as the row oracle, at every thread width.
+TEST(VectorizedKernelTest, SelectThenMapRowsBatchMatchesRowOracle) {
+  const Table in = MakeKernelInput(30'000, 123);
   ExprPtr cond = Expr::Binary(BinOp::kLt, Expr::Column("k"),
                               Expr::Literal(static_cast<int64_t>(700)));
-  RowPredicate pred = std::move(cond->CompilePredicate(in.schema())).value();
-  Table selected = rowref::SelectRows(in, pred);
   ExprPtr y = Expr::Binary(
       BinOp::kAdd,
       Expr::Binary(BinOp::kMul, Expr::Column("x"), Expr::Literal(2.0)),
       Expr::Column("v"));
+  const Schema out({{"k", FieldType::kInt64}, {"y", FieldType::kDouble}});
+
   std::vector<RowProjector> projectors;
   projectors.push_back(
       std::move(Expr::Column("k")->Compile(in.schema())).value());
   projectors.push_back(std::move(y->Compile(in.schema())).value());
-  Schema out({{"k", FieldType::kInt64}, {"y", FieldType::kDouble}});
-  return rowref::MapRows(selected, out, projectors);
-}
+  const Table expected = rowref::MapRows(
+      rowref::SelectRows(
+          in, std::move(cond->CompilePredicate(in.schema())).value()),
+      out, projectors);
 
-// Fused select→map produces the same rows, order, and double bits as the
-// row oracle running the two operators with materialization in between.
-TEST(VectorizedKernelTest, FusedSelectTransformMatchesRowOracle) {
-  const Table in = MakeKernelInput(30'000, 123);
-  ExprPtr cond = Expr::Binary(BinOp::kLt, Expr::Column("k"),
-                              Expr::Literal(static_cast<int64_t>(700)));
   MaskEval mask = std::move(cond->CompileMask(in.schema())).value();
-  const FusedTransform ft = MakeFusedTransform();
-  const Table expected = RowOracleSelectMap(in);
-
+  std::vector<BatchEval> exprs;
+  exprs.push_back(
+      std::move(Expr::Column("k")->CompileBatch(in.schema())).value());
+  exprs.push_back(std::move(y->CompileBatch(in.schema())).value());
   for (int threads : {1, 2, 4, 8}) {
     ScopedParallelThreads width(threads);
-    Table got = FusedSelectTransform(in, {mask}, ft);
+    Table got = MapRowsBatch(SelectRowsMask(in, mask), out, exprs);
     EXPECT_TRUE(Table::Identical(expected, got))
-        << "fused select→map diverged at " << threads << " thread(s)";
-  }
-}
-
-// Fused select→map→group-by: the index exchange re-chunks the *filtered*
-// row list at kMorselRows, so the aggregation partials — and therefore every
-// floating-point bit of the sums — match the row oracle aggregating the
-// materialized intermediate, at every thread width.
-TEST(VectorizedKernelTest, FusedSelectTransformAggMatchesRowOracle) {
-  const Table in = MakeKernelInput(30'000, 321);
-  ExprPtr cond = Expr::Binary(BinOp::kLt, Expr::Column("k"),
-                              Expr::Literal(static_cast<int64_t>(700)));
-  MaskEval mask = std::move(cond->CompileMask(in.schema())).value();
-  const FusedTransform ft = MakeFusedTransform();
-  const std::vector<int> group = {0};
-  const std::vector<AggSpec> aggs{{AggFn::kSum, 1, "sy"},
-                                  {AggFn::kAvg, 1, "ay"},
-                                  {AggFn::kCount, 0, "c"}};
-
-  Table mapped = RowOracleSelectMap(in);
-  auto expected = rowref::GroupByAgg(mapped, group, aggs);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  for (int threads : {1, 2, 4, 8}) {
-    ScopedParallelThreads width(threads);
-    auto got = FusedSelectTransformAgg(in, {mask}, ft, group, aggs);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_TRUE(Table::Identical(*expected, *got))
-        << "fused select→map→agg diverged at " << threads << " thread(s)";
+        << "select→map diverged at " << threads << " thread(s)";
   }
 }
 

@@ -119,11 +119,11 @@ TEST_P(ColumnarRowEquivalenceTest, ColumnarIdenticalToRowReference) {
       << row_based->DebugString();
 }
 
-// The fused interpreter (EvaluateDagRelation runs select→map→aggregate
-// chains through the one-pass kernels) is bit-identical to itself at every
-// thread width AND to the row oracle: morsel boundaries are computed on
-// filtered-row counts, so the partial merge tree never changes shape.
-TEST_P(ColumnarRowEquivalenceTest, FusedInterpreterBitIdenticalAcrossThreads) {
+// The one interpreter (EvaluateDagRelation over the shared DAG walker and
+// WHILE driver) is bit-identical to the row oracle at every thread width:
+// morsel boundaries never depend on the thread count, so no partial merge
+// tree changes shape.
+TEST_P(ColumnarRowEquivalenceTest, InterpreterBitIdenticalAcrossThreads) {
   WfSetup setup = MakeSetup(GetParam());
 
   auto dag = ParseWorkflow(setup.workflow.language, setup.workflow.source);
@@ -139,7 +139,7 @@ TEST_P(ColumnarRowEquivalenceTest, FusedInterpreterBitIdenticalAcrossThreads) {
         EvaluateDagRelation(**dag, setup.inputs, setup.result_relation);
     ASSERT_TRUE(columnar.ok()) << columnar.status();
     EXPECT_TRUE(Table::Identical(*columnar, *row_based))
-        << "fused interpreter diverged from the row reference on "
+        << "interpreter diverged from the row reference on "
         << WfName(GetParam()) << " at " << threads << " thread(s)";
   }
 }

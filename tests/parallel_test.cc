@@ -205,7 +205,13 @@ void ExpectBitIdenticalAcrossThreads(const Fn& run) {
 TEST(KernelBitIdentityTest, Select) {
   Table in = BigTable(kBigRows);
   ExpectBitIdenticalAcrossThreads([&] {
-    return SelectRows(in, [](const Row& r) { return AsInt64(r[1]) % 3 == 0; });
+    return SelectRowsMask(
+        in, [](const Table& t, size_t begin, size_t end, uint8_t* mask) {
+          const std::vector<int64_t>& v = t.col(1).ints();
+          for (size_t i = begin; i < end; ++i) {
+            mask[i - begin] = v[i] % 3 == 0 ? 1 : 0;
+          }
+        });
   });
 }
 
@@ -218,10 +224,17 @@ TEST(KernelBitIdentityTest, Project) {
 TEST(KernelBitIdentityTest, Map) {
   Table in = BigTable(kBigRows);
   Schema out_schema({{"y", FieldType::kDouble}});
-  std::vector<RowProjector> projectors{
-      [](const Row& r) -> Value { return AsDouble(r[2]) * 3.0 + 1.0; }};
+  std::vector<BatchEval> exprs{
+      [](const Table& t, size_t begin, size_t end) {
+        Column y(FieldType::kDouble);
+        const std::vector<double>& x = t.col(2).doubles();
+        for (size_t i = begin; i < end; ++i) {
+          y.mutable_doubles()->push_back(x[i] * 3.0 + 1.0);
+        }
+        return y;
+      }};
   ExpectBitIdenticalAcrossThreads(
-      [&] { return MapRows(in, out_schema, projectors); });
+      [&] { return MapRowsBatch(in, out_schema, exprs); });
 }
 
 TEST(KernelBitIdentityTest, HashJoin) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/relational/csv.h"
 
 namespace musketeer {
@@ -23,9 +25,21 @@ Table PurchasesTable() {
   return t;
 }
 
+// Byte-mask form of `region == 10` over PurchasesTable.
+void RegionIs10(const Table& t, size_t begin, size_t end, uint8_t* mask) {
+  const std::vector<int64_t>& region = t.col(1).ints();
+  for (size_t i = begin; i < end; ++i) {
+    mask[i - begin] = region[i] == 10 ? 1 : 0;
+  }
+}
+
+void KeepAll(const Table&, size_t begin, size_t end, uint8_t* mask) {
+  std::fill(mask, mask + (end - begin), uint8_t{1});
+}
+
 TEST(SelectRowsTest, FiltersByPredicate) {
   Table t = PurchasesTable();
-  Table out = SelectRows(t, [](const Row& r) { return AsInt64(r[1]) == 10; });
+  Table out = SelectRowsMask(t, RegionIs10);
   EXPECT_EQ(out.num_rows(), 4u);
   for (const Row& r : out.MaterializeRows()) {
     EXPECT_EQ(AsInt64(r[1]), 10);
@@ -35,7 +49,7 @@ TEST(SelectRowsTest, FiltersByPredicate) {
 TEST(SelectRowsTest, PropagatesScale) {
   Table t = PurchasesTable();
   t.set_scale(1000.0);
-  Table out = SelectRows(t, [](const Row&) { return true; });
+  Table out = SelectRowsMask(t, KeepAll);
   EXPECT_DOUBLE_EQ(out.scale(), 1000.0);
 }
 

@@ -182,13 +182,13 @@ echo "== [8/11] vectorized kernels: Release scaling gate + TSan sweep =="
 # ratios in a -O0/-g build are not the numbers we ship.
 (cd "$repo/build-relassert" && ./bench/bench_columnar_ops)
 
-# The new parallel kernels (mask selection, flat-hash join/group-by, fused
-# select->map->aggregate, index exchange) under ThreadSanitizer at full
-# width: every workflow must stay Table::Identical across 1/2/4/8 threads
-# while TSan watches the morsel tasks share partial buffers.
+# The parallel kernels (mask selection, flat-hash join/group-by, index
+# exchange) under ThreadSanitizer at full width: every workflow must stay
+# Table::Identical across 1/2/4/8 threads through the one interpreter while
+# TSan watches the morsel tasks share partial buffers.
 MUSKETEER_THREADS=8 "$repo/build-tsan/tests/column_test"
 MUSKETEER_THREADS=8 "$repo/build-tsan/tests/engine_equivalence_test" \
-    --gtest_filter='*Parallel*:*RowReference*:*Fused*'
+    --gtest_filter='*Parallel*:*RowReference*:*InterpreterBitIdentical*'
 
 echo "== [9/11] sharded execution: TSan coordinator tests + CLI bit-identity + scaling gate =="
 # The shard coordinator under ThreadSanitizer: per-shard worker pools execute
