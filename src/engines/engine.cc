@@ -99,6 +99,63 @@ struct ChannelAbortGuard {
 
 }  // namespace
 
+Status VerifyOnSubstrate(const JobPlan& plan, const TableMap& base,
+                         const TableMap& kernel_outputs) {
+  TableMap substrate_relations;
+  switch (plan.engine) {
+    case EngineKind::kHadoop:
+    case EngineKind::kMetis: {
+      MapReduceOptions mr;
+      // Metis runs one mapper per core on a single machine.
+      mr.num_mappers = plan.engine == EngineKind::kHadoop ? 8 : 4;
+      mr.num_reducers = 4;
+      MUSKETEER_ASSIGN_OR_RETURN(MapReduceResult sub,
+                                 ExecuteViaMapReduce(*plan.dag, base, mr));
+      substrate_relations = std::move(sub.relations);
+      break;
+    }
+    case EngineKind::kSpark: {
+      MUSKETEER_ASSIGN_OR_RETURN(RddResult sub,
+                                 ExecuteViaRdd(*plan.dag, base, {.num_partitions = 4}));
+      substrate_relations = std::move(sub.relations);
+      break;
+    }
+    case EngineKind::kNaiad:
+      if (!plan.graph_path) {
+        MUSKETEER_ASSIGN_OR_RETURN(TimelyResult sub,
+                                   ExecuteViaTimely(*plan.dag, base));
+        substrate_relations = std::move(sub.relations);
+        break;
+      }
+      [[fallthrough]];  // GraphLINQ-on-Naiad runs the vertex runtime
+    case EngineKind::kPowerGraph:
+    case EngineKind::kGraphChi: {
+      MUSKETEER_ASSIGN_OR_RETURN(VertexRuntimeResult sub,
+                                 ExecuteViaVertexRuntime(*plan.dag, base));
+      substrate_relations = std::move(sub.relations);
+      break;
+    }
+    case EngineKind::kSerialC:
+      return OkStatus();
+  }
+  for (const std::string& name : plan.outputs) {
+    auto it = substrate_relations.find(name);
+    if (it == substrate_relations.end()) {
+      return AbortedError("engine substrate did not produce '" + name + "'");
+    }
+    auto kernel_it = kernel_outputs.find(name);
+    if (kernel_it == kernel_outputs.end()) {
+      return InvalidArgumentError("no kernel output '" + name + "' to check");
+    }
+    if (!Table::SameContent(*kernel_it->second, *it->second)) {
+      return AbortedError("substrate output '" + name + "' diverged from the "
+                          "shared kernel on " + plan.name + "@" +
+                          EngineKindName(plan.engine));
+    }
+  }
+  return OkStatus();
+}
+
 StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster,
                                Dfs* dfs, const ExecutionContext& ctx,
                                const JobStreamIo* stream) {
@@ -117,9 +174,8 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   jobs.Increment();
 
   // Register the context's token/deadline as this thread's interrupt state so
-  // the DAG walker's node loop, the WHILE driver's trips and the vertex
-  // runtime's supersteps (which cannot take a context parameter) observe
-  // them via CheckInterrupt.
+  // the DAG walker's node loop and the WHILE driver's trips (which cannot
+  // take a context parameter) observe them via CheckInterrupt.
   ScopedInterrupt interrupt(ctx.cancel, ctx.deadline);
   ChannelAbortGuard abort_guard{stream, plan.name};
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());
@@ -183,15 +239,16 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
     forced_serial.emplace(1);
   }
 
-  // 2. Execute the sub-DAG on real data, tracing volumes. The trace drives
-  // the performance model; the *semantics* run through each engine's own
-  // substrate below (MapReduce, partitioned RDDs, or the vertex runtime).
+  // 2. Execute the sub-DAG on real data through the shared kernel, tracing
+  // volumes. Its tables are what the job commits and its trace drives the
+  // performance model; the engine's own substrate (MapReduce, partitioned
+  // RDDs, timely dataflow or the vertex runtime) does not run here — see
+  // VerifyOnSubstrate.
   MUSKETEER_ASSIGN_OR_RETURN(ExecTrace trace, TraceExecuteDag(*plan.dag, base));
 
   // Streamed outputs leave NOW — the kernel's tables are the exact bytes the
   // barrier path commits below, so consumers can start while this job still
-  // has its substrate, verification and commit ahead of it. That overlap is
-  // the pipelined data plane's entire win.
+  // has its pricing and commit ahead of it.
   uint64_t stream_batches_out = 0;
   Bytes stream_bytes_out = 0;
   if (stream != nullptr) {
@@ -209,61 +266,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
       stream_bytes_out += pushed.bytes;
     }
   }
-
-  // Engine substrates: compute the job's results the way the engine would.
-  // All substrates match the tracing interpreter up to floating-point
-  // summation order (verified by the cross-engine equivalence tests); SerialC
-  // executes the interpreter directly, which is exactly what single-threaded
-  // C code does.
-  TableMap engine_relations = trace.relations;
-  switch (plan.engine) {
-    case EngineKind::kHadoop: {
-      MapReduceOptions mr;
-      mr.num_mappers = 8;
-      mr.num_reducers = 4;
-      MUSKETEER_ASSIGN_OR_RETURN(MapReduceResult sub,
-                                 ExecuteViaMapReduce(*plan.dag, base, mr));
-      engine_relations = std::move(sub.relations);
-      break;
-    }
-    case EngineKind::kMetis: {
-      MapReduceOptions mr;
-      mr.num_mappers = 4;  // one per core, single machine
-      mr.num_reducers = 4;
-      MUSKETEER_ASSIGN_OR_RETURN(MapReduceResult sub,
-                                 ExecuteViaMapReduce(*plan.dag, base, mr));
-      engine_relations = std::move(sub.relations);
-      break;
-    }
-    case EngineKind::kSpark: {
-      MUSKETEER_ASSIGN_OR_RETURN(RddResult sub,
-                                 ExecuteViaRdd(*plan.dag, base, {.num_partitions = 4}));
-      engine_relations = std::move(sub.relations);
-      break;
-    }
-    case EngineKind::kNaiad: {
-      if (plan.graph_path) {
-        MUSKETEER_ASSIGN_OR_RETURN(VertexRuntimeResult sub,
-                                   ExecuteViaVertexRuntime(*plan.dag, base));
-        engine_relations = std::move(sub.relations);
-      } else {
-        MUSKETEER_ASSIGN_OR_RETURN(TimelyResult sub,
-                                   ExecuteViaTimely(*plan.dag, base));
-        engine_relations = std::move(sub.relations);
-      }
-      break;
-    }
-    case EngineKind::kPowerGraph:
-    case EngineKind::kGraphChi: {
-      MUSKETEER_ASSIGN_OR_RETURN(VertexRuntimeResult sub,
-                                 ExecuteViaVertexRuntime(*plan.dag, base));
-      engine_relations = std::move(sub.relations);
-      break;
-    }
-    case EngineKind::kSerialC:
-      break;  // the interpreter IS the serial implementation
-  }
-  MUSKETEER_RETURN_IF_ERROR(ctx.Check());
 
   std::unordered_set<const OperatorNode*> misses;
   if (plan.quirks.model_type_inference_miss) {
@@ -400,35 +402,13 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   result.stream_bytes_in = stream_bytes_in;
   result.stream_bytes_out = stream_bytes_out;
 
-  // Verify the substrate against the shared kernel, then commit the
-  // *kernel's* tables. Substrates may legitimately differ from the kernel in
-  // row order and floating-point summation order (combiners, partitioned
-  // reduces), so the check is SameContent; anything beyond that is a
-  // detected execution fault — retryable, so the dispatcher can re-run or
-  // fail over. Committing the kernel's bits makes every engine's committed
-  // output identical, which is what lets failover guarantee
-  // Table::Identical results.
-  std::vector<std::pair<std::string, TablePtr>> to_commit;
-  to_commit.reserve(plan.outputs.size());
+  MUSKETEER_RETURN_IF_ERROR(ctx.Check());
+  // Commit atomically so a failed attempt never leaves partial outputs
+  // behind for a retry to trip over (every declared output was looked up
+  // above). The kernel's tables are what every engine commits, which lets
+  // failover guarantee Table::Identical results.
   for (const std::string& name : plan.outputs) {
-    auto it = engine_relations.find(name);
-    if (it == engine_relations.end()) {
-      return AbortedError("engine substrate did not produce '" + name + "'");
-    }
-    auto kernel_it = trace.relations.find(name);
-    if (kernel_it == trace.relations.end()) {
-      return InternalError("job did not produce declared output '" + name + "'");
-    }
-    if (!Table::SameContent(*kernel_it->second, *it->second)) {
-      return AbortedError("substrate output '" + name + "' diverged from the "
-                          "shared kernel on " + job_signature);
-    }
-    to_commit.emplace_back(name, kernel_it->second);
-  }
-  // Every output verified; commit atomically so a failed attempt never
-  // leaves partial outputs behind for a retry to trip over.
-  for (auto& [name, table] : to_commit) {
-    dfs->Put(name, table);
+    dfs->Put(name, trace.relations.at(name));
   }
   // Local/remote read split: the declared inputs that came from another
   // shard are remote; everything else (including loop-materialized

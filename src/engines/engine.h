@@ -1,23 +1,25 @@
 // Simulated execution engines.
 //
 // ExecuteJob runs a JobPlan against the DFS: it pulls the job's inputs,
-// executes the plan's sub-DAG on real data through the shared relational
-// kernel (TraceExecuteDag — the one IR interpreter of src/ir/eval.h, so
-// results are engine-independent by construction) and the engine's own
-// substrate, pushes outputs back to the DFS, and returns the simulated
-// makespan charged according to the engine's performance model (see
+// executes the plan's sub-DAG on real data once, through the shared
+// relational kernel (TraceExecuteDag — the one IR interpreter of
+// src/ir/eval.h, so results are engine-independent by construction), pushes
+// the kernel's outputs back to the DFS, and returns the simulated makespan
+// charged according to the engine's performance model (see
 // src/backends/perf_model.cc for the calibration and DESIGN.md for the
 // substitution rationale).
 //
 // The ExecutionContext overload is the execution boundary for fault-tolerant
 // runs: it observes the context's cancellation token and deadline at phase
-// boundaries (and, via ScopedInterrupt, inside the DAG walker's node loop,
-// the WHILE driver's trips and the vertex runtime's supersteps), consults
-// the seeded FaultInjector to decide whether this attempt fails, and
-// verifies the engine substrate's outputs against the shared relational
-// kernel before committing the kernel's tables to the DFS — which is what
-// makes cross-engine failover bit-identical (Table::Identical) by
+// boundaries (and, via ScopedInterrupt, inside the DAG walker's node loop
+// and the WHILE driver's trips) and consults the seeded FaultInjector to
+// decide whether this attempt fails. It commits the kernel's tables to the
+// DFS, which makes cross-engine failover bit-identical (Table::Identical) by
 // construction.
+//
+// Each engine also has its own execution substrate (MapReduce, partitioned
+// RDDs, timely dataflow or the vertex runtime). Runs never execute it;
+// VerifyOnSubstrate re-runs a job there and checks it against the kernel.
 
 #ifndef MUSKETEER_SRC_ENGINES_ENGINE_H_
 #define MUSKETEER_SRC_ENGINES_ENGINE_H_
@@ -28,6 +30,7 @@
 #include "src/backends/pricing.h"
 #include "src/cluster/dfs.h"
 #include "src/engines/execution_context.h"
+#include "src/ir/eval.h"
 #include "src/stream/relation_channel.h"
 
 namespace musketeer {
@@ -71,14 +74,25 @@ struct JobResult {
 // listed there arrive over a RelationChannel instead of a DFS pull, outputs
 // listed there are additionally streamed — as ordered batches of the
 // relational kernel's result, i.e. the exact bytes the barrier path commits
-// — immediately after the kernel runs, before the engine substrate and the
-// commit. Streamed edges are excluded from the job's DFS pull/push byte
-// accounting (they never touch storage); the DFS commit itself is
-// unchanged. On any failure every not-yet-closed output channel is aborted
-// so consumers unwind instead of deadlocking.
+// — immediately after the kernel runs, before pricing and the commit.
+// Streamed edges are excluded from
+// the job's DFS pull/push byte accounting (they never touch storage); the
+// DFS commit itself is unchanged. On any failure every not-yet-closed output
+// channel is aborted so consumers unwind instead of deadlocking.
 StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster,
                                Dfs* dfs, const ExecutionContext& ctx,
                                const JobStreamIo* stream = nullptr);
+
+// Re-runs `plan` on its engine's own substrate over `base` (the relations
+// the job read) and checks every declared output against `kernel_outputs`
+// (what the shared kernel committed for it). Substrates may legitimately
+// differ from the kernel in row order and floating-point summation order
+// (combiners, partitioned reduces), so the check is SameContent; a mismatch
+// or a missing output is kAborted naming the output and `job@Engine`.
+// SerialC has no substrate of its own — the kernel IS the serial
+// implementation — so it always passes.
+Status VerifyOnSubstrate(const JobPlan& plan, const TableMap& base,
+                         const TableMap& kernel_outputs);
 
 }  // namespace musketeer
 

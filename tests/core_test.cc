@@ -8,6 +8,7 @@
 
 #include "src/workloads/datasets.h"
 #include "src/workloads/workflows.h"
+#include "tests/substrate_check.h"
 
 namespace musketeer {
 namespace {
@@ -77,6 +78,9 @@ TEST(MusketeerTest, EveryGeneralEngineProducesIdenticalResults) {
         << EngineKindName(engine);
     EXPECT_TRUE(Table::SameContent(expected, *result->outputs["street_price"]))
         << EngineKindName(engine);
+    Status substrates = VerifyRunOnSubstrates(*result, dfs);
+    EXPECT_TRUE(substrates.ok()) << EngineKindName(engine) << ": "
+                                 << substrates;
     EXPECT_GT(result->makespan, 0);
   }
 }
@@ -236,6 +240,9 @@ TEST(MusketeerTest, GasPageRankRunsOnGraphEngines) {
     ASSERT_EQ(result->outputs.count("pagerank"), 1u);
     EXPECT_TRUE(Table::SameContent(expected, *result->outputs["pagerank"]))
         << EngineKindName(engine);
+    Status substrates = VerifyRunOnSubstrates(*result, dfs);
+    EXPECT_TRUE(substrates.ok()) << EngineKindName(engine) << ": "
+                                 << substrates;
   }
 }
 

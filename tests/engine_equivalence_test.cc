@@ -8,6 +8,7 @@
 #include "src/base/parallel.h"
 #include "src/core/musketeer.h"
 #include "tests/row_reference.h"
+#include "tests/substrate_check.h"
 #include "tests/workflow_setups.h"
 
 namespace musketeer {
@@ -47,6 +48,10 @@ TEST_P(EngineEquivalenceTest, MatchesReferenceInterpreter) {
                                  *result->outputs[setup.result_relation]))
       << "engine " << EngineKindName(engine) << " diverged on "
       << WfName(wf);
+  // The run executed on the shared kernel; the engine's own substrate must
+  // agree with it job by job.
+  Status substrates = VerifyRunOnSubstrates(*result, dfs);
+  EXPECT_TRUE(substrates.ok()) << substrates;
   EXPECT_GT(result->makespan, 0);
 }
 
@@ -62,7 +67,7 @@ TEST_P(EngineEquivalenceTest, ParallelMatchesSequentialBitIdentical) {
     GTEST_SKIP() << "workflow not expressible on a graph-only engine";
   }
 
-  auto run_at = [&](int threads) {
+  auto run_at = [&](int threads) -> StatusOr<RunResult> {
     ScopedParallelThreads width(threads);
     Dfs dfs;
     for (const auto& [name, table] : setup.inputs) {
@@ -72,7 +77,12 @@ TEST_P(EngineEquivalenceTest, ParallelMatchesSequentialBitIdentical) {
     RunOptions options;
     options.cluster = Ec2Cluster(16);
     options.engines = {engine};
-    return m.Run(setup.workflow, options);
+    auto result = m.Run(setup.workflow, options);
+    // The substrates run at this width too.
+    if (result.ok()) {
+      MUSKETEER_RETURN_IF_ERROR(VerifyRunOnSubstrates(*result, dfs));
+    }
+    return result;
   };
 
   auto sequential = run_at(1);

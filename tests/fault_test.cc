@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/musketeer.h"
+#include "src/frontends/udf_registry.h"
 #include "src/service/service.h"
+#include "tests/substrate_check.h"
 #include "tests/workflow_setups.h"
 
 namespace musketeer {
@@ -371,6 +375,72 @@ TEST(FaultRecoveryTest, FailoverSwitchesEngineAndPreservesBits) {
         << "failover to " << EngineKindName(alternate)
         << " changed the bits of '" << name << "'";
   }
+}
+
+// A substrate that disagrees with the shared kernel is a detected execution
+// fault. The fixture registers a deliberately non-deterministic UDF — it
+// returns how often it has been called — so every re-execution of a job
+// that calls it disagrees with the first. TearDown clears the
+// process-global UDF registry even when an assertion returns early.
+class SubstrateDivergenceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    UdfDefinition call_count;
+    call_count.name = "call_count";
+    call_count.arity = 1;
+    call_count.output_schema = Schema({{"calls", FieldType::kInt64}});
+    call_count.fn =
+        [calls = calls_](const std::vector<const Table*>&) -> StatusOr<Table> {
+      Table out(Schema({{"calls", FieldType::kInt64}}));
+      out.AddRow({static_cast<int64_t>(++*calls)});
+      return out;
+    };
+    RegisterUdf(std::move(call_count));
+  }
+  void TearDown() override { ClearUdfRegistry(); }
+
+  std::shared_ptr<std::atomic<int64_t>> calls_ =
+      std::make_shared<std::atomic<int64_t>>(0);
+};
+
+// A run executes the job once, on the shared kernel, and commits the
+// kernel's bytes. Re-running it on the Hadoop MapReduce substrate calls the
+// UDF again, and VerifyOnSubstrate reports the divergence as kAborted
+// naming the output and job@Engine, leaving the committed bytes alone.
+TEST_F(SubstrateDivergenceTest, RunCommitsKernelAndVerificationReportsIt) {
+  const WorkflowSpec wf{"divergent-udf", FrontendLanguage::kBeer,
+                        "n = UDF call_count(events);\n"};
+  auto events = std::make_shared<Table>(Schema({{"uid", FieldType::kInt64}}));
+  for (int64_t i = 0; i < 16; ++i) {
+    events->AddRow({i});
+  }
+  RunOptions options = BaseOptions();
+  options.engines = {EngineKind::kHadoop};
+
+  Dfs dfs;
+  dfs.Put("events", events);
+  Musketeer m(&dfs);
+  auto result = m.Run(wf, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(calls_->load(), 1);
+  Table expected(Schema({{"calls", FieldType::kInt64}}));
+  expected.AddRow({int64_t{1}});
+  ASSERT_EQ(result->outputs.count("n"), 1u);
+  EXPECT_TRUE(Table::Identical(expected, *result->outputs.at("n")))
+      << result->outputs.at("n")->DebugString();
+
+  Status verified = VerifyRunOnSubstrates(*result, dfs);
+  EXPECT_EQ(verified.code(), StatusCode::kAborted) << verified;
+  const std::string message = verified.message();
+  EXPECT_NE(message.find("substrate output 'n' diverged from the shared "
+                         "kernel on "),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("@Hadoop"), std::string::npos) << message;
+  EXPECT_GT(calls_->load(), 1);
+  auto committed = dfs.Get("n");
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_TRUE(Table::Identical(expected, **committed));
 }
 
 // ---------------------------------------------------------------------------

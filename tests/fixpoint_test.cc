@@ -11,6 +11,7 @@
 #include "src/engines/vertex_runtime.h"
 #include "src/relational/ops.h"
 #include "src/workloads/datasets.h"
+#include "tests/substrate_check.h"
 
 namespace musketeer {
 namespace {
@@ -152,6 +153,9 @@ TEST(FixpointTest, RunsEndToEndThroughMusketeer) {
                              << result.status();
     EXPECT_EQ(result->outputs["reachable"]->num_rows(), 6u)
         << EngineKindName(engine);
+    Status substrates = VerifyRunOnSubstrates(*result, dfs);
+    EXPECT_TRUE(substrates.ok()) << EngineKindName(engine) << ": "
+                                 << substrates;
   }
 }
 
@@ -229,6 +233,9 @@ TEST(FixpointTest, LoopVariablesResolveOnEveryPath) {
                                << result.status();
       EXPECT_TRUE(Table::Identical(*ref, *result->outputs.at("out")))
           << EngineKindName(engine);
+      Status substrates = VerifyRunOnSubstrates(*result, dfs);
+      EXPECT_TRUE(substrates.ok()) << EngineKindName(engine) << ": "
+                                   << substrates;
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/musketeer.h"
+#include "tests/substrate_check.h"
 
 namespace musketeer {
 namespace {
@@ -126,6 +127,9 @@ TEST_F(UdfTest, UdfWorkflowRunsOnEveryGeneralEngine) {
     // 120 events over 7 users: only uid 0 gets 18, the rest 17.
     EXPECT_EQ(result->outputs["busy"]->num_rows(), 1u)
         << EngineKindName(engine);
+    Status substrates = VerifyRunOnSubstrates(*result, dfs);
+    EXPECT_TRUE(substrates.ok()) << EngineKindName(engine) << ": "
+                                 << substrates;
   }
 }
 
