@@ -25,6 +25,21 @@ struct CodeGenOptions {
   bool shared_scans = true;
 };
 
+// The schemas every job of one plan is type-checked against: the base
+// relations overlaid by the output of every operator in the workflow DAG,
+// so a job may read base relations and other jobs' outputs alike. WHILE
+// bodies inside a job resolve relations they read by name from this map too.
+struct PlanSchemas {
+  SchemaMap relations;
+  // Non-OK when inferring the workflow DAG failed. `relations` then holds the
+  // base relations only, and a job reading any other relation fails with
+  // this error (it names the operator that failed).
+  Status dag_status;
+};
+
+// Infers `dag` once against `base` and builds its PlanSchemas.
+PlanSchemas InferPlanSchemas(const Dag& dag, const SchemaMap& base);
+
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -50,10 +65,20 @@ class Backend {
   bool CanMerge(const Dag& dag, int a, int b) const;
 
   // Generates the executable plan (and human-readable code) for one job.
+  // The job's sub-DAG is type-checked against `schemas`, which must be
+  // InferPlanSchemas(dag, ...) for this same `dag`: the check reads the map
+  // without copying it, so it costs the job's size, not the DAG's.
   virtual StatusOr<JobPlan> GeneratePlan(const Dag& dag,
                                          const std::vector<int>& ops,
-                                         const SchemaMap& base,
+                                         const PlanSchemas& schemas,
                                          const CodeGenOptions& options) const = 0;
+
+  // Same, from base-relation schemas: infers the whole DAG and then
+  // delegates, so each call costs O(DAG). Callers generating every job of
+  // one DAG build PlanSchemas once instead.
+  StatusOr<JobPlan> GeneratePlan(const Dag& dag, const std::vector<int>& ops,
+                                 const SchemaMap& base,
+                                 const CodeGenOptions& options) const;
 
   // PROCESS-rate efficiency of Musketeer-generated code relative to the
   // hand-tuned ideal for this engine (used by both the cost model and the

@@ -13,6 +13,27 @@ bool Backend::CanMerge(const Dag& dag, int a, int b) const {
   return CanRunAsSingleJob(dag, {a, b});
 }
 
+PlanSchemas InferPlanSchemas(const Dag& dag, const SchemaMap& base) {
+  PlanSchemas out;
+  out.relations = base;
+  auto inferred = dag.InferSchemas(base);
+  if (!inferred.ok()) {
+    out.dag_status = inferred.status();
+    return out;
+  }
+  for (const OperatorNode& n : dag.nodes()) {
+    out.relations[n.output] = (*inferred)[n.id];
+  }
+  return out;
+}
+
+StatusOr<JobPlan> Backend::GeneratePlan(const Dag& dag,
+                                        const std::vector<int>& ops,
+                                        const SchemaMap& base,
+                                        const CodeGenOptions& options) const {
+  return GeneratePlan(dag, ops, InferPlanSchemas(dag, base), options);
+}
+
 StatusOr<JobExtraction> ExtractJobDag(const Dag& dag, const std::vector<int>& ops) {
   std::vector<int> sorted = ops;
   std::sort(sorted.begin(), sorted.end());
@@ -143,16 +164,18 @@ class EngineBackend : public Backend {
     return true;
   }
 
+  using Backend::GeneratePlan;
+
   StatusOr<JobPlan> GeneratePlan(const Dag& dag, const std::vector<int>& ops,
-                                 const SchemaMap& base,
+                                 const PlanSchemas& schemas,
                                  const CodeGenOptions& options) const override {
     if (!CanRunAsSingleJob(dag, ops)) {
       return FailedPreconditionError(name() +
                                      " cannot run this operator set as one job");
     }
     MUSKETEER_ASSIGN_OR_RETURN(JobExtraction extraction, ExtractJobDag(dag, ops));
-    // Type-check the job against the base schemas before shipping it.
-    MUSKETEER_RETURN_IF_ERROR(ValidateSchemas(*extraction.dag, dag, base));
+    // Type-check the job against the plan's schemas before shipping it.
+    MUSKETEER_RETURN_IF_ERROR(ValidateSchemas(extraction, schemas));
 
     JobPlan plan;
     plan.engine = traits_.kind;
@@ -212,19 +235,18 @@ class EngineBackend : public Backend {
 
  private:
   // Checks the job dag's schemas resolve; job INPUT relations may come from
-  // the base map or from other jobs (outer node outputs).
-  static Status ValidateSchemas(const Dag& job, const Dag& outer,
-                                const SchemaMap& base) {
-    SchemaMap extended = base;
-    if (!outer.nodes().empty()) {
-      auto outer_schemas = outer.InferSchemas(base);
-      if (outer_schemas.ok()) {
-        for (const OperatorNode& n : outer.nodes()) {
-          extended[n.output] = (*outer_schemas)[n.id];
+  // the base map or from other jobs (outer node outputs). When the outer DAG
+  // failed to infer, a job reading another job's output reports that error.
+  static Status ValidateSchemas(const JobExtraction& job,
+                                const PlanSchemas& schemas) {
+    if (!schemas.dag_status.ok()) {
+      for (const std::string& rel : job.inputs) {
+        if (schemas.relations.count(rel) == 0) {
+          return schemas.dag_status;
         }
       }
     }
-    return job.InferSchemas(extended).status();
+    return job.dag->InferSchemas(schemas.relations).status();
   }
 
   BackendTraits traits_;

@@ -139,7 +139,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
     }
     MUSKETEER_ASSIGN_OR_RETURN(
         JobPlan replan,
-        BackendFor(*next).GeneratePlan(*plan.dag, job_ops, plan.base_schemas,
+        BackendFor(*next).GeneratePlan(*plan.dag, job_ops, plan.schemas,
                                        options.codegen));
     *job = std::move(replan);
     // The final failed attempt on the old engine continues as a failover.

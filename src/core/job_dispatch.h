@@ -24,7 +24,7 @@ namespace musketeer {
 
 struct JobDispatchEnv {
   const WorkflowSpec* workflow = nullptr;
-  // Plan the job came from: dag/base_schemas drive failover re-planning.
+  // Plan the job came from: dag/schemas drive failover re-planning.
   const WorkflowPlan* plan = nullptr;
   // The run's own operator set for the job. The shared plan's job
   // boundaries no longer match after a mid-run suffix re-plan.

@@ -117,7 +117,8 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
 
   WorkflowPlan out;
 
-  // 2. IR optimization.
+  // 2. IR optimization, then one schema inference over the optimized DAG
+  // that every job's type check reads.
   {
     Span span("stage.optimize", "stage");
     if (options.optimize_ir) {
@@ -125,8 +126,9 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
           dag, OptimizeDag(*dag, base_schemas, {}, &out.optimizer_stats));
     } else {
       MUSKETEER_RETURN_IF_ERROR(dag->Validate());
-      MUSKETEER_RETURN_IF_ERROR(dag->InferSchemas(base_schemas).status());
     }
+    out.schemas = InferPlanSchemas(*dag, base_schemas);
+    MUSKETEER_RETURN_IF_ERROR(out.schemas.dag_status);
   }
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());
 
@@ -163,7 +165,7 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
     for (const JobAssignment& job : out.partitioning.jobs) {
       MUSKETEER_ASSIGN_OR_RETURN(
           JobPlan plan, BackendFor(job.engine)
-                            .GeneratePlan(*dag, job.ops, base_schemas,
+                            .GeneratePlan(*dag, job.ops, out.schemas,
                                           options.codegen));
       out.plans.push_back(std::move(plan));
     }
@@ -174,8 +176,7 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
   for (int sink : dag->Sinks()) {
     out.sink_relations.push_back(dag->node(sink).output);
   }
-  // Retain the DAG and base schemas for cross-engine failover re-planning.
-  out.base_schemas = std::move(base_schemas);
+  // Retain the DAG for cross-engine failover and mid-run re-planning.
   out.dag = std::move(dag);
   return out;
 }
@@ -550,7 +551,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     new_plans.reserve(repart->jobs.size());
     for (const JobAssignment& job : repart->jobs) {
       auto jp = BackendFor(job.engine)
-                    .GeneratePlan(*plan.dag, job.ops, plan.base_schemas,
+                    .GeneratePlan(*plan.dag, job.ops, plan.schemas,
                                   options.codegen);
       if (!jp.ok()) {
         return;  // keep the original tail; re-planning is best-effort

@@ -118,12 +118,12 @@ struct WorkflowPlan {
   std::vector<JobPlan> plans;             // one per partition job
   std::vector<std::string> sink_relations;  // the workflow's output relations
   OptimizeStats optimizer_stats;
-  // The optimized workflow DAG and base schemas the job plans were generated
-  // from — retained so cross-engine failover can re-ask the cost model and
-  // regenerate a failed job's plan for another engine without re-planning
-  // the whole workflow.
+  // The optimized workflow DAG the job plans were generated from, and its
+  // plan-wide schemas (base relations overlaid by every operator's output,
+  // inferred once by Plan()). Retained so cross-engine failover and mid-run
+  // re-planning can regenerate jobs for `dag` without re-inferring it.
   std::shared_ptr<const Dag> dag;
-  SchemaMap base_schemas;
+  PlanSchemas schemas;
 };
 
 // One execution attempt of a job, as seen by the retry dispatcher.

@@ -101,10 +101,9 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
   }
   std::vector<int> sorted = ops;
   std::sort(sorted.begin(), sorted.end());
-  std::unordered_map<int, bool> in_set;
-  for (int id : sorted) {
-    in_set[id] = true;
-  }
+  auto in_set = [&sorted](int id) {
+    return std::binary_search(sorted.begin(), sorted.end(), id);
+  };
 
   // Conservative first-run merge gating (§5.2): a generative operator with
   // no historical output size ends its job — its consumers cannot share it.
@@ -117,7 +116,7 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
                      history_->Lookup(workflow_id_, node.output).has_value();
         if (!known) {
           for (int c : dag.ConsumersOf(id)) {
-            if (in_set.count(c)) {
+            if (in_set(c)) {
               return kInfiniteCost;
             }
           }
@@ -128,16 +127,19 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
 
   JobShape shape;
   shape.process_efficiency = backend.generated_process_efficiency();
+  shape.ops.reserve(sorted.size());
 
   // PULL: externally-produced inputs (deduplicated per producer). With a
   // locality context, inputs the candidate shard does not own must first be
   // fetched cross-shard — charged below at the measured transfer rate.
   Bytes locality_remote_bytes = 0;
-  std::unordered_map<int, bool> pulled;
+  std::vector<int> pulled;
+  pulled.reserve(2 * sorted.size());
   for (int id : sorted) {
     for (int p : dag.node(id).inputs) {
-      if (!in_set.count(p) && !pulled.count(p)) {
-        pulled[p] = true;
+      if (!in_set(p) &&
+          std::find(pulled.begin(), pulled.end(), p) == pulled.end()) {
+        pulled.push_back(p);
         shape.pull_bytes += sizes[p];
         if (locality != nullptr && locality->map != nullptr &&
             locality->shard >= 0 &&
@@ -153,10 +155,10 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
 
   // PUSH: outputs leaving the job.
   for (int id : sorted) {
-    std::vector<int> consumers = dag.ConsumersOf(id);
+    const std::vector<int>& consumers = dag.ConsumersOf(id);
     bool external = consumers.empty();
     for (int c : consumers) {
-      external = external || !in_set.count(c);
+      external = external || !in_set(c);
     }
     if (external) {
       shape.push_bytes += sizes[id];
@@ -263,8 +265,8 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
       int cur = id;
       bool reshaped = false;
       while (true) {
-        std::vector<int> consumers = dag.ConsumersOf(cur);
-        if (consumers.size() != 1 || !in_set.count(consumers[0])) {
+        const std::vector<int>& consumers = dag.ConsumersOf(cur);
+        if (consumers.size() != 1 || !in_set(consumers[0])) {
           break;
         }
         const OperatorNode& consumer = dag.node(consumers[0]);

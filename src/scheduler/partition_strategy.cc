@@ -87,10 +87,12 @@ std::pair<EngineKind, double> BestEngine(const Dag& dag, const CostModel& model,
 }
 
 // Effective DP merge window. Unbounded DP is O(N²) segments with O(len)
-// cost evaluations each — cubic, and dead at 1000 operators. A window keeps
-// planning linear in N while giving up nothing in practice: a single job
-// spanning dozens of operators never wins on cost (PUSH/PULL amortization
-// saturates long before that), so segments beyond the window are noise.
+// cost each — cubic, and dead at 1000 operators. A window keeps planning
+// linear in N while giving up nothing in practice: a single job spanning
+// dozens of operators never wins on cost (PUSH/PULL amortization saturates
+// long before that), so segments beyond the window are noise. Within the
+// window, an engine stops being priced at the first segment it cannot run
+// as one job, so only runnable segments pay for JobCost.
 int EffectiveSegmentCap(const PlannerConfig& config, int n) {
   if (config.dp_segment_cap > 0) {
     return config.dp_segment_cap;
@@ -116,14 +118,33 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
   std::vector<EngineKind> engine_of(n + 1, engines[0]);
   best[0] = 0;
 
+  std::vector<int> segment;
+  std::vector<EngineKind> live;
   for (int i = 1; i <= n; ++i) {
     int min_k = config.enable_merging ? std::max(0, i - cap) : i - 1;
+    // segment = order[k, i), grown one operator per step (JobCost and
+    // CanRunAsSingleJob do not depend on its order). CanRunAsSingleJob is
+    // monotone under growth: an unsupported operator stays in the segment,
+    // and shuffle count and loop-singleton size only grow. So an engine
+    // that rejects the segment rejects every longer one: drop it for the
+    // rest of the window, and end the window when no engine is left.
+    segment.clear();
+    live = engines;
     for (int k = i - 1; k >= min_k; --k) {
+      segment.push_back(order[k]);
+      live.erase(std::remove_if(live.begin(), live.end(),
+                                [&](EngineKind e) {
+                                  return !BackendFor(e).CanRunAsSingleJob(
+                                      dag, segment);
+                                }),
+                 live.end());
+      if (live.empty()) {
+        break;
+      }
       if (best[k] == kInfiniteCost) {
         continue;
       }
-      std::vector<int> segment(order.begin() + k, order.begin() + i);
-      auto [eng, cost] = BestEngine(dag, model, sizes, segment, engines);
+      auto [eng, cost] = BestEngine(dag, model, sizes, segment, live);
       if (cost == kInfiniteCost) {
         continue;
       }

@@ -189,6 +189,43 @@ TEST(BackendTest, NaiadUsesVertexRuntimeForGraphIdiom) {
   EXPECT_EQ(lplan->while_mode, WhileExec::kNativeLoop);
 }
 
+// A workflow whose `broken` operator fails to infer, next to jobs that do
+// not depend on it.
+std::unique_ptr<Dag> PartlyBrokenDag() {
+  auto dag = ParseWorkflow(FrontendLanguage::kBeer, R"(
+    locs = SELECT id, street FROM properties;
+    broken = SELECT id, missing FROM locs;
+    id_price = JOIN locs, prices ON locs.id = prices.id;
+  )");
+  EXPECT_TRUE(dag.ok()) << dag.status();
+  return std::move(dag).value();
+}
+
+// A job that reads another job's output reports the outer DAG's inference
+// error, which names the operator that failed, not a missing base schema.
+TEST(BackendTest, GeneratePlanReportsOuterSchemaError) {
+  auto dag = PartlyBrokenDag();
+  int join = dag->ProducerOf("id_price");
+  auto plan = BackendFor(EngineKind::kSpark)
+                  .GeneratePlan(*dag, {join}, PropertySchemas(), {});
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+      << plan.status();
+  EXPECT_NE(plan.status().message().find("'broken'"), std::string::npos)
+      << plan.status();
+}
+
+// A job that reads only base relations still plans when an unrelated part
+// of the outer DAG fails to infer.
+TEST(BackendTest, GeneratePlanIgnoresUnrelatedOuterSchemaError) {
+  auto dag = PartlyBrokenDag();
+  int locs = dag->ProducerOf("locs");
+  auto plan = BackendFor(EngineKind::kSpark)
+                  .GeneratePlan(*dag, {locs}, PropertySchemas(), {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->inputs, (std::vector<std::string>{"properties"}));
+}
+
 // ---- Pricing ---------------------------------------------------------------
 
 TEST(PricingTest, JobOverheadDominatesSmallInputs) {

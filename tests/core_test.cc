@@ -296,5 +296,83 @@ TEST(MusketeerTest, DfsAccountingTracksJobIo) {
   EXPECT_GT(result->dfs_bytes_written, 0);
 }
 
+// Job-level schema validation survives the plan-wide schema map. Plan()
+// rejects a column that does not resolve, and a plan whose schemas no
+// longer type-check its jobs makes GeneratePlan fail with the same code on
+// both paths that regenerate jobs mid-run: suffix re-planning (which then
+// keeps the original tail) and cross-engine failover (which ends the run).
+TEST(MusketeerTest, SchemaValidationCatchesUnresolvedColumns) {
+  Dfs dfs;
+  SeedPropertyData(&dfs);
+  Musketeer m(&dfs);
+
+  WorkflowSpec broken = MaxPropertyPrice();
+  broken.source = R"(
+    locs = SELECT id, street, missing FROM properties;
+    id_price = JOIN locs, prices ON locs.id = prices.id;
+  )";
+  for (bool optimize : {true, false}) {
+    RunOptions options;
+    options.optimize_ir = optimize;
+    auto plan = m.Plan(broken, options);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+        << plan.status();
+  }
+
+  // Unmerged, the workflow is three jobs, so a re-plan can fire after the
+  // first one and fail over any of them.
+  WorkflowSpec wf = MaxPropertyPrice();
+  RunOptions base;
+  base.planner.enable_merging = false;
+  base.engines = {EngineKind::kSpark, EngineKind::kNaiad};
+  auto planned = m.Plan(wf, base);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  ASSERT_EQ(planned->plans.size(), 3u);
+  WorkflowPlan tampered = *planned;
+  for (auto& [name, schema] : tampered.schemas.relations) {
+    schema = Schema();  // no relation has the columns its readers use
+  }
+  for (const JobAssignment& job : tampered.partitioning.jobs) {
+    auto regenerated = BackendFor(job.engine).GeneratePlan(
+        *tampered.dag, job.ops, tampered.schemas, base.codegen);
+    ASSERT_FALSE(regenerated.ok());
+    EXPECT_EQ(regenerated.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // Re-planning: forced after the first job. It fires on the intact plan;
+  // on the tampered one regeneration fails, so the original tail runs.
+  RuntimeHistory history;
+  RunOptions replan = base;
+  replan.runtime_history = &history;
+  replan.planner.replan_threshold = 0.5;
+  auto replanned = m.Execute(wf, *planned, replan);
+  ASSERT_TRUE(replanned.ok()) << replanned.status();
+  EXPECT_EQ(replanned->replans, 1);
+  RuntimeHistory history2;
+  replan.runtime_history = &history2;
+  auto kept = m.Execute(wf, tampered, replan);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->replans, 0);
+  EXPECT_TRUE(Table::Identical(*replanned->outputs.at("street_price"),
+                               *kept->outputs.at("street_price")));
+
+  // Failover: every attempt fails, so the first job fails over to Naiad.
+  // The intact plan runs out of engines; the tampered one cannot
+  // regenerate the job and reports the schema error.
+  RunOptions faulty = base;
+  faulty.fault_rate = 1.0;
+  faulty.fault_seed = 3;
+  faulty.retry.initial_backoff = std::chrono::milliseconds(0);
+  auto exhausted = m.Execute(wf, *planned, faulty);
+  ASSERT_FALSE(exhausted.ok());
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kUnavailable)
+      << exhausted.status();
+  auto rejected = m.Execute(wf, tampered, faulty);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status();
+}
+
 }  // namespace
 }  // namespace musketeer

@@ -1,16 +1,20 @@
 // Planner-at-scale coverage (DESIGN.md "Planner at scale"): the synthetic
 // DAG generator's exact-count/determinism contract, the DP heuristic's
 // optimality gap against exhaustive search on small DAGs, the kAuto size
-// switch, seeded multi-order DP determinism, and online mid-run re-planning
+// switch, seeded multi-order DP determinism, the DP's feasibility cut
+// matching the unpruned segment scan, and online mid-run re-planning
 // staying bit-identical across all nine evaluation workflows (unsharded and
 // on three shards) plus a 100-operator synthetic DAG.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/backends/backend.h"
+#include "src/base/rng.h"
 #include "src/cluster/sharded_dfs.h"
 #include "src/core/musketeer.h"
 #include "src/frontends/frontend.h"
@@ -213,6 +217,229 @@ TEST(PlannerScaleTest, ThousandOperatorDagPartitions) {
   }
   EXPECT_EQ(static_cast<int>(covered.size()), 1000);
   EXPECT_GT(out->jobs.size(), 1u);
+}
+
+// The DP without its feasibility cut: every k in the window, every engine,
+// priced through CostModel::JobCost. Kept here as the reference the pruned
+// production DP must match exactly.
+StatusOr<Partitioning> UnprunedDp(const Dag& dag, const CostModel& model,
+                                  const std::vector<Bytes>& sizes,
+                                  const PlannerConfig& config,
+                                  const std::vector<int>& order) {
+  std::vector<EngineKind> engines = config.engines;
+  if (engines.empty()) {
+    engines.assign(kAllEngines.begin(), kAllEngines.end());
+  }
+  const int n = static_cast<int>(order.size());
+  const int cap = std::max(
+      1, config.dp_segment_cap > 0 ? config.dp_segment_cap : (n > 64 ? 24 : n));
+  std::vector<double> best(n + 1, kInfiniteCost);
+  std::vector<int> boundary(n + 1, 0);
+  std::vector<EngineKind> engine_of(n + 1, engines[0]);
+  best[0] = 0;
+  for (int i = 1; i <= n; ++i) {
+    int min_k = config.enable_merging ? std::max(0, i - cap) : i - 1;
+    for (int k = i - 1; k >= min_k; --k) {
+      if (best[k] == kInfiniteCost) {
+        continue;
+      }
+      std::vector<int> segment(order.begin() + k, order.begin() + i);
+      EngineKind eng = engines[0];
+      double cost = kInfiniteCost;
+      for (EngineKind e : engines) {
+        double c = model.JobCost(dag, segment, e, sizes);
+        if (c < cost) {
+          cost = c;
+          eng = e;
+        }
+      }
+      if (cost == kInfiniteCost) {
+        continue;
+      }
+      if (best[k] + cost < best[i]) {
+        best[i] = best[k] + cost;
+        boundary[i] = k;
+        engine_of[i] = eng;
+      }
+    }
+  }
+  if (best[n] == kInfiniteCost) {
+    return FailedPreconditionError("no engine combination");
+  }
+  Partitioning out;
+  out.total_cost = best[n];
+  for (int i = n; i > 0; i = boundary[i]) {
+    JobAssignment job;
+    job.ops.assign(order.begin() + boundary[i], order.begin() + i);
+    job.engine = engine_of[i];
+    job.cost = best[i] - best[boundary[i]];
+    out.jobs.push_back(std::move(job));
+  }
+  std::reverse(out.jobs.begin(), out.jobs.end());
+  return out;
+}
+
+std::vector<int> OperatorIds(const Dag& dag) {
+  std::vector<int> ops;
+  for (const auto& node : dag.nodes()) {
+    if (node.kind != OpKind::kInput) {
+      ops.push_back(node.id);
+    }
+  }
+  return ops;
+}
+
+// Same jobs, engines and bit-identical costs (==, not near).
+void ExpectSamePartitioning(const StatusOr<Partitioning>& got,
+                            const StatusOr<Partitioning>& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what << ": " << got.status() << " vs "
+                                 << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    return;
+  }
+  ASSERT_EQ(got->jobs.size(), want->jobs.size()) << what;
+  for (size_t j = 0; j < want->jobs.size(); ++j) {
+    EXPECT_EQ(got->jobs[j].ops, want->jobs[j].ops) << what << " job " << j;
+    EXPECT_EQ(got->jobs[j].engine, want->jobs[j].engine) << what << " job " << j;
+    EXPECT_TRUE(got->jobs[j].cost == want->jobs[j].cost)
+        << what << " job " << j << ": " << got->jobs[j].cost << " vs "
+        << want->jobs[j].cost;
+  }
+  EXPECT_TRUE(got->total_cost == want->total_cost)
+      << what << ": " << got->total_cost << " vs " << want->total_cost;
+}
+
+// Runs the production DP (PartitionWorkflow and the re-planning entry
+// PartitionRemainder) against the unpruned reference over engine sets,
+// merging on/off and first-run conservatism on/off.
+void ExpectPrunedDpMatchesReference(const Dag& dag, const RelationSizes& base,
+                                    const std::string& what) {
+  const std::vector<std::vector<EngineKind>> engine_sets = {
+      {},
+      {EngineKind::kHadoop},
+      {EngineKind::kHadoop, EngineKind::kMetis},
+      {EngineKind::kPowerGraph, EngineKind::kGraphChi, EngineKind::kSerialC}};
+  const std::vector<int> order = OperatorIds(dag);
+  const std::vector<int> suffix(order.begin() + order.size() / 2, order.end());
+  for (bool conservative : {false, true}) {
+    CostModel model(Ec2Cluster(16), nullptr, "dp-equivalence", conservative);
+    auto sizes = model.PredictSizes(dag, base);
+    ASSERT_TRUE(sizes.ok()) << what << ": " << sizes.status();
+    for (size_t set = 0; set < engine_sets.size(); ++set) {
+      for (bool merging : {true, false}) {
+        PlannerConfig config;
+        config.strategy = PartitionStrategyKind::kDp;
+        config.engines = engine_sets[set];
+        config.enable_merging = merging;
+        const std::string tag = what + " engines#" + std::to_string(set) +
+                                (merging ? " merging" : " unmerged") +
+                                (conservative ? " conservative" : "");
+        ExpectSamePartitioning(PartitionWorkflow(dag, model, *sizes, config),
+                               UnprunedDp(dag, model, *sizes, config, order),
+                               tag);
+        if (!suffix.empty()) {
+          ExpectSamePartitioning(
+              PartitionRemainder(dag, model, *sizes, config, suffix),
+              UnprunedDp(dag, model, *sizes, config, suffix), tag + " suffix");
+        }
+      }
+    }
+  }
+}
+
+class PrunedDpTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The DP stops pricing a segment for an engine once CanRunAsSingleJob
+// rejects it. The plans it returns must be exactly the unpruned scan's.
+TEST_P(PrunedDpTest, MatchesUnprunedReferenceOnSyntheticDags) {
+  for (int target : {50, 250, 1000}) {
+    for (bool with_while : {true, false}) {
+      SyntheticDagSpec spec;
+      spec.target_ops = target;
+      spec.seed = GetParam();
+      spec.include_while = with_while;
+      SyntheticDagWorkload workload = MakeSyntheticDag(spec);
+      auto dag = ParseWorkflow(FrontendLanguage::kBeer, workload.source);
+      ASSERT_TRUE(dag.ok()) << dag.status();
+      ExpectPrunedDpMatchesReference(
+          **dag, BaseSizes(workload),
+          std::to_string(target) + " ops seed " + std::to_string(GetParam()) +
+              (with_while ? " with WHILE" : ""));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrunedDpTest,
+                         ::testing::Values(5, 9, 13, 18, 29, 38));
+
+TEST(PrunedDpWorkflowTest, MatchesUnprunedReferenceOnNineWorkflows) {
+  for (Wf wf : kAllWorkflows) {
+    WfSetup setup = MakeSetup(wf);
+    Dfs dfs;
+    for (const auto& [name, table] : setup.inputs) {
+      dfs.Put(name, table);
+    }
+    Musketeer m(&dfs);
+    auto dag = m.Lower(setup.workflow);
+    ASSERT_TRUE(dag.ok()) << WfName(wf) << ": " << dag.status();
+    ExpectPrunedDpMatchesReference(**dag, m.DfsSizes(), WfName(wf));
+  }
+}
+
+// The property the cut relies on: for every backend, a segment an engine
+// rejects stays rejected as it grows. Random S ⊂ T from one window of the
+// operator order; !CanRunAsSingleJob(S) implies !CanRunAsSingleJob(T).
+TEST(PrunedDpWorkflowTest, SingleJobFeasibilityIsMonotone) {
+  std::vector<std::unique_ptr<Dag>> dags;
+  for (uint64_t seed : {5ull, 13ull, 38ull}) {
+    SyntheticDagSpec spec;
+    spec.target_ops = 200;
+    spec.seed = seed;
+    auto dag = ParseWorkflow(FrontendLanguage::kBeer,
+                             MakeSyntheticDag(spec).source);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    dags.push_back(std::move(dag).value());
+  }
+  for (Wf wf : {Wf::kPageRank, Wf::kSssp, Wf::kCrossCommunity, Wf::kTpchHive}) {
+    WfSetup setup = MakeSetup(wf);
+    auto dag = ParseWorkflow(setup.workflow.language, setup.workflow.source);
+    ASSERT_TRUE(dag.ok()) << WfName(wf) << ": " << dag.status();
+    dags.push_back(std::move(dag).value());
+  }
+
+  Rng rng(2015);
+  for (const Backend* backend : AllBackends()) {
+    int rejected_subsets = 0;
+    for (const auto& dag : dags) {
+      const std::vector<int> order = OperatorIds(*dag);
+      for (int trial = 0; trial < 300; ++trial) {
+        const size_t width = 1 + rng.NextBounded(std::min<size_t>(24, order.size()));
+        const size_t start = rng.NextBounded(order.size() - width + 1);
+        std::vector<int> superset;
+        std::vector<int> subset;
+        for (size_t i = start; i < start + width; ++i) {
+          if (rng.NextBounded(4) == 0) {
+            continue;
+          }
+          superset.push_back(order[i]);
+          if (rng.NextBounded(2) == 0) {
+            subset.push_back(order[i]);
+          }
+        }
+        if (subset.empty()) {
+          continue;
+        }
+        if (!backend->CanRunAsSingleJob(*dag, subset)) {
+          ++rejected_subsets;
+          EXPECT_FALSE(backend->CanRunAsSingleJob(*dag, superset))
+              << backend->name() << " accepts a superset of a rejected set";
+        }
+      }
+    }
+    EXPECT_GT(rejected_subsets, 0) << backend->name();
+  }
 }
 
 // Online re-planning end to end: force a mid-run re-plan (threshold below
