@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/base/logging.h"
-#include "src/base/parallel.h"
 #include "src/core/job_dispatch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/stream/relation_channel.h"
 
 namespace musketeer {
 
@@ -56,10 +51,9 @@ RunOptions PinDeadline(RunOptions options) {
 StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
                                       const ClusterConfig& cluster, Dfs* dfs,
                                       const ExecutionContext& ctx,
-                                      DfsTraffic* charged,
-                                      const JobStreamIo* stream) {
+                                      DfsTraffic* charged) {
   ScopedDfsRunCounters scope;
-  StatusOr<JobResult> result = ExecuteJob(job, cluster, dfs, ctx, stream);
+  StatusOr<JobResult> result = ExecuteJob(job, cluster, dfs, ctx);
   charged->read += scope.bytes_read();
   charged->written += scope.bytes_written();
   charged->remote_read += scope.bytes_remote_read();
@@ -191,11 +185,13 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
   result.optimizer_stats = plan.optimizer_stats;
   result.partition_strategy = plan.partitioning.strategy;
 
-  // 5. Execution with critical-path scheduling: a job starts when every job
-  // producing one of its inputs has finished; independent jobs overlap.
-  // DFS traffic is attributed to this run by summing what each attempt
-  // charged on the thread that ran it, so concurrent workflows against the
-  // same DFS do not pollute each other's deltas.
+  // 5. Execution with critical-path scheduling. Jobs run one at a time in
+  // plan order (a topological order) and hand data to each other only
+  // through the DFS. On the simulated clock a job starts when every job
+  // producing one of its inputs has finished, so independent jobs overlap
+  // there, and only there. DFS traffic is attributed to this run by summing
+  // what each attempt charged on the thread that ran it, so concurrent
+  // workflows against the same DFS do not pollute each other's deltas.
   Span exec_span("stage.execute", "stage");
   ExecutionContext ctx = MakeContext(workflow, options);
   const JobRunner run_inline = [&](const JobPlan& job, const std::vector<int>&,
@@ -209,53 +205,13 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       MetricsRegistry::Global().counter("musketeer.stream.jobs_reused");
   static Counter& recomputed_metric =
       MetricsRegistry::Global().counter("musketeer.stream.jobs_recomputed");
-  static Counter& edges_metric =
-      MetricsRegistry::Global().counter("musketeer.stream.edges_pipelined");
-  static Counter& fallback_metric =
-      MetricsRegistry::Global().counter("musketeer.stream.pipeline_fallbacks");
   static Counter& replans_metric =
       MetricsRegistry::Global().counter("musketeer.execute.replans");
-
-  // Pipeline schedule: which producer→consumer edges skip the DFS barrier
-  // and run over a RelationChannel, and which jobs therefore execute
-  // together as one concurrent group. Edge sizes come from the history store
-  // when available, else from the relation's current DFS incarnation.
-  PipelineSchedule sched;
-  sched.group_of.assign(result.plans.size(), -1);
-  if (options.pipeline != PipelineMode::kOff) {
-    PipelineOptions popts;
-    popts.mode = options.pipeline;
-    popts.channel_capacity = options.pipeline_channel_capacity;
-    popts.batch_rows = options.pipeline_batch_rows;
-    auto size_of = [&](const std::string& relation) -> Bytes {
-      if (options.history != nullptr) {
-        auto bytes = options.history->Lookup(workflow.id, relation);
-        if (bytes.has_value()) {
-          return *bytes;
-        }
-      }
-      auto table = dfs_->Get(relation);
-      return table.ok() ? (*table)->nominal_bytes() : 0;
-    };
-    sched = PlanPipelines(result.plans, plan.sink_relations, popts,
-                          options.cluster, size_of);
-    result.pipelined_edges = static_cast<int>(sched.edges.size());
-    edges_metric.Increment(sched.edges.size());
-  }
 
   std::unordered_map<std::string, SimSeconds> ready_at;  // relation -> time
   SimSeconds makespan = 0;
   int predicted_jobs = 0;
   double error_sum = 0;
-
-  // Outcome of a job that ran ahead of its fold position (group execution)
-  // or is being skipped entirely (fingerprint reuse).
-  struct Pending {
-    bool reused = false;
-    JobDispatchOutcome outcome;  // valid when !reused
-  };
-  std::unordered_map<size_t, Pending> pending;
-  std::vector<char> group_ran(sched.groups.size(), 0);
 
   // True when the job may be skipped: recorded fingerprint matches the
   // current input versions and its outputs sit in the DFS unmodified.
@@ -272,7 +228,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
   // per engine; on exhaustion, re-plan onto the next-cheapest capable
   // engine (when enabled). The shared dispatcher mutates plans[i] on
   // failover so result.plans[i] records what finally ran.
-  auto dispatch_barrier = [&](size_t i) {
+  auto dispatch = [&](size_t i) {
     JobDispatchEnv env;
     env.workflow = &workflow;
     env.plan = &plan;
@@ -285,129 +241,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     return DispatchJobWithRecovery(&result.plans[i], &ctx, env);
   };
 
-  // Executes one pipeline group: every non-reused member runs on its own
-  // thread, wired together by bounded channels on the scheduled edges. A
-  // member whose concurrent attempt fails falls back to the sequential
-  // barrier dispatcher (channels to/from it resolve via abort/receiver-close,
-  // and its inputs are in the DFS because producers always commit) — so a
-  // pipelined run can degrade but never produce different bytes.
-  auto run_group = [&](const std::vector<size_t>& members) -> Status {
-    // Reuse decisions first, in plan order. A member is only reusable when
-    // its in-group upstream producers are reused too: a recomputing producer
-    // will bump its output versions at commit, which must invalidate this
-    // member exactly like it would in sequential execution.
-    std::unordered_set<size_t> reuse_set;
-    for (size_t m : members) {
-      bool upstream_reused = true;
-      for (const std::string& in : result.plans[m].inputs) {
-        for (size_t p : members) {
-          if (p != m && reuse_set.count(p) == 0 &&
-              std::find(result.plans[p].outputs.begin(),
-                        result.plans[p].outputs.end(),
-                        in) != result.plans[p].outputs.end()) {
-            upstream_reused = false;
-          }
-        }
-      }
-      if (upstream_reused && reusable(m)) {
-        reuse_set.insert(m);
-      }
-    }
-
-    struct LiveRun {
-      size_t index = 0;
-      JobStreamIo io;
-      StatusOr<JobResult> attempt = InternalError("not attempted");
-      DfsTraffic charged;
-    };
-    std::unordered_map<size_t, LiveRun> runs;
-    for (size_t m : members) {
-      if (reuse_set.count(m) == 0) {
-        LiveRun& r = runs[m];
-        r.index = m;
-        r.io.batch_rows = options.pipeline_batch_rows;
-      }
-    }
-
-    // Channels exist only between two live members. Reused producer → live
-    // consumer reads the producer's committed output from the DFS instead.
-    std::vector<std::unique_ptr<RelationChannel>> channels;
-    for (const PipelineEdge& edge : sched.edges) {
-      auto producer = runs.find(edge.producer);
-      auto consumer = runs.find(edge.consumer);
-      if (producer == runs.end() || consumer == runs.end()) {
-        continue;
-      }
-      channels.push_back(std::make_unique<RelationChannel>(
-          edge.relation, options.pipeline_channel_capacity));
-      producer->second.io.outputs[edge.relation] = channels.back().get();
-      consumer->second.io.inputs[edge.relation] = channels.back().get();
-    }
-
-    const bool concurrent = !channels.empty();
-    if (concurrent) {
-      // Group members inherit this thread's kernel parallelism so a
-      // pipelined run honors the same --threads budget as a barrier run.
-      const int width = ParallelThreads();
-      std::vector<std::thread> threads;
-      threads.reserve(runs.size());
-      for (auto& [m, run] : runs) {
-        LiveRun* r = &run;
-        threads.emplace_back([this, r, &result, &options, &ctx, width] {
-          ScopedParallelThreads inherit(width);
-          ExecutionContext attempt_ctx = ctx;
-          attempt_ctx.attempt = 1;
-          r->attempt =
-              ExecuteJobCharged(result.plans[r->index], options.cluster, dfs_,
-                                attempt_ctx, &r->charged, &r->io);
-          if (!r->attempt.ok()) {
-            // Unblock producers still pushing toward this failed consumer.
-            for (const auto& [relation, channel] : r->io.inputs) {
-              channel->CloseReceiver();
-            }
-          }
-        });
-      }
-      for (std::thread& t : threads) {
-        t.join();
-      }
-      MUSKETEER_RETURN_IF_ERROR(ctx.Check());
-    }
-
-    for (size_t m : members) {
-      if (reuse_set.count(m) > 0) {
-        pending[m].reused = true;
-        continue;
-      }
-      LiveRun& r = runs[m];
-      if (concurrent && r.attempt.ok()) {
-        Pending p;
-        p.outcome.result = std::move(r.attempt).value();
-        p.outcome.charged = r.charged;
-        p.outcome.recovery.job = result.plans[m].name;
-        p.outcome.recovery.planned_engine = result.plans[m].engine;
-        p.outcome.recovery.final_engine = result.plans[m].engine;
-        p.outcome.recovery.attempts = 1;
-        p.outcome.recovery.attempt_log.push_back(
-            JobAttempt{1, result.plans[m].engine, StatusCode::kOk});
-        pending[m] = std::move(p);
-        continue;
-      }
-      if (concurrent) {
-        MLOG_INFO << "pipelined attempt for '" << result.plans[m].name
-                  << "' failed (" << r.attempt.status().message()
-                  << "); falling back to barrier dispatch";
-        fallback_metric.Increment();
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome,
-                                 dispatch_barrier(m));
-      Pending p;
-      p.outcome = std::move(outcome);
-      pending[m] = std::move(p);
-    }
-    return OkStatus();
-  };
-
   // Online re-planning signal (DESIGN.md "Planner at scale"): the most
   // recently folded job's predicted vs measured wall seconds. Invalid when
   // that job was reused or no runtime history is attached.
@@ -416,9 +249,9 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
   bool last_job_measured = false;
   int replans_done = 0;
 
-  // Folds one job's outcome into the result arrays (which stay in plan
-  // order regardless of when the job physically ran).
-  auto fold = [&](size_t i, Pending&& p) {
+  // Folds one job into the result arrays. `dispatched` is the job's
+  // dispatch outcome, or null when the job was reused.
+  auto fold = [&](size_t i, JobDispatchOutcome* dispatched) {
     last_job_measured = false;
     JobPlan& job = result.plans[i];
     SimSeconds start = 0;
@@ -429,7 +262,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       }
     }
     JobResult jr;
-    if (p.reused) {
+    if (dispatched == nullptr) {
       jr.reused = true;
       jr.internal_jobs = 0;  // no engine job ran
       jr.detail = std::string(EngineKindName(job.engine)) + " job '" +
@@ -444,14 +277,14 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       ++result.jobs_reused;
       reused_metric.Increment();
     } else {
-      jr = std::move(p.outcome.result);
-      result.dfs_bytes_read += p.outcome.charged.read;
-      result.dfs_bytes_written += p.outcome.charged.written;
-      result.dfs_bytes_remote_read += p.outcome.charged.remote_read;
-      result.total_retries += p.outcome.retries;
-      result.total_failovers += p.outcome.failovers;
-      result.total_faults_injected += p.outcome.recovery.faults_injected;
-      result.recovery.push_back(std::move(p.outcome.recovery));
+      jr = std::move(dispatched->result);
+      result.dfs_bytes_read += dispatched->charged.read;
+      result.dfs_bytes_written += dispatched->charged.written;
+      result.dfs_bytes_remote_read += dispatched->charged.remote_read;
+      result.total_retries += dispatched->retries;
+      result.total_failovers += dispatched->failovers;
+      result.total_faults_injected += dispatched->recovery.faults_injected;
+      result.recovery.push_back(std::move(dispatched->recovery));
       if (options.fingerprints != nullptr) {
         // Record against post-commit versions: that is exactly the state a
         // later resubmission fingerprints against before dispatching.
@@ -495,8 +328,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     }
     makespan = std::max(makespan, finish);
     result.total_engine_time += jr.makespan;
-    result.stream_batches += jr.stream_batches_out;
-    result.stream_bytes += jr.stream_bytes_out;
     result.job_results.push_back(std::move(jr));
   };
 
@@ -523,11 +354,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     }
     std::vector<int> ops;
     for (size_t j = i + 1; j < result.plans.size(); ++j) {
-      // Jobs that already ran ahead (pipeline groups) or will be reused are
-      // committed; re-planning would execute their operators twice.
-      if (pending.count(j) > 0 || sched.group_of[j] >= 0) {
-        return;
-      }
       const std::vector<int>& job_ops = result.partitioning.jobs[j].ops;
       ops.insert(ops.end(), job_ops.begin(), job_ops.end());
     }
@@ -571,38 +397,18 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     for (JobPlan& jp : new_plans) {
       result.plans.push_back(std::move(jp));
     }
-    sched.group_of.assign(result.plans.size(), -1);
     ++result.replans;
     ++replans_done;
     replans_metric.Increment();
   };
 
   for (size_t i = 0; i < result.plans.size(); ++i) {
-    if (pending.count(i) == 0) {
-      const int g = sched.group_of[i];
-      if (g >= 0 && !group_ran[static_cast<size_t>(g)]) {
-        group_ran[static_cast<size_t>(g)] = 1;
-        MUSKETEER_RETURN_IF_ERROR(run_group(sched.groups[static_cast<size_t>(g)]));
-      }
-    }
-    auto it = pending.find(i);
-    if (it != pending.end()) {
-      Pending p = std::move(it->second);
-      pending.erase(it);
-      fold(i, std::move(p));
-      maybe_replan(i);
-      continue;
-    }
     if (reusable(i)) {
-      Pending p;
-      p.reused = true;
-      fold(i, std::move(p));
+      fold(i, nullptr);
       continue;
     }
-    MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome, dispatch_barrier(i));
-    Pending p;
-    p.outcome = std::move(outcome);
-    fold(i, std::move(p));
+    MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome, dispatch(i));
+    fold(i, &outcome);
     maybe_replan(i);
   }
   result.makespan = makespan;

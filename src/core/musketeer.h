@@ -4,8 +4,10 @@
 // optimized, the DAG is partitioned into back-end jobs with the cost
 // function (automatically choosing engines, or restricted to user-specified
 // ones), per-job code is generated, and the jobs execute on the simulated
-// cluster against the shared DFS. Independent jobs overlap; the workflow
-// makespan is the critical path through the job graph.
+// cluster against the shared DFS. Jobs run one at a time in plan order and
+// hand data to each other only through the DFS. Independent jobs overlap on
+// the simulated clock only: the workflow makespan is the critical path
+// through the job graph.
 //
 // The pipeline is split at the plan/execute boundary: Plan() runs
 // parse→optimize→partition→codegen and yields an immutable WorkflowPlan;
@@ -41,7 +43,6 @@
 #include "src/scheduler/decision_tree.h"
 #include "src/scheduler/partition_strategy.h"
 #include "src/stream/fingerprint.h"
-#include "src/stream/pipeline.h"
 
 namespace musketeer {
 
@@ -91,16 +92,7 @@ struct RunOptions {
   // pass CancelToken::Make() and keep a copy to be able to cancel.
   CancelToken cancel;
 
-  // ---- Streaming & incremental execution (DESIGN.md section of the same
-  // name) ----
-  // Pipelined job-to-job handoff: kAuto streams pipeline-safe edges that win
-  // on cost (barrier DFS write+read vs channel handoff), kForce streams every
-  // safe edge, kOff keeps the seed's full materialization barrier. Results
-  // stay Table::Identical across modes. The sharded coordinator forces kOff
-  // (jobs live in different placement domains) and keeps the barrier plane.
-  PipelineMode pipeline = PipelineMode::kOff;
-  size_t pipeline_batch_rows = 8192;
-  size_t pipeline_channel_capacity = 4;
+  // ---- Incremental execution (DESIGN.md section of the same name) ----
   // Fingerprint store (when non-null): Execute() records a per-job input
   // fingerprint after every successful job. With `incremental` also set, a
   // job whose fingerprint matches the store and whose recorded outputs still
@@ -176,11 +168,8 @@ struct RunResult {
   int total_retries = 0;          // failed attempts that were retried
   int total_failovers = 0;        // engine switches after retry exhaustion
   int total_faults_injected = 0;  // injected (not organic) attempt failures
-  // Streaming & incremental accounting (src/stream/).
-  int pipelined_edges = 0;   // inter-job edges that ran over a channel
-  int jobs_reused = 0;       // jobs skipped on a fingerprint match
-  uint64_t stream_batches = 0;  // batches handed off over channels
-  Bytes stream_bytes = 0;       // nominal bytes that skipped the DFS barrier
+  // Incremental accounting (src/stream/fingerprint.h).
+  int jobs_reused = 0;  // jobs skipped on a fingerprint match
   // Planner accounting (DESIGN.md "Planner at scale"): the registry name of
   // the strategy that produced the partitioning, and how many times Execute
   // re-partitioned the remaining DAG suffix after a misprediction.
@@ -211,8 +200,7 @@ using JobRunner = std::function<StatusOr<JobResult>(
 StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
                                       const ClusterConfig& cluster, Dfs* dfs,
                                       const ExecutionContext& ctx,
-                                      DfsTraffic* charged,
-                                      const JobStreamIo* stream = nullptr);
+                                      DfsTraffic* charged);
 
 // Resolves a relative `deadline` into `absolute_deadline` now (an explicit
 // absolute deadline wins), so one budget spans everything that follows —

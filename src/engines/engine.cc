@@ -78,25 +78,6 @@ int ShufflesPerIteration(const ExecTrace& trace) {
   return count;
 }
 
-// Aborts every output channel that has not been closed when the job unwinds
-// on an error path, so pipelined consumers observe the failure instead of
-// blocking forever. Abort after a clean Close is a no-op, which makes the
-// guard safe to leave armed on the success path too.
-struct ChannelAbortGuard {
-  const JobStreamIo* stream;
-  std::string job;
-  ~ChannelAbortGuard() {
-    if (stream == nullptr) {
-      return;
-    }
-    for (const auto& [relation, channel] : stream->outputs) {
-      channel->Abort(UnavailableError("producer '" + job +
-                                      "' failed before finishing stream of '" +
-                                      relation + "'"));
-    }
-  }
-};
-
 }  // namespace
 
 Status VerifyOnSubstrate(const JobPlan& plan, const TableMap& base,
@@ -157,8 +138,7 @@ Status VerifyOnSubstrate(const JobPlan& plan, const TableMap& base,
 }
 
 StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster,
-                               Dfs* dfs, const ExecutionContext& ctx,
-                               const JobStreamIo* stream) {
+                               Dfs* dfs, const ExecutionContext& ctx) {
   Span span("job:" + plan.name, "job");
   if (span.active()) {
     span.SetAttr("engine", EngineKindName(plan.engine));
@@ -177,15 +157,12 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   // the DAG walker's node loop and the WHILE driver's trips (which cannot
   // take a context parameter) observe them via CheckInterrupt.
   ScopedInterrupt interrupt(ctx.cancel, ctx.deadline);
-  ChannelAbortGuard abort_guard{stream, plan.name};
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());
 
   // Seeded fault injection: whether this (workflow, job@engine, attempt)
   // fails is a pure function of the injector's seed, so fault sweeps are
   // reproducible. The fault models a substrate that died before committing
-  // anything — retryable kUnavailable. Checked before the input pull so a
-  // doomed pipelined consumer never blocks on its channels first (read
-  // accounting only fires on success, so the ordering is observation-free).
+  // anything — retryable kUnavailable.
   const std::string job_signature =
       plan.name + "@" + EngineKindName(plan.engine);
   if (ctx.faults.ShouldFail(ctx.workflow_id, job_signature, ctx.attempt)) {
@@ -194,32 +171,15 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
                             std::to_string(ctx.attempt));
   }
 
-  // 1. Pull the job's inputs from the DFS — except inputs wired to a
-  // RelationChannel, which are assembled from the producer's streamed
-  // batches (bit-identical to the committed relation by construction) and
-  // never touch storage or the pull accounting. Inputs another shard owns
-  // are a cross-shard fetch (IsLocal answers from the relation-location
+  // 1. Pull the job's inputs from the DFS. Inputs another shard owns are a
+  // cross-shard fetch (IsLocal answers from the relation-location
   // directory; always local on an unsharded Dfs) and are accounted
   // separately so the locality cost model can calibrate against what jobs
   // actually moved.
   TableMap base;
   Bytes pull_bytes = 0;
   Bytes pull_remote_bytes = 0;
-  uint64_t stream_batches_in = 0;
-  Bytes stream_bytes_in = 0;
   for (const std::string& name : plan.inputs) {
-    if (stream != nullptr) {
-      auto channel_it = stream->inputs.find(name);
-      if (channel_it != stream->inputs.end()) {
-        MUSKETEER_ASSIGN_OR_RETURN(
-            AssembledTable in,
-            AssembleFromChannel(channel_it->second, ctx.cancel, ctx.deadline));
-        stream_batches_in += in.counts.batches;
-        stream_bytes_in += in.counts.bytes;
-        base[name] = std::make_shared<const Table>(std::move(in.table));
-        continue;
-      }
-    }
     const bool local = dfs->IsLocal(name);
     MUSKETEER_ASSIGN_OR_RETURN(TablePtr table, dfs->Get(name));
     base[name] = table;
@@ -246,27 +206,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   // VerifyOnSubstrate.
   MUSKETEER_ASSIGN_OR_RETURN(ExecTrace trace, TraceExecuteDag(*plan.dag, base));
 
-  // Streamed outputs leave NOW — the kernel's tables are the exact bytes the
-  // barrier path commits below, so consumers can start while this job still
-  // has its pricing and commit ahead of it.
-  uint64_t stream_batches_out = 0;
-  Bytes stream_bytes_out = 0;
-  if (stream != nullptr) {
-    for (const auto& [name, channel] : stream->outputs) {
-      auto it = trace.relations.find(name);
-      if (it == trace.relations.end()) {
-        return InternalError("job did not produce streamed output '" + name +
-                             "'");
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(
-          StreamCounts pushed,
-          StreamTable(*it->second, stream->batch_rows, channel, ctx.cancel,
-                      ctx.deadline));
-      stream_batches_out += pushed.batches;
-      stream_bytes_out += pushed.bytes;
-    }
-  }
-
   std::unordered_set<const OperatorNode*> misses;
   if (plan.quirks.model_type_inference_miss) {
     CollectTypeInferenceMisses(*plan.dag, &misses);
@@ -286,12 +225,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
     auto it = trace.relations.find(name);
     if (it == trace.relations.end()) {
       return InternalError("job did not produce declared output '" + name + "'");
-    }
-    // Streamed outputs hand off in memory: the consumer never pulls them
-    // from the DFS, so the simulated push charge is not paid (the commit
-    // below still happens — fallback, sinks and incremental reuse read it).
-    if (stream != nullptr && stream->outputs.count(name) > 0) {
-      continue;
     }
     push_bytes += it->second->nominal_bytes();
   }
@@ -397,10 +330,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   result.bytes_pushed = shape.push_bytes;
   result.internal_jobs = shape.job_count;
   result.supersteps = shape.supersteps;
-  result.stream_batches_in = stream_batches_in;
-  result.stream_batches_out = stream_batches_out;
-  result.stream_bytes_in = stream_bytes_in;
-  result.stream_bytes_out = stream_bytes_out;
 
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());
   // Commit atomically so a failed attempt never leaves partial outputs
@@ -438,11 +367,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
          << " engine job(s)";
   if (pull_remote_bytes > 0) {
     detail << ", " << HumanBytes(pull_remote_bytes) << " fetched cross-shard";
-  }
-  if (stream_batches_in > 0 || stream_batches_out > 0) {
-    detail << ", streamed in " << stream_batches_in << " batch(es)/"
-           << HumanBytes(stream_bytes_in) << ", out " << stream_batches_out
-           << " batch(es)/" << HumanBytes(stream_bytes_out);
   }
   if (ctx.shard >= 0) {
     detail << " [shard " << ctx.shard << "]";

@@ -31,7 +31,6 @@
 #include "src/cluster/dfs.h"
 #include "src/engines/execution_context.h"
 #include "src/ir/eval.h"
-#include "src/stream/relation_channel.h"
 
 namespace musketeer {
 
@@ -52,12 +51,6 @@ struct JobResult {
   // loop-body internals at steady state — harvested into the history store
   // so later cost estimates are exact (§5.2).
   std::vector<std::pair<std::string, Bytes>> observed_sizes;
-  // Streamed-handoff accounting (pipelined execution, src/stream/): batches
-  // and nominal bytes that moved over RelationChannels instead of the DFS.
-  uint64_t stream_batches_in = 0;
-  uint64_t stream_batches_out = 0;
-  Bytes stream_bytes_in = 0;
-  Bytes stream_bytes_out = 0;
   // True when the executor skipped this job and served its outputs from the
   // DFS on a fingerprint match (incremental resubmission). Set by the
   // executor, never by ExecuteJob.
@@ -69,19 +62,8 @@ struct JobResult {
 // DFS. Errors with a retryable code (see IsRetryable) leave the DFS
 // untouched — outputs are committed only after the full attempt succeeds —
 // so the dispatcher can re-run the job on the same or another engine.
-//
-// `stream` (optional) wires the job into the pipelined data plane: inputs
-// listed there arrive over a RelationChannel instead of a DFS pull, outputs
-// listed there are additionally streamed — as ordered batches of the
-// relational kernel's result, i.e. the exact bytes the barrier path commits
-// — immediately after the kernel runs, before pricing and the commit.
-// Streamed edges are excluded from
-// the job's DFS pull/push byte accounting (they never touch storage); the
-// DFS commit itself is unchanged. On any failure every not-yet-closed output
-// channel is aborted so consumers unwind instead of deadlocking.
 StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster,
-                               Dfs* dfs, const ExecutionContext& ctx,
-                               const JobStreamIo* stream = nullptr);
+                               Dfs* dfs, const ExecutionContext& ctx);
 
 // Re-runs `plan` on its engine's own substrate over `base` (the relations
 // the job read) and checks every declared output against `kernel_outputs`

@@ -12,6 +12,14 @@
 
 namespace musketeer {
 
+// The deepest expression the parser accepts, counting both the tree's depth
+// and the parentheses and unary minuses open at any point. Everything that
+// consumes an expression recurses once per level, so a deeper one from
+// untrusted source could overflow the stack.
+inline constexpr int kMaxExpressionDepth = 256;
+
+// Parses one expression at the cursor. An expression deeper than
+// kMaxExpressionDepth is InvalidArgument, naming the limit and the line.
 StatusOr<ExprPtr> ParseExpression(TokenCursor* cursor);
 
 }  // namespace musketeer

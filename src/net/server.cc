@@ -149,9 +149,6 @@ std::string TicketJson(const WorkflowHandle& ticket) {
     if (state == WorkflowState::kDone && ticket->result().ok()) {
       const RunResult& result = *ticket->result();
       out += ", \"jobs_reused\": " + std::to_string(result.jobs_reused) +
-             ", \"pipelined_edges\": " +
-             std::to_string(result.pipelined_edges) +
-             ", \"stream_batches\": " + std::to_string(result.stream_batches) +
              ", \"partition_strategy\": " +
              JsonQuote(result.partition_strategy) +
              ", \"replans\": " + std::to_string(result.replans);
@@ -762,11 +759,6 @@ HttpResponse HttpServer::HandleStats() {
                      ", \"plan_cache_misses\": " +
                      std::to_string(stats.plan_cache_misses) +
                      ", \"jobs_reused\": " + std::to_string(stats.jobs_reused) +
-                     ", \"pipelined_edges\": " +
-                     std::to_string(stats.pipelined_edges) +
-                     ", \"stream_batches\": " +
-                     std::to_string(stats.stream_batches) +
-                     ", \"stream_bytes\": " + std::to_string(stats.stream_bytes) +
                      ", \"replans\": " + std::to_string(stats.replans) +
                      ", \"queue_depth\": " + std::to_string(stats.queue_depth) +
                      ", \"active_connections\": " +

@@ -312,32 +312,4 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
   return cost;
 }
 
-double BarrierHandoffSeconds(EngineKind producer, EngineKind consumer,
-                             const ClusterConfig& cluster, Bytes bytes) {
-  if (bytes <= 0) {
-    return 0;
-  }
-  double seconds = bytes / PushBandwidth(producer, cluster) +
-                   bytes / PullBandwidth(consumer, cluster);
-  const double load = LoadBandwidth(consumer, cluster);
-  if (load > 0) {
-    seconds += bytes / load;
-  }
-  return seconds;
-}
-
-double ChannelHandoffSeconds(Bytes bytes) {
-  // Memory-bandwidth-class transfer plus a fixed charge for the channel and
-  // the consumer-side reassembly. Deliberately coarse: the decision only has
-  // to order "touches storage twice" against "stays in memory", and the
-  // setup charge keeps tiny edges on the barrier path where the pipelining
-  // thread machinery is not worth it.
-  constexpr double kChannelMBps = 2000.0;
-  constexpr double kChannelSetupSeconds = 0.05;
-  if (bytes <= 0) {
-    return 0;
-  }
-  return kChannelSetupSeconds + bytes / MBps(kChannelMBps);
-}
-
 }  // namespace musketeer

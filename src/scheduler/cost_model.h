@@ -93,20 +93,6 @@ class CostModel {
   const RuntimeCalibration* calibration_;  // not owned, may be null
 };
 
-// ---- Streaming handoff pricing ---------------------------------------------
-// The per-edge barrier-vs-pipeline decision (src/stream/pipeline.h) charges
-// the two alternatives in the same sim-seconds currency as JobCost.
-
-// Cost of materializing `bytes` through the DFS between two jobs: the
-// producer's PUSH plus the consumer's PULL (and LOAD, for engines with a
-// load phase) at the engines' calibrated byte rates.
-double BarrierHandoffSeconds(EngineKind producer, EngineKind consumer,
-                             const ClusterConfig& cluster, Bytes bytes);
-
-// Cost of moving the same bytes through an in-memory bounded channel:
-// a fixed setup charge plus a memory-bandwidth-class byte rate.
-double ChannelHandoffSeconds(Bytes bytes);
-
 }  // namespace musketeer
 
 #endif  // MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_

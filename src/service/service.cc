@@ -476,9 +476,6 @@ void WorkflowService::RunOne(const QueueItem& item) {
   if (result.ok()) {
     std::lock_guard lock(mu_);
     stats_.jobs_reused += static_cast<uint64_t>(result->jobs_reused);
-    stats_.pipelined_edges += static_cast<uint64_t>(result->pipelined_edges);
-    stats_.stream_batches += result->stream_batches;
-    stats_.stream_bytes += result->stream_bytes;
     stats_.replans += static_cast<uint64_t>(result->replans);
   }
   if (span.active()) {

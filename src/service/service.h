@@ -196,13 +196,9 @@ struct ServiceStats {
   uint64_t cancelled = 0;  // CANCELLED
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  // Streaming & incremental aggregates over completed runs (src/stream/):
-  // fingerprint-reused jobs, edges that ran pipelined, and the batch/byte
-  // volume that moved over channels instead of the DFS barrier.
+  // Fingerprint-reused jobs across completed runs (incremental execution,
+  // src/stream/fingerprint.h).
   uint64_t jobs_reused = 0;
-  uint64_t pipelined_edges = 0;
-  uint64_t stream_batches = 0;
-  Bytes stream_bytes = 0;
   // Mid-run suffix re-partitions across completed runs (DESIGN.md "Planner
   // at scale").
   uint64_t replans = 0;
@@ -247,12 +243,12 @@ class WorkflowService {
   WorkflowHandle SubmitBlockingAs(const std::string& tenant, WorkflowSpec spec,
                                   RunOptions options);
 
-  // Incremental resubmission (DESIGN.md "Streaming & incremental
-  // execution"): re-runs `spec` with RunOptions::incremental set, so any job
-  // whose input fingerprint — recorded by this service's earlier run of the
-  // workflow — still matches the DFS is skipped and its outputs served from
-  // storage. After a base-relation append, only the affected DAG suffix
-  // recomputes; the result is bit-identical to a cold run.
+  // Incremental resubmission (DESIGN.md "Incremental execution"): re-runs
+  // `spec` with RunOptions::incremental set, so any job whose input
+  // fingerprint — recorded by this service's earlier run of the workflow —
+  // still matches the DFS is skipped and its outputs served from storage.
+  // After a base-relation append, only the affected DAG suffix recomputes;
+  // the result is bit-identical to a cold run.
   WorkflowHandle ResubmitIncremental(WorkflowSpec spec);
   WorkflowHandle ResubmitIncrementalAs(const std::string& tenant,
                                        WorkflowSpec spec, RunOptions options);

@@ -182,10 +182,8 @@ StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow,
                                           RunOptions options) {
   // Plan once, globally: the planner's Dfs view treats every relation as
   // local, so the plan is identical to an unsharded run's — placement, not
-  // planning, is where shards enter. Jobs live in different placement
-  // domains, so the run keeps the barrier plane.
+  // planning, is where shards enter.
   options = PinDeadline(std::move(options));
-  options.pipeline = PipelineMode::kOff;
   Musketeer musketeer(dfs_);
   MUSKETEER_ASSIGN_OR_RETURN(WorkflowPlan plan,
                              musketeer.Plan(workflow, options));

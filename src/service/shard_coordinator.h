@@ -88,8 +88,7 @@ class ShardCoordinator {
   // Musketeer::Execute with placement as the job runner, so its jobs fan out
   // across the shards. Blocking; the returned RunResult is byte-for-byte
   // comparable to an unsharded Musketeer::Run (same makespan accounting,
-  // outputs Table::Identical at any shard count). `options.pipeline` is
-  // ignored: shards keep the barrier plane.
+  // outputs Table::Identical at any shard count).
   StatusOr<RunResult> Run(const WorkflowSpec& workflow);
   StatusOr<RunResult> Run(const WorkflowSpec& workflow, RunOptions options);
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/frontends/expr_parser.h"
 #include "src/ir/eval.h"
 
 namespace musketeer {
@@ -292,6 +293,69 @@ TEST(LindiParserTest, MultipleAggregationsAfterGroupBy) {
 TEST(LindiParserTest, DanglingGroupByRejected) {
   EXPECT_FALSE(
       ParseWorkflow(FrontendLanguage::kLindi, "x = prices.GroupBy(id);").ok());
+}
+
+// --- Expression depth ---------------------------------------------------------
+
+// One WHERE-clause filter over `prices` in each front end that has one.
+std::string FilterSource(FrontendLanguage language, const std::string& cond) {
+  switch (language) {
+    case FrontendLanguage::kHive:
+      return "SELECT id FROM prices WHERE " + cond + " AS cheap;";
+    case FrontendLanguage::kLindi:
+      return "cheap = prices.Where(" + cond + ");";
+    default:
+      return "cheap = SELECT id FROM prices WHERE " + cond + ";";
+  }
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (int i = 0; i < n; ++i) {
+    out += piece;
+  }
+  return out;
+}
+
+constexpr FrontendLanguage kWhereLanguages[] = {
+    FrontendLanguage::kBeer, FrontendLanguage::kHive, FrontendLanguage::kLindi};
+
+// Each shape used to crash the process: the parser recursed once per
+// parenthesis or unary minus, and the `+` chain, built in a loop, overflowed
+// the stack in whatever recursed over it later.
+TEST(ExpressionDepthTest, DeepExpressionsAreRejectedNotCrashed) {
+  constexpr int kDepth = 50000;
+  const std::string shapes[] = {
+      Repeat("(", kDepth) + "price < 200000" + Repeat(")", kDepth),
+      "price < " + Repeat("- ", kDepth) + "1",
+      "price < 1" + Repeat(" + 1", kDepth),
+  };
+  for (FrontendLanguage language : kWhereLanguages) {
+    for (const std::string& cond : shapes) {
+      auto dag = ParseWorkflow(language, FilterSource(language, cond));
+      ASSERT_FALSE(dag.ok()) << cond.substr(0, 40);
+      EXPECT_EQ(dag.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(dag.status().message().find(
+                    "deeper than " + std::to_string(kMaxExpressionDepth)),
+                std::string::npos)
+          << dag.status();
+      EXPECT_NE(dag.status().message().find("line 1"), std::string::npos)
+          << dag.status();
+    }
+  }
+}
+
+TEST(ExpressionDepthTest, TwoHundredNestedParenthesesStillParse) {
+  const std::string cond =
+      Repeat("(", 200) + "price < 200000" + Repeat(")", 200);
+  for (FrontendLanguage language : kWhereLanguages) {
+    auto dag = ParseWorkflow(language, FilterSource(language, cond));
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    auto result = EvaluateDagRelation(**dag, PropertyData(), "cheap");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->num_rows(), 1u);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "src/base/json.h"
 #include "src/core/musketeer.h"
+#include "src/frontends/expr_parser.h"
 #include "src/net/client.h"
 #include "src/net/peer_dfs.h"
 #include "src/obs/metrics.h"
@@ -750,6 +751,50 @@ TEST(NetServerTest, IncrementalResubmitReusesJobsOverHttp) {
   const JsonValue* total_reused = stats_json->Find("jobs_reused");
   ASSERT_NE(total_reused, nullptr) << *stats_body;
   EXPECT_GE(total_reused->number_value, reused->number_value);
+
+  server.Shutdown();
+  service.Shutdown();
+}
+
+// An expression nested 50,000 parentheses deep used to overflow the parser's
+// stack and take the whole server down. Now planning rejects it
+// (InvalidArgument, asserted in frontends_test), the ticket ends FAILED with
+// the limit in its error, and the server keeps serving.
+TEST(NetServerTest, DeepExpressionSubmitFailsAndServerSurvives) {
+  Dfs dfs;
+  SeedDfs(&dfs);
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  constexpr int kDepth = 50000;
+  const std::string source = "big = SELECT uid FROM purchases WHERE " +
+                             std::string(kDepth, '(') + "amount > 1" +
+                             std::string(kDepth, ')') + ";";
+  auto reply = client.SubmitWorkflow({.workflow_id = "net-deep"}, source);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->status, 202);
+  auto state =
+      client.WaitTerminal(reply->ticket, std::chrono::milliseconds(30000));
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(*state, "FAILED");
+
+  auto status_body = client.Get("/status/" + std::to_string(reply->ticket));
+  ASSERT_TRUE(status_body.ok()) << status_body.status();
+  auto status_json = ParseJson(*status_body);
+  ASSERT_TRUE(status_json.ok()) << *status_body;
+  const JsonValue* error = status_json->Find("error");
+  ASSERT_NE(error, nullptr) << *status_body;
+  EXPECT_NE(error->string_value.find(
+                "deeper than " + std::to_string(kMaxExpressionDepth)),
+            std::string::npos)
+      << error->string_value;
+
+  auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_NE(health->find("ok"), std::string::npos);
 
   server.Shutdown();
   service.Shutdown();

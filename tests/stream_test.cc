@@ -1,39 +1,24 @@
-// Streaming data plane + incremental recomputation tests (PR 9).
+// Incremental recomputation tests.
 //
-// Three contracts under test:
-//   1. RelationChannel: bounded, ordered, cancel/deadline-aware handoff —
-//      backpressure blocks, Close drains, Abort propagates, CloseReceiver
-//      never wedges a producer. StreamTable/AssembleFromChannel round-trips
-//      are bit-identical (Table::Identical), scale included.
-//   2. PipelinePlanner: only pipeline-safe edges are accepted (single
-//      consumer, capable engines, no WHILE fixpoint, schedulable group),
-//      and kAuto additionally cost-gates. End to end, pipelined runs are
-//      Table::Identical to barrier runs on every evaluation workflow at
-//      every thread width.
-//   3. Incremental recomputation: per-job fingerprints over DFS content
-//      versions make an unchanged resubmission reuse every job, an
-//      append-to-base resubmission recompute exactly the dependent DAG
-//      suffix (bit-identical to a cold run on the appended inputs), and a
-//      direct overwrite of a recorded output invalidate reuse — in-process,
-//      through the service, across shards, and under seeded faults.
+// Per-job fingerprints over DFS content versions make an unchanged
+// resubmission reuse every job, an append-to-base resubmission recompute
+// exactly the dependent DAG suffix (bit-identical to a cold run on the
+// appended inputs), and a direct overwrite of a recorded output invalidate
+// reuse — in-process, through the service, across shards, under seeded
+// faults, and across a forced mid-run re-plan.
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/base/parallel.h"
 #include "src/cluster/sharded_dfs.h"
 #include "src/core/musketeer.h"
 #include "src/service/service.h"
 #include "src/service/shard_coordinator.h"
 #include "src/stream/fingerprint.h"
-#include "src/stream/pipeline.h"
-#include "src/stream/relation_channel.h"
 #include "tests/workflow_setups.h"
 
 namespace musketeer {
@@ -47,283 +32,14 @@ Table MakeInts(int64_t begin, int64_t end) {
   return table;
 }
 
-CancelToken NoCancel() { return CancelToken(); }
-
-// ---- RelationChannel -------------------------------------------------------
-
-TEST(RelationChannelTest, DeliversBatchesInOrderWithBackpressure) {
-  RelationChannel ch("edge", /*capacity=*/2);
-  const int kBatches = 10;
-  std::thread producer([&] {
-    for (int i = 0; i < kBatches; ++i) {
-      Status s = ch.Push(MakeInts(i, i + 1), NoCancel(), std::nullopt);
-      ASSERT_TRUE(s.ok()) << s;
-    }
-    ch.Close();
-  });
-  int next = 0;
-  while (true) {
-    auto batch = ch.Pop(NoCancel(), std::nullopt);
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    if (!batch->has_value()) {
-      break;  // end of stream
-    }
-    ASSERT_EQ((*batch)->num_rows(), 1u);
-    EXPECT_EQ((*batch)->col(0).ints()[0], next);
-    ++next;
-    // Slow consumer: with capacity 2 the producer must hit the full-queue
-    // wait at least once.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  producer.join();
-  EXPECT_EQ(next, kBatches);
-  EXPECT_EQ(ch.batches_pushed(), static_cast<uint64_t>(kBatches));
-  EXPECT_EQ(ch.batches_dropped(), 0u);
-  EXPECT_GT(ch.push_stalls(), 0u);
-}
-
-TEST(RelationChannelTest, CancelUnblocksFullChannelPush) {
-  RelationChannel ch("edge", /*capacity=*/1);
-  CancelToken cancel = CancelToken::Make();
-  ASSERT_TRUE(ch.Push(MakeInts(0, 1), cancel, std::nullopt).ok());
-  std::atomic<bool> pushed{false};
-  Status blocked_status = OkStatus();
-  std::thread producer([&] {
-    blocked_status = ch.Push(MakeInts(1, 2), cancel, std::nullopt);
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(pushed.load());  // backpressure holds
-  cancel.RequestCancel();
-  producer.join();
-  EXPECT_EQ(blocked_status.code(), StatusCode::kCancelled);
-}
-
-TEST(RelationChannelTest, DeadlineUnblocksEmptyChannelPop) {
-  RelationChannel ch("edge", /*capacity=*/2);
-  const DeadlinePoint deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(40);
-  auto batch = ch.Pop(NoCancel(), deadline);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(RelationChannelTest, AbortPropagatesToConsumerAndDropsQueued) {
-  RelationChannel ch("edge", /*capacity=*/4);
-  ASSERT_TRUE(ch.Push(MakeInts(0, 1), NoCancel(), std::nullopt).ok());
-  ch.Abort(UnavailableError("producer died"));
-  auto batch = ch.Pop(NoCancel(), std::nullopt);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
-  // Abort after Close is a no-op: the RAII guard on a producer that already
-  // closed cleanly must not clobber end-of-stream.
-  RelationChannel ch2("edge2", 4);
-  ch2.Close();
-  ch2.Abort(UnavailableError("late"));
-  auto eos = ch2.Pop(NoCancel(), std::nullopt);
-  ASSERT_TRUE(eos.ok()) << eos.status();
-  EXPECT_FALSE(eos->has_value());
-}
-
-TEST(RelationChannelTest, CloseReceiverUnblocksAndDropsPushes) {
-  RelationChannel ch("edge", /*capacity=*/1);
-  ASSERT_TRUE(ch.Push(MakeInts(0, 1), NoCancel(), std::nullopt).ok());
-  std::thread producer([&] {
-    // Blocked on the full queue until the receiver walks away; then the
-    // push must return OK (dropped), not hang or error.
-    Status s = ch.Push(MakeInts(1, 2), NoCancel(), std::nullopt);
-    EXPECT_TRUE(s.ok()) << s;
-    Status s2 = ch.Push(MakeInts(2, 3), NoCancel(), std::nullopt);
-    EXPECT_TRUE(s2.ok()) << s2;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.CloseReceiver();
-  producer.join();
-  EXPECT_GE(ch.batches_dropped(), 2u);
-}
-
-TEST(RelationChannelTest, StreamAssembleRoundTripIsBitIdentical) {
-  Table table = MakeInts(0, 1000);
-  table.set_scale(3.5);
-  RelationChannel ch("edge", /*capacity=*/4);
-  StatusOr<StreamCounts> pushed = InternalError("not run");
-  std::thread producer([&] {
-    pushed = StreamTable(table, /*batch_rows=*/128, &ch, NoCancel(),
-                         std::nullopt);
-  });
-  auto assembled = AssembleFromChannel(&ch, NoCancel(), std::nullopt);
-  producer.join();
-  ASSERT_TRUE(pushed.ok()) << pushed.status();
-  ASSERT_TRUE(assembled.ok()) << assembled.status();
-  EXPECT_TRUE(Table::Identical(table, assembled->table));
-  // Scale must survive the trip: nominal_bytes drives every cost estimate.
-  EXPECT_DOUBLE_EQ(assembled->table.scale(), 3.5);
-  EXPECT_EQ(pushed->batches, (1000 + 127) / 128);
-  EXPECT_EQ(assembled->counts.batches, pushed->batches);
-}
-
-TEST(RelationChannelTest, EmptyTableStillDeliversSchema) {
-  Table empty(Schema({{"v", FieldType::kInt64}}));
-  RelationChannel ch("edge", 2);
-  auto pushed = StreamTable(empty, 128, &ch, NoCancel(), std::nullopt);
-  ASSERT_TRUE(pushed.ok()) << pushed.status();
-  EXPECT_EQ(pushed->batches, 1u);
-  auto assembled = AssembleFromChannel(&ch, NoCancel(), std::nullopt);
-  ASSERT_TRUE(assembled.ok()) << assembled.status();
-  EXPECT_TRUE(Table::Identical(empty, assembled->table));
-}
-
-// Push/pop storm across concurrent producer/consumer pairs — the TSan
-// target check.sh runs (stage 10): every mutation of the queue, counters
-// and state machine happens under the channel lock or it shows up here.
-TEST(RelationChannelTest, ConcurrentStormDeliversEverything) {
-  const int kPairs = 4;
-  const int kBatches = 200;
-  std::vector<std::unique_ptr<RelationChannel>> channels;
-  for (int p = 0; p < kPairs; ++p) {
-    channels.push_back(
-        std::make_unique<RelationChannel>("edge" + std::to_string(p), 2));
-  }
-  std::vector<std::thread> threads;
-  std::vector<int64_t> sums(kPairs, 0);
-  for (int p = 0; p < kPairs; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kBatches; ++i) {
-        ASSERT_TRUE(
-            channels[p]->Push(MakeInts(i, i + 1), NoCancel(), std::nullopt)
-                .ok());
-      }
-      channels[p]->Close();
-    });
-    threads.emplace_back([&, p] {
-      while (true) {
-        auto batch = channels[p]->Pop(NoCancel(), std::nullopt);
-        ASSERT_TRUE(batch.ok());
-        if (!batch->has_value()) {
-          return;
-        }
-        for (int64_t v : (*batch)->col(0).ints()) {
-          sums[p] += v;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  const int64_t expected = static_cast<int64_t>(kBatches) * (kBatches - 1) / 2;
-  for (int p = 0; p < kPairs; ++p) {
-    EXPECT_EQ(sums[p], expected) << "pair " << p;
-    EXPECT_EQ(channels[p]->batches_pushed(), static_cast<uint64_t>(kBatches));
-  }
-}
-
-// ---- PipelinePlanner -------------------------------------------------------
-
 JobPlan MakeJob(const std::string& name, std::vector<std::string> inputs,
-                std::vector<std::string> outputs,
-                EngineKind engine = EngineKind::kSpark,
-                WhileExec while_mode = WhileExec::kNone) {
+                std::vector<std::string> outputs) {
   JobPlan job;
   job.name = name;
   job.inputs = std::move(inputs);
   job.outputs = std::move(outputs);
-  job.engine = engine;
-  job.while_mode = while_mode;
+  job.engine = EngineKind::kSpark;
   return job;
-}
-
-Bytes FixedSize(Bytes bytes, const std::string&) { return bytes; }
-
-PipelineSchedule Plan(const std::vector<JobPlan>& jobs,
-                      const std::vector<std::string>& sinks, PipelineMode mode,
-                      Bytes est_bytes = Bytes(100) * 1024 * 1024) {
-  PipelineOptions options;
-  options.mode = mode;
-  return PlanPipelines(jobs, sinks, options, Ec2Cluster(16),
-                       [est_bytes](const std::string& name) {
-                         return FixedSize(est_bytes, name);
-                       });
-}
-
-TEST(PipelinePlannerTest, ForceAcceptsSafeChain) {
-  std::vector<JobPlan> jobs = {MakeJob("a", {"base"}, {"mid"}),
-                               MakeJob("b", {"mid"}, {"out"})};
-  PipelineSchedule sched = Plan(jobs, {"out"}, PipelineMode::kForce);
-  ASSERT_EQ(sched.edges.size(), 1u);
-  EXPECT_EQ(sched.edges[0].relation, "mid");
-  EXPECT_EQ(sched.edges[0].producer, 0u);
-  EXPECT_EQ(sched.edges[0].consumer, 1u);
-  ASSERT_EQ(sched.groups.size(), 1u);
-  EXPECT_EQ(sched.groups[0], (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(sched.group_of[0], 0);
-  EXPECT_EQ(sched.group_of[1], 0);
-}
-
-TEST(PipelinePlannerTest, OffAcceptsNothing) {
-  std::vector<JobPlan> jobs = {MakeJob("a", {"base"}, {"mid"}),
-                               MakeJob("b", {"mid"}, {"out"})};
-  EXPECT_TRUE(Plan(jobs, {"out"}, PipelineMode::kOff).empty());
-}
-
-TEST(PipelinePlannerTest, SinkAndFanOutEdgesStayOnBarrier) {
-  // "mid" is itself a sink: must be committed, not streamed.
-  std::vector<JobPlan> jobs = {MakeJob("a", {"base"}, {"mid"}),
-                               MakeJob("b", {"mid"}, {"out"})};
-  EXPECT_TRUE(Plan(jobs, {"mid", "out"}, PipelineMode::kForce).empty());
-  // Two consumers of "mid": fan-out would need multicast.
-  std::vector<JobPlan> fanout = {MakeJob("a", {"base"}, {"mid"}),
-                                 MakeJob("b", {"mid"}, {"out1"}),
-                                 MakeJob("c", {"mid"}, {"out2"})};
-  EXPECT_TRUE(Plan(fanout, {"out1", "out2"}, PipelineMode::kForce).empty());
-}
-
-TEST(PipelinePlannerTest, IncapableEngineAndWhileLoopRejected) {
-  std::vector<JobPlan> hadoop = {
-      MakeJob("a", {"base"}, {"mid"}, EngineKind::kHadoop),
-      MakeJob("b", {"mid"}, {"out"})};
-  EXPECT_TRUE(Plan(hadoop, {"out"}, PipelineMode::kForce).empty());
-  std::vector<JobPlan> loop = {MakeJob("a", {"base"}, {"mid"},
-                                       EngineKind::kSpark,
-                                       WhileExec::kNativeLoop),
-                               MakeJob("b", {"mid"}, {"out"})};
-  EXPECT_TRUE(Plan(loop, {"out"}, PipelineMode::kForce).empty());
-}
-
-TEST(PipelinePlannerTest, AutoCostGateKeepsSmallEdgesOnBarrier) {
-  std::vector<JobPlan> jobs = {MakeJob("a", {"base"}, {"mid"}),
-                               MakeJob("b", {"mid"}, {"out"})};
-  // 100 MB across the edge: the channel skips a DFS write+read, wins.
-  EXPECT_EQ(Plan(jobs, {"out"}, PipelineMode::kAuto,
-                 Bytes(100) * 1024 * 1024)
-                .edges.size(),
-            1u);
-  // 1 KB: the fixed channel-setup cost dominates; barrier stays.
-  EXPECT_TRUE(Plan(jobs, {"out"}, PipelineMode::kAuto, 1024).empty());
-  // Unknown size (0): conservative, barrier stays.
-  EXPECT_TRUE(Plan(jobs, {"out"}, PipelineMode::kAuto, 0).empty());
-}
-
-TEST(PipelinePlannerTest, GroupNeedsEveryExternalInputCommittedFirst) {
-  // C consumes streamed "m1" (from A) and barrier "m2" (from B, Hadoop so
-  // unstreamable). With B *after* A in plan order, grouping {A, C} would
-  // launch C before B commits m2 — the edge must be rejected.
-  std::vector<JobPlan> unsafe = {
-      MakeJob("a", {"base"}, {"m1"}),
-      MakeJob("b", {"base"}, {"m2"}, EngineKind::kHadoop),
-      MakeJob("c", {"m1", "m2"}, {"out"})};
-  EXPECT_TRUE(Plan(unsafe, {"out"}, PipelineMode::kForce).empty());
-  // With B *before* A, m2 is committed before the group's first member
-  // starts; the m1 edge is safe.
-  std::vector<JobPlan> safe = {
-      MakeJob("b", {"base"}, {"m2"}, EngineKind::kHadoop),
-      MakeJob("a", {"base"}, {"m1"}),
-      MakeJob("c", {"m1", "m2"}, {"out"})};
-  PipelineSchedule sched = Plan(safe, {"out"}, PipelineMode::kForce);
-  ASSERT_EQ(sched.edges.size(), 1u);
-  EXPECT_EQ(sched.edges[0].relation, "m1");
-  ASSERT_EQ(sched.groups.size(), 1u);
-  EXPECT_EQ(sched.groups[0], (std::vector<size_t>{1, 2}));
 }
 
 // ---- DFS content versions --------------------------------------------------
@@ -391,9 +107,7 @@ TEST(FingerprintStoreTest, StaleOutputVersionNeverReuses) {
   EXPECT_FALSE(store.CanReuse("wf", job.name, fp, dfs));
 }
 
-// ---- pipelined execution: end-to-end equivalence ---------------------------
-
-class StreamWorkflowTest : public ::testing::TestWithParam<Wf> {};
+// ---- incremental recomputation ---------------------------------------------
 
 StatusOr<RunResult> RunWith(const WfSetup& setup, RunOptions options,
                             FingerprintStore* store = nullptr,
@@ -407,104 +121,6 @@ StatusOr<RunResult> RunWith(const WfSetup& setup, RunOptions options,
   Musketeer m(&dfs);
   return m.Run(setup.workflow, options);
 }
-
-// Pipelined (kForce) runs are BIT-identical to barrier (kOff) runs on every
-// evaluation workflow, single- and multi-threaded, with the engine choice
-// left to the partitioner and with it restricted to a pipeline-capable one.
-TEST_P(StreamWorkflowTest, PipelinedMatchesBarrierBitIdentical) {
-  WfSetup setup = MakeSetup(GetParam());
-  for (int threads : {1, 4}) {
-    ScopedParallelThreads width(threads);
-    for (const std::vector<EngineKind>& engines :
-         {std::vector<EngineKind>{}, std::vector<EngineKind>{
-                                         EngineKind::kSpark}}) {
-      RunOptions off;
-      off.cluster = Ec2Cluster(16);
-      off.engines = engines;
-      auto barrier = RunWith(setup, off);
-      ASSERT_TRUE(barrier.ok()) << barrier.status();
-
-      RunOptions force = off;
-      force.pipeline = PipelineMode::kForce;
-      auto pipelined = RunWith(setup, force);
-      ASSERT_TRUE(pipelined.ok()) << pipelined.status();
-
-      ASSERT_EQ(barrier->outputs.size(), pipelined->outputs.size());
-      for (const auto& [name, table] : barrier->outputs) {
-        ASSERT_EQ(pipelined->outputs.count(name), 1u);
-        EXPECT_TRUE(Table::Identical(*table, *pipelined->outputs.at(name)))
-            << WfName(GetParam()) << " sink " << name << " diverged at "
-            << threads << " thread(s)";
-      }
-      // kAuto must also be output-identical (whatever it decides to stream).
-      RunOptions auto_mode = off;
-      auto_mode.pipeline = PipelineMode::kAuto;
-      auto cost_gated = RunWith(setup, auto_mode);
-      ASSERT_TRUE(cost_gated.ok()) << cost_gated.status();
-      for (const auto& [name, table] : barrier->outputs) {
-        EXPECT_TRUE(Table::Identical(*table, *cost_gated->outputs.at(name)));
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkflows, StreamWorkflowTest,
-                         ::testing::ValuesIn(kAllWorkflows),
-                         [](const ::testing::TestParamInfo<Wf>& info) {
-                           return WfName(info.param);
-                         });
-
-// A chain the planner can actually stream: merging disabled so every
-// operator is its own job, Spark everywhere. Asserts data really moved over
-// channels, not just that the answer matched.
-TEST(StreamExecutionTest, ForcedChainActuallyStreams) {
-  WfSetup setup = MakeSetup(Wf::kTopShopper);
-  RunOptions off;
-  off.cluster = Ec2Cluster(16);
-  off.engines = {EngineKind::kSpark};
-  off.planner.enable_merging = false;
-  auto barrier = RunWith(setup, off);
-  ASSERT_TRUE(barrier.ok()) << barrier.status();
-  ASSERT_GT(barrier->plans.size(), 1u);
-
-  RunOptions force = off;
-  force.pipeline = PipelineMode::kForce;
-  auto pipelined = RunWith(setup, force);
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status();
-  EXPECT_GE(pipelined->pipelined_edges, 1);
-  EXPECT_GT(pipelined->stream_batches, 0u);
-  EXPECT_GT(pipelined->stream_bytes, 0);
-  EXPECT_EQ(barrier->pipelined_edges, 0);
-  for (const auto& [name, table] : barrier->outputs) {
-    EXPECT_TRUE(Table::Identical(*table, *pipelined->outputs.at(name)));
-  }
-}
-
-// A failing pipelined attempt must fall back to the barrier dispatcher and
-// still produce the fault-free bits (the recovery contract composed with
-// streaming).
-TEST(StreamExecutionTest, PipelinedRunRecoversInjectedFaults) {
-  WfSetup setup = MakeSetup(Wf::kTopShopper);
-  RunOptions clean;
-  clean.cluster = Ec2Cluster(16);
-  clean.engines = {EngineKind::kSpark};
-  clean.planner.enable_merging = false;
-  auto expected = RunWith(setup, clean);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  RunOptions faulty = clean;
-  faulty.pipeline = PipelineMode::kForce;
-  faulty.fault_rate = 0.3;
-  faulty.fault_seed = 42;
-  faulty.retry.max_attempts = 4;
-  auto recovered = RunWith(setup, faulty);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  for (const auto& [name, table] : expected->outputs) {
-    EXPECT_TRUE(Table::Identical(*table, *recovered->outputs.at(name)));
-  }
-}
-
-// ---- incremental recomputation ---------------------------------------------
 
 // The input relation a test appends to, chosen deterministically (first in
 // sorted order), and the 1%-appended copy of the whole input map.
@@ -818,15 +434,16 @@ TEST(IncrementalTest, ClobberedIntermediateRecomputes) {
   }
 }
 
-// Pipelining and incremental compose: the recompute suffix of a delta run
-// may stream internally and still produce the cold bits.
-TEST(IncrementalTest, ComposesWithPipelinedExecution) {
-  WfSetup setup = MakeSetup(Wf::kTopShopper);
+// Incremental reuse and a forced mid-run re-plan compose: the delta run
+// re-partitions its remaining jobs after the first recomputed one (any
+// threshold below 1 trips, as in ReplanningTest), and the result still
+// matches a cold run over the appended inputs bit for bit.
+TEST(IncrementalTest, ForcedReplanDuringDeltaRunStillBitIdentical) {
+  WfSetup setup = MakeSetup(Wf::kTpchHive);
   RunOptions options;
   options.cluster = Ec2Cluster(16);
-  options.engines = {EngineKind::kSpark};
+  // One job per operator, so the delta run has jobs left to regroup.
   options.planner.enable_merging = false;
-  options.pipeline = PipelineMode::kForce;
   Dfs dfs;
   for (const auto& [name, table] : setup.inputs) {
     dfs.Put(name, table);
@@ -834,23 +451,33 @@ TEST(IncrementalTest, ComposesWithPipelinedExecution) {
   FingerprintStore store;
   options.fingerprints = &store;
   Musketeer m(&dfs);
-  ASSERT_TRUE(m.Run(setup.workflow, options).ok());
+  auto cold = m.Run(setup.workflow, options);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(cold->replans, 0);
 
   const std::string target = AppendTarget(setup);
   TableMap appended = AppendedInputs(setup, target);
   dfs.Put(target, appended.at(target));
+  RuntimeHistory history;
   options.incremental = true;
+  options.runtime_history = &history;
+  options.planner.replan_threshold = 0.5;
+  options.planner.max_replans = 2;
   auto delta = m.Run(setup.workflow, options);
   ASSERT_TRUE(delta.ok()) << delta.status();
+  // Both features fire: the untouched part branch is reused, and the
+  // recomputed lineitem suffix is re-planned.
+  EXPECT_GE(delta->jobs_reused, 1);
+  EXPECT_GT(delta->replans, 0);
 
   RunOptions clean;
   clean.cluster = Ec2Cluster(16);
-  clean.engines = {EngineKind::kSpark};
-  clean.planner.enable_merging = false;
   auto expected = RunWith(setup, clean, nullptr, &appended);
   ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(expected->outputs.size(), delta->outputs.size());
   for (const auto& [name, table] : expected->outputs) {
-    EXPECT_TRUE(Table::Identical(*table, *delta->outputs.at(name)));
+    ASSERT_EQ(delta->outputs.count(name), 1u) << name;
+    EXPECT_TRUE(Table::Identical(*table, *delta->outputs.at(name))) << name;
   }
 }
 

@@ -18,11 +18,10 @@
 # sharded-execution gate (shard coordinator tests under TSan, a scripted CLI
 # run asserting --shards=3 output is byte-identical to --shards=1 even across
 # a seeded mid-run shard death, and bench_shard_scaling's locality hit-rate /
-# cross-shard-bytes / no-regression acceptance), and lastly the streaming +
-# incremental gate (relation-channel storms and the pipelined end-to-end
-# sweep under TSan, a scripted CLI run asserting --pipeline=force and
-# --incremental output is byte-identical to --pipeline=off, and
-# bench_stream_pipeline's pipelined-speedup / reused-job acceptance), and
+# cross-shard-bytes / no-regression acceptance), and lastly the incremental
+# gate (the incremental-recomputation tests under TSan, a scripted CLI run
+# asserting --incremental output is byte-identical to a plain run, and
+# bench_incremental's reused-job / delta-equals-cold acceptance), and
 # finally the planner-at-scale gate (the forced re-planning sweep under
 # TSan, a scripted CLI run asserting every --partitioner choice, and a
 # re-planning run on three shards, produces byte-identical output, and bench_partitioner_scale's 250 ms planning
@@ -224,36 +223,27 @@ grep -q "sharding: 3 shard(s)" "$obs_tmp/shard3_out.txt"
 # BENCH_shard_scaling.json.
 (cd "$repo/build" && ./bench/bench_shard_scaling)
 
-echo "== [10/11] streaming + incremental: TSan channel storms + CLI pipeline bit-identity + bench gate =="
-# The relation channels under ThreadSanitizer: concurrent producer/consumer
-# pairs hammer push/pop/close/abort while the counters are read, plus the
-# pipelined end-to-end sweep where group members execute in their own
-# threads against the shared DFS.
+echo "== [10/11] incremental: TSan delta-run tests + CLI bit-identity + bench gate =="
+# Incremental recomputation under ThreadSanitizer: delta runs across shards,
+# under seeded faults and a forced re-plan, and resubmits through the
+# service's worker pool, all against one shared DFS and fingerprint store.
 "$repo/build-tsan/tests/stream_test" \
-    --gtest_filter='RelationChannelTest.*:StreamExecutionTest.*'
+    --gtest_filter='IncrementalTest.*:ServiceIncrementalTest.*'
 
-# Scripted CLI bit-identity: --pipeline=force must produce byte-identical
-# output to --pipeline=off, and must report streamed batches; --incremental
-# alone (fresh process, no prior fingerprints) must still produce the same
-# bytes.
+# Scripted CLI bit-identity: --incremental (fresh process, no prior
+# fingerprints) must produce the same bytes as a plain run.
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
-    --output=joined=pipe_off.csv --pipeline=off tiny.beer > pipe_off_out.txt)
+    --output=joined=plain.csv tiny.beer > plain_out.txt)
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
-    --output=joined=pipe_force.csv --pipeline=force tiny.beer > pipe_force_out.txt)
-(cd "$obs_tmp" && "$repo/build/tools/musketeer" \
-    --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
-    --output=joined=pipe_inc.csv --incremental tiny.beer > pipe_inc_out.txt)
-cmp "$obs_tmp/pipe_off.csv" "$obs_tmp/pipe_force.csv"
-cmp "$obs_tmp/pipe_off.csv" "$obs_tmp/pipe_inc.csv"
+    --output=joined=inc.csv --incremental tiny.beer > inc_out.txt)
+cmp "$obs_tmp/plain.csv" "$obs_tmp/inc.csv"
 
-# Pipelined-vs-barrier wall clock and incremental reuse gates (hardware-
-# aware: >= 1.2x on >= 4 cores, no-regression on smaller hosts; the delta
-# run must reuse >= 1 job and match the cold bits). Release tree — the
-# overlap ratios in a -O0 build are not the numbers we ship. Writes
-# BENCH_stream_pipeline.json.
-(cd "$repo/build-relassert" && ./bench/bench_stream_pipeline)
+# Incremental reuse gates: after a 1% append the delta run must reuse >= 1
+# job and match a cold run over the appended inputs bit for bit. Writes
+# BENCH_incremental.json.
+(cd "$repo/build-relassert" && ./bench/bench_incremental)
 
 echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selection + latency gate =="
 # The online re-planning sweep under ThreadSanitizer: forced mid-run

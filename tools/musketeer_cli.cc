@@ -168,10 +168,6 @@ void PrintUsage() {
       "  --max-retries=N               (per-engine retries per job)\n"
       "  --fault-rate=F --fault-seed=S (seeded fault injection)\n"
       "  --no-failover                 (disable cross-engine failover)\n"
-      "  --pipeline=off|auto|force     (stream pipeline-safe job edges over\n"
-      "                                 in-memory channels instead of the\n"
-      "                                 DFS barrier; auto = cost-gated,\n"
-      "                                 results identical either way)\n"
       "  --incremental                 (reuse jobs whose input fingerprints\n"
       "                                 are unchanged since the last run —\n"
       "                                 with --serve/--listen, resubmits\n"
@@ -430,7 +426,6 @@ int main(int argc, char** argv) {
   int shard_of_m = 0;
   std::vector<PeerAddress> peer_addrs;
   bool peers_given = false;
-  PipelineMode pipeline_mode = PipelineMode::kOff;
   bool incremental = false;
   std::string partitioner;         // "" = planner default (auto)
   double replan_threshold = -1;    // < 0 = off (planner default)
@@ -629,19 +624,6 @@ int main(int argc, char** argv) {
         return Fail("bad schema spec in " + arg);
       }
       inputs.push_back({std::move(name), std::move(file), std::move(*schema)});
-      continue;
-    }
-    if (StartsWith(arg, "--pipeline=")) {
-      std::string mode = arg.substr(11);
-      if (mode == "off") {
-        pipeline_mode = PipelineMode::kOff;
-      } else if (mode == "auto") {
-        pipeline_mode = PipelineMode::kAuto;
-      } else if (mode == "force") {
-        pipeline_mode = PipelineMode::kForce;
-      } else {
-        return Fail("--pipeline needs off, auto or force");
-      }
       continue;
     }
     if (arg == "--incremental") {
@@ -862,7 +844,6 @@ int main(int argc, char** argv) {
   options.retry.enable_failover = failover;
   options.fault_rate = fault_rate;
   options.fault_seed = static_cast<uint64_t>(fault_seed);
-  options.pipeline = pipeline_mode;
   options.incremental = incremental;
   if (!partitioner.empty()) {
     auto kind = PartitionStrategyKindFromName(partitioner);
@@ -956,12 +937,8 @@ int main(int argc, char** argv) {
                 result->plans[i].name.c_str(),
                 result->job_results[i].makespan);
   }
-  if (result->pipelined_edges > 0 || result->jobs_reused > 0) {
-    std::printf("streaming: %d pipelined edge(s), %llu batch(es)/%.2f MB "
-                "over channels, %d job(s) reused\n",
-                result->pipelined_edges,
-                (unsigned long long)result->stream_batches,
-                result->stream_bytes / kMB, result->jobs_reused);
+  if (result->jobs_reused > 0) {
+    std::printf("incremental: %d job(s) reused\n", result->jobs_reused);
   }
   if (result->total_faults_injected > 0 || result->total_retries > 0 ||
       result->total_failovers > 0) {
