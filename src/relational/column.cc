@@ -89,16 +89,28 @@ void Column::AppendColumnCopy(const Column& src) {
   AppendRange(src, 0, src.size());
 }
 
+namespace {
+
+// out[k] = src[idx[k]]: indexed writes into a sized vector, so the loop
+// has no per-element capacity check.
+template <typename T>
+std::vector<T> GatherValues(const std::vector<T>& src,
+                            const std::vector<uint32_t>& idx) {
+  std::vector<T> out(idx.size());
+  for (size_t k = 0; k < idx.size(); ++k) out[k] = src[idx[k]];
+  return out;
+}
+
+}  // namespace
+
 Column Column::Gather(const std::vector<uint32_t>& idx) const {
   Column out(type_);
   switch (type_) {
     case FieldType::kInt64:
-      out.ints_.reserve(idx.size());
-      for (uint32_t i : idx) out.ints_.push_back(ints_[i]);
+      out.ints_ = GatherValues(ints_, idx);
       break;
     case FieldType::kDouble:
-      out.doubles_.reserve(idx.size());
-      for (uint32_t i : idx) out.doubles_.push_back(doubles_[i]);
+      out.doubles_ = GatherValues(doubles_, idx);
       break;
     case FieldType::kString:
       out.strings_.reserve(idx.size());

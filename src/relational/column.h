@@ -10,6 +10,8 @@
 #ifndef MUSKETEER_SRC_RELATIONAL_COLUMN_H_
 #define MUSKETEER_SRC_RELATIONAL_COLUMN_H_
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -158,38 +160,22 @@ class Column {
     return 0;
   }
 
-  // Batch form of HashAt: out[k] = HashAt(begin + k) for rows [begin, end).
-  // Hoists the type dispatch out of the loop so the per-row body is a tight
-  // contiguous pass (the kernels' shuffle/partition hashing hot loop).
-  void HashRange(size_t begin, size_t end, size_t* out) const {
-    switch (type_) {
-      case FieldType::kInt64: {
-        const int64_t* v = ints_.data();
-        std::hash<double> h;
-        for (size_t i = begin; i < end; ++i) {
-          *out++ = h(static_cast<double>(v[i]));
-        }
-        return;
-      }
-      case FieldType::kDouble: {
-        const double* v = doubles_.data();
-        std::hash<double> h;
-        for (size_t i = begin; i < end; ++i) *out++ = h(v[i]);
-        return;
-      }
-      case FieldType::kString: {
-        std::hash<std::string> h;
-        for (size_t i = begin; i < end; ++i) *out++ = h(strings_[i]);
-        return;
-      }
-    }
-  }
-
   // CompareValues on cells (works across numeric column types; numerics
   // order before strings).
   int CompareAt(size_t i, const Column& other, size_t j) const;
 
+  // CompareAt(i, other, j) == 0, with the same-type cases inline.
   bool EqualAt(size_t i, const Column& other, size_t j) const {
+    if (type_ == other.type_) {
+      switch (type_) {
+        case FieldType::kInt64:
+          return ints_[i] == other.ints_[j];
+        case FieldType::kDouble:
+          return doubles_[i] == other.doubles_[j];
+        case FieldType::kString:
+          return strings_[i] == other.strings_[j];
+      }
+    }
     return CompareAt(i, other, j) == 0;
   }
 
@@ -202,10 +188,18 @@ class Column {
   }
 
   // Exact equality: same type, same length, bit-identical cells (no
-  // cross-numeric coercion). The columnar leg of Table::Identical.
+  // cross-numeric coercion). Doubles compare by bit pattern, so a NaN cell
+  // is identical to the same NaN and -0.0 is not identical to +0.0. The
+  // columnar leg of Table::Identical.
   bool IdenticalTo(const Column& other) const {
+    const auto same_bits = [](double a, double b) {
+      return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+    };
     return type_ == other.type_ && ints_ == other.ints_ &&
-           doubles_ == other.doubles_ && strings_ == other.strings_;
+           std::equal(doubles_.begin(), doubles_.end(),
+                      other.doubles_.begin(), other.doubles_.end(),
+                      same_bits) &&
+           strings_ == other.strings_;
   }
 
  private:

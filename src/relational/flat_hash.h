@@ -1,23 +1,30 @@
-// Flat open-addressing hash primitives for the vectorized kernels.
+// The flat hash index every hash kernel is built on.
 //
-// The batch kernels key their hash tables on a canonical 64-bit
-// representation of the typed cell (int64 bits, or the bit pattern of the
-// double view with -0.0 normalized) instead of heap-node-based
-// std::unordered_map buckets: one contiguous slot array, multiplicative
-// mixing, linear probing. Lookups touch one cache line in the common case
-// and the hash loop over a column is branch-light, so the compiler can keep
-// the probe pipeline full — this is where the join build/probe and the
-// single-int64 group-by fast path spend their time.
+// GROUP BY, JOIN, INTERSECT, DIFFERENCE and DISTINCT all resolve "which
+// earlier row has the same key as this one" through one structure,
+// FlatMap64: an open-addressing table (one contiguous slot array, power-of-
+// two capacity, linear probing, splitmix64 mixing) from a 64-bit key to a
+// dense id, presized by the caller from the input's row count so that it
+// never regrows inside a kernel. The 64-bit key is either
 //
-// These tables are kernel-internal: they never influence *which* partition
-// or shuffle bucket a row lands in (that is Column::HashAt's job, and its
-// values are frozen by the engine-shuffle determinism contract). They only
-// accelerate within-partition key → slot resolution, so the emitted row
-// order — and therefore every output bit — is unchanged.
+//   * exact — the canonical image of a single numeric cell (int64 bits, or a
+//     double's bits with -0.0 folded onto +0.0), where equal keys mean equal
+//     cells and no row comparison is needed; or
+//   * a hash — the kernel row hash over any other key (several columns, a
+//     string, a DOUBLE group column), where distinct keys can collide. Ids
+//     sharing a hash are chained, and the caller's `same(id)` predicate
+//     supplies row equality.
+//
+// These tables are kernel-internal: no output depends on where a key lands
+// in them, only on the ids they hand out (dense, in insertion order) and on
+// the equality the caller supplies. They never decide a shuffle bucket —
+// that is Column::HashAt's job, and its values are frozen by the engine-
+// shuffle determinism contract.
 
 #ifndef MUSKETEER_SRC_RELATIONAL_FLAT_HASH_H_
 #define MUSKETEER_SRC_RELATIONAL_FLAT_HASH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -36,9 +43,9 @@ inline uint64_t MixHash64(uint64_t x) {
 
 // Canonical 64-bit key of a double: the bit pattern with -0.0 folded onto
 // +0.0 (they compare equal, so they must collide). NaN has no canonical key
-// — NaN never equals anything, so callers must route NaN cells around the
-// table (see KeyIsNaN); giving NaN a bit-pattern key would make NaN probe
-// rows match NaN build rows, which the Value semantics forbid.
+// — NaN never equals anything, so exact-key callers must route NaN cells
+// around the index (see KeyIsNaN); giving NaN a bit-pattern key would make
+// NaN probe rows match NaN build rows, which the Value semantics forbid.
 inline uint64_t CanonicalDoubleKey(double v) {
   if (v == 0.0) {
     v = 0.0;  // collapse -0.0
@@ -50,83 +57,98 @@ inline uint64_t CanonicalDoubleKey(double v) {
 
 inline bool KeyIsNaN(double v) { return v != v; }
 
-// Open-addressing map from uint64 keys to uint32 values (slot ids, group
-// ids). Linear probing, power-of-two capacity, grows at 50% load. Values are
-// dense small integers in every kernel use, so kEmpty doubles as the
-// absent-sentinel.
+// Hash index from 64-bit keys to dense ids 0..size()-1, handed out in
+// insertion order. Clear it (or construct it) with an upper bound on the
+// ids it will hand out before use; the table then stays at most 50% loaded
+// and never grows.
 class FlatMap64 {
  public:
-  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
   FlatMap64() = default;
+  explicit FlatMap64(size_t max_ids) { Clear(max_ids); }
 
-  // Pre-sizes for about `n` distinct keys (avoids rehash during build).
-  void Reserve(size_t n) {
-    size_t want = 16;
-    while (want < 2 * n + 1) want <<= 1;
-    if (want > capacity_) Rehash(want);
+  // Power-of-two slot count keeping `ids` ids at most 50% load.
+  static size_t CapacityFor(size_t ids) {
+    size_t cap = 16;
+    while (cap < 2 * ids) cap <<= 1;
+    return cap;
   }
 
-  size_t size() const { return size_; }
+  // Empties the index and sizes it for at most `max_ids` ids, reusing its
+  // memory.
+  void Clear(size_t max_ids) {
+    slots_.assign(CapacityFor(max_ids), Slot{});
+    next_.clear();
+    next_.reserve(max_ids);
+    max_ids_ = max_ids;
+  }
 
-  // Returns the value slot for `key`, inserting `fresh` first if the key is
-  // new; *inserted reports which happened. `fresh` must not be kEmpty.
-  uint32_t* FindOrInsert(uint64_t key, uint32_t fresh, bool* inserted) {
-    if (capacity_ == 0 || 2 * (size_ + 1) > capacity_) {
-      Rehash(capacity_ == 0 ? 16 : capacity_ * 2);
-    }
-    const size_t mask = capacity_ - 1;
+  // Number of ids handed out.
+  size_t size() const { return next_.size(); }
+
+  // The id of `key` for which same(id) holds; when there is none, adds the
+  // next id and sets *added. For exact keys `same` is constant true.
+  template <typename Same>
+  uint32_t FindOrAdd(uint64_t key, const Same& same, bool* added) {
+    const size_t mask = slots_.size() - 1;
     size_t pos = MixHash64(key) & mask;
-    while (true) {
-      if (vals_[pos] == kEmpty) {
-        keys_[pos] = key;
-        vals_[pos] = fresh;
-        ++size_;
-        *inserted = true;
-        return &vals_[pos];
-      }
-      if (keys_[pos] == key) {
-        *inserted = false;
-        return &vals_[pos];
+    while (slots_[pos].head != kNone) {
+      if (slots_[pos].key == key) {
+        for (uint32_t id = slots_[pos].head; id != kNone; id = next_[id]) {
+          if (same(id)) {
+            *added = false;
+            return id;
+          }
+        }
+        // A hash collision between unequal keys: chain the new id in front.
+        const uint32_t id = NewId(slots_[pos].head);
+        slots_[pos].head = id;
+        *added = true;
+        return id;
       }
       pos = (pos + 1) & mask;
     }
+    const uint32_t id = NewId(kNone);
+    slots_[pos].key = key;
+    slots_[pos].head = id;
+    *added = true;
+    return id;
   }
 
-  // Returns the value for `key`, or kEmpty when absent.
-  uint32_t Find(uint64_t key) const {
-    if (capacity_ == 0) return kEmpty;
-    const size_t mask = capacity_ - 1;
+  // The id of `key` for which same(id) holds, or kNone.
+  template <typename Same>
+  uint32_t Find(uint64_t key, const Same& same) const {
+    const size_t mask = slots_.size() - 1;
     size_t pos = MixHash64(key) & mask;
-    while (true) {
-      if (vals_[pos] == kEmpty) return kEmpty;
-      if (keys_[pos] == key) return vals_[pos];
+    while (slots_[pos].head != kNone) {
+      if (slots_[pos].key == key) {
+        for (uint32_t id = slots_[pos].head; id != kNone; id = next_[id]) {
+          if (same(id)) return id;
+        }
+        return kNone;
+      }
       pos = (pos + 1) & mask;
     }
+    return kNone;
   }
 
  private:
-  void Rehash(size_t new_cap) {
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_vals = std::move(vals_);
-    keys_.assign(new_cap, 0);
-    vals_.assign(new_cap, kEmpty);
-    const size_t old_cap = capacity_;
-    capacity_ = new_cap;
-    const size_t mask = new_cap - 1;
-    for (size_t i = 0; i < old_cap; ++i) {
-      if (old_vals[i] == kEmpty) continue;
-      size_t pos = MixHash64(old_keys[i]) & mask;
-      while (vals_[pos] != kEmpty) pos = (pos + 1) & mask;
-      keys_[pos] = old_keys[i];
-      vals_[pos] = old_vals[i];
-    }
+  // One slot per distinct key: the key and the newest id in its chain.
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t head = kNone;  // kNone marks a free slot
+  };
+
+  uint32_t NewId(uint32_t chained_to) {
+    assert(next_.size() < max_ids_ && "FlatMap64 presized too small");
+    next_.push_back(chained_to);
+    return static_cast<uint32_t>(next_.size() - 1);
   }
 
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> vals_;  // kEmpty marks a free slot
-  size_t capacity_ = 0;
-  size_t size_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> next_;  // id → older id with the same key, or kNone
+  size_t max_ids_ = 0;          // the presized bound on size()
 };
 
 }  // namespace musketeer

@@ -1,12 +1,12 @@
 #include "src/relational/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <numeric>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "src/base/parallel.h"
@@ -25,17 +25,16 @@
 // the typed column vectors and exchange *row indices* between phases —
 // select/join/sort/distinct compute an index list and Gather it into output
 // columns, so variant dispatch and per-row vectors are off every hot path.
-// Hash values (partitioning, group buckets) are computed with the exact
-// row-of-variants formula (Column::HashAt == HashValue), so engine shuffles
-// place the same rows in the same partitions as the row plane did.
+//
+// Hash strategy (see DESIGN.md "Flat hash structures"): group-by, join and
+// the set operators resolve keys through one FlatMap64 index over a
+// canonical 64-bit key or a kernel row hash. Those tables are internal: no
+// output depends on which partition or slot a key lands in. The hashes the
+// engine shuffles use (Column::HashAt, HashRow) are not involved.
 
 namespace musketeer {
 
 namespace {
-
-// Fan-out of the partitioned hash-join build. Fixed (like kMorselRows) so
-// the per-partition tables are identical at every thread count.
-constexpr size_t kJoinPartitions = 64;
 
 // Concatenates per-chunk index vectors in chunk order.
 std::vector<uint32_t> ConcatIndices(
@@ -226,173 +225,256 @@ Table MapRowsBatch(const Table& in, const Schema& out_schema,
 
 namespace {
 
-// One chunk's worth of (left row, right row) match pairs.
-struct JoinPairs {
-  std::vector<uint32_t> lidx;
-  std::vector<uint32_t> ridx;
-};
-
-// Scatter phase shared by both probe variants: per-morsel partition buckets
-// keyed on Column::HashAt (== HashValue, computed batch-wise via HashRange)
-// so partition contents match the row plane and engine shuffles exactly.
-std::vector<std::vector<std::vector<uint32_t>>> ScatterByPartition(
-    const Column& c) {
-  return ParallelMapChunks<std::vector<std::vector<uint32_t>>>(
-      c.size(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        std::vector<std::vector<uint32_t>> buckets(kJoinPartitions);
-        std::vector<size_t> hashes(end - begin);
-        c.HashRange(begin, end, hashes.data());
-        for (size_t i = begin; i < end; ++i) {
-          buckets[hashes[i - begin] % kJoinPartitions].push_back(
-              static_cast<uint32_t>(i));
-        }
-        return buckets;
-      });
-}
-
-// Partitioned build + ordered probe, generic (node-based) variant — only the
-// string key path still uses it. The per-partition maps key on string_view;
-// probe emits in left-row order, matches in right-index order — the fixed
-// emission order that makes the join deterministic at any thread count.
-template <typename K, typename LGet, typename RGet>
-std::vector<JoinPairs> JoinProbe(const Column& lc, const Column& rc,
-                                 const LGet& lget, const RGet& rget) {
-  auto scattered = ScatterByPartition(rc);
-
-  using PartitionTable = std::unordered_map<K, std::vector<uint32_t>>;
-  std::vector<PartitionTable> tables(kJoinPartitions);
-  ParallelChunks(kJoinPartitions, 1, [&](size_t p, size_t, size_t) {
-    size_t total = 0;
-    for (const auto& chunk : scattered) total += chunk[p].size();
-    PartitionTable& table = tables[p];
-    table.reserve(total);
-    for (const auto& chunk : scattered) {
-      for (uint32_t ridx : chunk[p]) {
-        table[rget(ridx)].push_back(ridx);
-      }
-    }
-  });
-
-  return ParallelMapChunks<JoinPairs>(
-      lc.size(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        JoinPairs out;
-        for (size_t i = begin; i < end; ++i) {
-          const PartitionTable& table = tables[lc.HashAt(i) % kJoinPartitions];
-          auto it = table.find(lget(i));
-          if (it == table.end()) continue;
-          for (uint32_t ridx : it->second) {
-            out.lidx.push_back(static_cast<uint32_t>(i));
-            out.ridx.push_back(ridx);
-          }
-        }
-        return out;
-      });
-}
-
-// A typed numeric key for the flat join table: the canonical 64-bit key plus
-// a validity bit (false only for NaN double keys, which match nothing).
-struct NumKey {
-  uint64_t key;
-  bool valid;
-};
-
-// One build partition in CSR layout: build row indices grouped by key in one
-// contiguous array (ascending within each group — the emission order the
-// node-based map produced by push_back), indexed by a flat key → group map.
-// Probing a key is one FlatMap64 lookup plus a contiguous span scan, instead
-// of a node walk through unordered_map buckets.
-struct FlatJoinPartition {
-  FlatMap64 groups;               // canonical key → group id
-  std::vector<uint32_t> offsets;  // group → [start, end) in rows
-  std::vector<uint32_t> rows;     // build row indices, grouped, ascending
-};
-
-// Flat CSR variant of JoinProbe for numeric keys (int64 and double/mixed).
-// Same partitioning, same emission order, same key-equality semantics as the
-// node-based variant (see CanonicalDoubleKey for -0.0/NaN) — only the data
-// structure changed, so output is bit-identical.
-template <typename LKey, typename RKey>
-std::vector<JoinPairs> JoinProbeFlat(const Column& lc, const Column& rc,
-                                     const LKey& lkey, const RKey& rkey) {
-  auto scattered = ScatterByPartition(rc);
-
-  std::vector<FlatJoinPartition> parts(kJoinPartitions);
-  ParallelChunks(kJoinPartitions, 1, [&](size_t p, size_t, size_t) {
-    FlatJoinPartition& part = parts[p];
-    size_t total = 0;
-    for (const auto& chunk : scattered) total += chunk[p].size();
-    part.groups.Reserve(total);
-    // Pass 1: assign group ids in first-occurrence order, count group sizes.
-    // Chunks are visited in chunk order and rows ascend within a chunk, so
-    // rows arrive in ascending build-index order.
-    std::vector<uint32_t> kept_rows;
-    std::vector<uint32_t> row_group;
-    kept_rows.reserve(total);
-    row_group.reserve(total);
-    std::vector<uint32_t> counts;
-    for (const auto& chunk : scattered) {
-      for (uint32_t ridx : chunk[p]) {
-        NumKey k = rkey(ridx);
-        if (!k.valid) continue;  // NaN build keys can never match
-        bool inserted = false;
-        uint32_t* g = part.groups.FindOrInsert(
-            k.key, static_cast<uint32_t>(counts.size()), &inserted);
-        if (inserted) counts.push_back(0);
-        ++counts[*g];
-        kept_rows.push_back(ridx);
-        row_group.push_back(*g);
-      }
-    }
-    // Pass 2: exclusive prefix sum, then scatter rows into their group span
-    // (in arrival order, i.e. ascending build index within each group).
-    part.offsets.assign(counts.size() + 1, 0);
-    for (size_t g = 0; g < counts.size(); ++g) {
-      part.offsets[g + 1] = part.offsets[g] + counts[g];
-    }
-    part.rows.resize(kept_rows.size());
-    std::vector<uint32_t> cursor(part.offsets.begin(), part.offsets.end() - 1);
-    for (size_t r = 0; r < kept_rows.size(); ++r) {
-      part.rows[cursor[row_group[r]]++] = kept_rows[r];
-    }
-  });
-
-  return ParallelMapChunks<JoinPairs>(
-      lc.size(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        JoinPairs out;
-        std::vector<size_t> hashes(end - begin);
-        lc.HashRange(begin, end, hashes.data());
-        for (size_t i = begin; i < end; ++i) {
-          NumKey k = lkey(i);
-          if (!k.valid) continue;  // NaN probes match nothing
-          const FlatJoinPartition& part =
-              parts[hashes[i - begin] % kJoinPartitions];
-          uint32_t g = part.groups.Find(k.key);
-          if (g == FlatMap64::kEmpty) continue;
-          for (uint32_t r = part.offsets[g]; r < part.offsets[g + 1]; ++r) {
-            out.lidx.push_back(static_cast<uint32_t>(i));
-            out.ridx.push_back(part.rows[r]);
-          }
-        }
-        return out;
-      });
-}
-
 double NumericAt(const Column& c, size_t i) {
   return c.type() == FieldType::kInt64 ? static_cast<double>(c.ints()[i])
                                        : c.doubles()[i];
 }
 
-// Key getter factories for JoinProbeFlat.
-auto Int64KeyGetter(const std::vector<int64_t>& v) {
-  return [&v](size_t i) {
-    return NumKey{static_cast<uint64_t>(v[i]), true};
+// A row's key for a FlatMap64 (see flat_hash.h): exact or hashed 64 bits,
+// and a validity bit that is false only for NaN exact keys, which equal
+// nothing.
+struct RowKey {
+  uint64_t key;
+  bool valid;
+};
+
+// Calls fn(index) with a FlatMap64 that a morsel or partition task Clears
+// and fills with at most `max_ids` ids at a time. An index of up to 1 MB of
+// slots is the thread's own, reused across tasks so small tables hit warm
+// memory instead of faulting in fresh pages; a larger one (a skewed
+// partition) is the task's and is freed when it returns, so an idle thread
+// holds no more than that. A task holds it only while it runs no other
+// kernel.
+template <typename Fn>
+void WithTaskIndex(size_t max_ids, const Fn& fn) {
+  constexpr size_t kKeptSlots = size_t{1} << 16;  // 16 bytes each
+  thread_local FlatMap64 kept;
+  if (FlatMap64::CapacityFor(max_ids) <= kKeptSlots) {
+    fn(kept);
+  } else {
+    FlatMap64 own;
+    fn(own);
+  }
+}
+
+// Rows per partition the hash-partitioned kernels aim at: a partition's
+// FlatMap64 (16 bytes a slot, at most 50% load) then stays in L2. Output
+// never depends on the partitioning.
+constexpr size_t kJoinPartitionRows = kMorselRows;
+constexpr int kMaxJoinPartitionBits = 12;
+
+// The rows of a table with a valid key, hash-partitioned: grouped by
+// partition (the top bits of the mixed key), ascending within a partition,
+// with their keys alongside.
+struct PartitionedRows {
+  std::vector<uint32_t> rows;
+  std::vector<uint64_t> keys;   // keys[k] is the key of rows[k]
+  std::vector<uint32_t> begin;  // partition p is [begin[p], begin[p + 1])
+};
+
+// Partition bits for `rows` indexed rows: about kJoinPartitionRows each.
+int JoinPartitionBits(size_t rows) {
+  int bits = 0;
+  while (bits < kMaxJoinPartitionBits && (kJoinPartitionRows << bits) < rows) {
+    ++bits;
+  }
+  return bits;
+}
+
+size_t PartitionOf(uint64_t key, int bits) {
+  return bits == 0 ? 0 : MixHash64(key) >> (64 - bits);
+}
+
+// Partitions rows 0..n-1 by their RowKey key(r), leaving out rows whose key
+// is invalid: per-morsel partition histograms, then every morsel scatters
+// its rows into its own range of each partition.
+template <typename KeyFn>
+PartitionedRows PartitionRows(size_t n, int bits, const KeyFn& key) {
+  const size_t parts = size_t{1} << bits;
+  constexpr uint16_t kNoPartition = 0xffff;  // a NaN key: matches nothing
+  std::vector<uint64_t> key_of(n);
+  std::vector<uint16_t> part_of(n);
+  auto hist = ParallelMapChunks<std::vector<uint32_t>>(
+      n, kMorselRows, [&](size_t, size_t begin, size_t end) {
+        std::vector<uint32_t> h(parts, 0);
+        for (size_t r = begin; r < end; ++r) {
+          const RowKey k = key(r);
+          key_of[r] = k.key;
+          part_of[r] = k.valid ? static_cast<uint16_t>(PartitionOf(k.key, bits))
+                               : kNoPartition;
+          if (k.valid) ++h[part_of[r]];
+        }
+        return h;
+      });
+  PartitionedRows out;
+  out.begin.resize(parts + 1);
+  std::vector<std::vector<uint32_t>> cursor(hist.size(),
+                                            std::vector<uint32_t>(parts));
+  uint32_t pos = 0;
+  for (size_t p = 0; p < parts; ++p) {
+    out.begin[p] = pos;
+    for (size_t m = 0; m < hist.size(); ++m) {
+      cursor[m][p] = pos;
+      pos += hist[m][p];
+    }
+  }
+  out.begin[parts] = pos;
+  out.rows.resize(pos);
+  out.keys.resize(pos);
+  ParallelChunks(n, kMorselRows, [&](size_t m, size_t begin, size_t end) {
+    std::vector<uint32_t>& at = cursor[m];
+    for (size_t r = begin; r < end; ++r) {
+      if (part_of[r] == kNoPartition) continue;
+      const uint32_t k = at[part_of[r]]++;
+      out.rows[k] = static_cast<uint32_t>(r);
+      out.keys[k] = key_of[r];
+    }
+  });
+  return out;
+}
+
+// Gives ids to n rows in order: row_of(k) is the k-th row and key_of(k)
+// its 64-bit key. Each gets the id of the earliest row already in `index`
+// with an equal key, or a new id whose first row is appended to `first_row`
+// (so first_row is indexed by id). same(a, b) is key equality of rows a and b.
+template <typename RowOf, typename KeyOf, typename Same>
+void AssignIds(size_t n, const RowOf& row_of, const KeyOf& key_of,
+               const Same& same, FlatMap64* index,
+               std::vector<uint32_t>* first_row, uint32_t* ids) {
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t row = row_of(k);
+    bool added = false;
+    ids[k] = index->FindOrAdd(
+        key_of(k), [&](uint32_t id) { return same(row, (*first_row)[id]); },
+        &added);
+    if (added) first_row->push_back(row);
+  }
+}
+
+// The match pairs of an equi-join in emission order: left-row order, each
+// left row's matches in ascending right index. `lkey`/`rkey` give a row's
+// RowKey on each side; `same_right(r, s)` is key equality of right rows r
+// and s, `same(i, r)` of left row i and right row r (constant true for
+// exact keys).
+//
+// The build groups the right rows by key in one flat CSR array (a stable
+// counting sort, so ascending within a key) and the probe records each
+// left row's span of it; count-then-fill then writes the pairs straight
+// into the output arrays in left-row order. A build side of more than one
+// partition's rows is hash-partitioned, the probe side alike, and each
+// partition is built and probed on its own with one cache-sized FlatMap64
+// the thread reuses; a smaller build side is one index that every left
+// morsel probes in row order.
+template <typename LKey, typename RKey, typename SameRight, typename Same>
+void JoinPairs(size_t ln, size_t rn, const LKey& lkey, const RKey& rkey,
+               const SameRight& same_right, const Same& same,
+               std::vector<uint32_t>* lidx, std::vector<uint32_t>* ridx) {
+  const int bits = JoinPartitionBits(rn);
+  const PartitionedRows right = PartitionRows(rn, bits, rkey);
+  std::vector<uint32_t> grouped(right.rows.size());  // right rows, by key
+  std::vector<uint32_t> span_begin(ln, 0);
+  std::vector<uint32_t> span_end(ln, 0);
+
+  // Indexes partition p's right rows by key and groups them into spans of
+  // `grouped`; returns the spans (group g is [offsets[g], offsets[g + 1])).
+  const auto build = [&](size_t p, FlatMap64* index) {
+    const uint32_t lo = right.begin[p];
+    const uint32_t hi = right.begin[p + 1];
+    index->Clear(hi - lo);
+    std::vector<uint32_t> group_of(hi - lo);
+    std::vector<uint32_t> first;  // group → its first right row
+    AssignIds(
+        hi - lo, [&](size_t k) { return right.rows[lo + k]; },
+        [&](size_t k) { return right.keys[lo + k]; }, same_right, index,
+        &first, group_of.data());
+    // A stable counting sort into group spans: ascending within a key.
+    std::vector<uint32_t> offsets(first.size() + 1, 0);
+    for (uint32_t g : group_of) ++offsets[g + 1];
+    offsets[0] = lo;
+    for (size_t g = 1; g < offsets.size(); ++g) offsets[g] += offsets[g - 1];
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (uint32_t k = lo; k < hi; ++k) {
+      grouped[fill[group_of[k - lo]]++] = right.rows[k];
+    }
+    return offsets;
+  };
+  // Records left row i's span of matching right rows.
+  const auto probe = [&](const FlatMap64& index,
+                         const std::vector<uint32_t>& offsets, uint32_t i,
+                         uint64_t key) {
+    const uint32_t g = index.Find(
+        key, [&](uint32_t id) { return same(i, grouped[offsets[id]]); });
+    if (g == FlatMap64::kNone) return;
+    span_begin[i] = offsets[g];
+    span_end[i] = offsets[g + 1];
+  };
+
+  if (bits == 0) {
+    // One partition: every left morsel probes the one index in row order.
+    FlatMap64 index;
+    const std::vector<uint32_t> offsets = build(0, &index);
+    ParallelChunks(ln, kMorselRows, [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const RowKey k = lkey(i);
+        if (k.valid) probe(index, offsets, static_cast<uint32_t>(i), k.key);
+      }
+    });
+  } else {
+    const PartitionedRows left = PartitionRows(ln, bits, lkey);
+    ParallelChunks(size_t{1} << bits, 1, [&](size_t p, size_t, size_t) {
+      WithTaskIndex(right.begin[p + 1] - right.begin[p], [&](FlatMap64& index) {
+        const std::vector<uint32_t> offsets = build(p, &index);
+        for (uint32_t k = left.begin[p]; k < left.begin[p + 1]; ++k) {
+          probe(index, offsets, left.rows[k], left.keys[k]);
+        }
+      });
+    });
+  }
+
+  auto counts = ParallelMapChunks<size_t>(
+      ln, kMorselRows, [&](size_t, size_t begin, size_t end) {
+        size_t matches = 0;
+        for (size_t i = begin; i < end; ++i) {
+          matches += span_end[i] - span_begin[i];
+        }
+        return matches;
+      });
+  std::vector<size_t> out_begin(counts.size() + 1, 0);
+  for (size_t m = 0; m < counts.size(); ++m) {
+    out_begin[m + 1] = out_begin[m] + counts[m];
+  }
+  lidx->resize(out_begin.back());
+  ridx->resize(out_begin.back());
+  ParallelChunks(ln, kMorselRows, [&](size_t m, size_t begin, size_t end) {
+    size_t w = out_begin[m];
+    for (size_t i = begin; i < end; ++i) {
+      for (uint32_t s = span_begin[i]; s < span_end[i]; ++s, ++w) {
+        (*lidx)[w] = static_cast<uint32_t>(i);
+        (*ridx)[w] = grouped[s];
+      }
+    }
+  });
+}
+
+// Join keys. Two INT64 columns key exactly on their bits (int-int equality
+// is exact), any other numeric pair on the canonical image of the double
+// value — exactly how CompareAt compares an int64 to a double.
+auto Int64Key(const Column& c) {
+  const int64_t* v = c.ints().data();
+  return [v](size_t i) { return RowKey{static_cast<uint64_t>(v[i]), true}; };
+}
+
+auto DoubleKey(const Column& c) {
+  return [&c](size_t i) {
+    const double d = NumericAt(c, i);
+    return RowKey{CanonicalDoubleKey(d), !KeyIsNaN(d)};
   };
 }
 
-auto DoubleKeyGetter(const Column& c) {
-  return [&c](size_t i) {
-    double d = NumericAt(c, i);
-    return NumKey{CanonicalDoubleKey(d), !KeyIsNaN(d)};
+auto StringKey(const Column& c) {
+  const std::string* v = c.strings().data();
+  return [v](size_t i) {
+    return RowKey{std::hash<std::string_view>{}(v[i]), true};
   };
 }
 
@@ -437,34 +519,25 @@ StatusOr<Table> HashJoin(const Table& left, const Table& right, int lkey, int rk
   const bool lstr = lc.type() == FieldType::kString;
   const bool rstr = rc.type() == FieldType::kString;
 
-  // Typed key dispatch.
-  std::vector<JoinPairs> pairs;
-  if (lstr != rstr) {
-    // A string never equals a numeric: empty result.
-  } else if (lstr) {
-    const std::vector<std::string>& lv = lc.strings();
-    const std::vector<std::string>& rv = rc.strings();
-    pairs = JoinProbe<std::string_view>(
-        lc, rc, [&](size_t i) { return std::string_view(lv[i]); },
-        [&](size_t i) { return std::string_view(rv[i]); });
-  } else if (lc.type() == FieldType::kInt64 && rc.type() == FieldType::kInt64) {
-    pairs = JoinProbeFlat(lc, rc, Int64KeyGetter(lc.ints()),
-                          Int64KeyGetter(rc.ints()));
-  } else {
-    // Mixed numeric (or double-double): key on the double value, which is
-    // exactly how ValuesEqual compares an int64 to a double.
-    pairs = JoinProbeFlat(lc, rc, DoubleKeyGetter(lc), DoubleKeyGetter(rc));
-  }
-
-  size_t total = 0;
-  for (const auto& p : pairs) total += p.lidx.size();
+  // Typed key dispatch. A string never equals a numeric, so mixed string /
+  // numeric keys join nothing.
   std::vector<uint32_t> lidx;
   std::vector<uint32_t> ridx;
-  lidx.reserve(total);
-  ridx.reserve(total);
-  for (const auto& p : pairs) {
-    lidx.insert(lidx.end(), p.lidx.begin(), p.lidx.end());
-    ridx.insert(ridx.end(), p.ridx.begin(), p.ridx.end());
+  const auto exact = [](size_t, size_t) { return true; };
+  if (lstr && rstr) {
+    const std::string* lv = lc.strings().data();
+    const std::string* rv = rc.strings().data();
+    JoinPairs(
+        left.num_rows(), right.num_rows(), StringKey(lc), StringKey(rc),
+        [rv](size_t r, size_t s) { return rv[r] == rv[s]; },
+        [lv, rv](size_t i, size_t r) { return lv[i] == rv[r]; }, &lidx, &ridx);
+  } else if (lc.type() == FieldType::kInt64 &&
+             rc.type() == FieldType::kInt64) {
+    JoinPairs(left.num_rows(), right.num_rows(), Int64Key(lc), Int64Key(rc),
+              exact, exact, &lidx, &ridx);
+  } else if (!lstr && !rstr) {
+    JoinPairs(left.num_rows(), right.num_rows(), DoubleKey(lc), DoubleKey(rc),
+              exact, exact, &lidx, &ridx);
   }
 
   // Gather output columns (key, left-rest, right-rest) in parallel — each
@@ -560,72 +633,148 @@ StatusOr<Table> UnionAll(const Table& a, const Table& b) {
 
 namespace {
 
-// Hash-bucketed row set over a table: full-row hash → row indices. The
-// kernels probe buckets with cross-table row equality, so ints and integral
-// doubles keep colliding exactly like the Value-keyed sets did.
-using RowBuckets = std::unordered_map<size_t, std::vector<uint32_t>>;
-
-RowBuckets BuildRowBuckets(const Table& t) {
-  RowBuckets buckets;
-  buckets.reserve(t.num_rows());
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    buckets[HashRowAllCols(t, i)].push_back(static_cast<uint32_t>(i));
-  }
-  return buckets;
-}
-
-bool BucketsContain(const RowBuckets& buckets, const Table& bt, size_t hash,
-                    const Table& t, size_t row) {
-  auto it = buckets.find(hash);
-  if (it == buckets.end()) {
-    return false;
-  }
-  for (uint32_t cand : it->second) {
-    if (RowEqualsAcross(t, row, bt, cand)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// INTERSECT / DIFFERENCE share their shape: a parallel membership scan of
-// `a` against a hashed row set of `b`, then a sequential first-occurrence
-// dedup emitting in `a` order.
-Table SetOpFilter(const Table& a, const Table& b, bool want_member) {
-  RowBuckets in_b = BuildRowBuckets(b);
-  std::vector<uint8_t> keep(a.num_rows(), 0);
-  ParallelChunks(a.num_rows(), kMorselRows,
-                 [&](size_t, size_t begin, size_t end) {
-                   for (size_t i = begin; i < end; ++i) {
-                     bool member = BucketsContain(in_b, b, HashRowAllCols(a, i),
-                                                  a, i);
-                     keep[i] = (member == want_member) ? 1 : 0;
-                   }
-                 });
-  RowBuckets emitted;
-  std::vector<uint32_t> out_idx;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (!keep[i]) continue;
-    size_t h = HashRowAllCols(a, i);
-    std::vector<uint32_t>& bucket = emitted[h];
-    bool dup = false;
-    for (uint32_t prev : bucket) {
-      if (RowEqualsAcross(a, i, a, prev)) {
-        dup = true;
+// Kernel row hash over `cols` of `t`, rows [begin, end) into out[0..): a
+// MixHash64 chain over each cell's 64-bit image. Numerics hash through the
+// canonical image of their double value, so cells that compare equal across
+// INT64 and DOUBLE columns hash alike. Unequal rows may collide; FlatMap64
+// callers resolve that with row equality.
+void RowKeyHashes(const Table& t, const std::vector<int>& cols, size_t begin,
+                  size_t end, uint64_t* out) {
+  std::fill(out, out + (end - begin), 0x9e3779b97f4a7c15ULL);
+  for (int c : cols) {
+    const Column& col = t.col(c);
+    switch (col.type()) {
+      case FieldType::kInt64: {
+        const int64_t* v = col.ints().data();
+        for (size_t i = begin; i < end; ++i) {
+          uint64_t& h = out[i - begin];
+          h = MixHash64(h ^ CanonicalDoubleKey(static_cast<double>(v[i])));
+        }
+        break;
+      }
+      case FieldType::kDouble: {
+        const double* v = col.doubles().data();
+        for (size_t i = begin; i < end; ++i) {
+          uint64_t& h = out[i - begin];
+          h = MixHash64(h ^ CanonicalDoubleKey(v[i]));
+        }
+        break;
+      }
+      case FieldType::kString: {
+        const std::string* v = col.strings().data();
+        std::hash<std::string_view> str_hash;
+        for (size_t i = begin; i < end; ++i) {
+          uint64_t& h = out[i - begin];
+          h = MixHash64(h ^ str_hash(v[i]));
+        }
         break;
       }
     }
-    if (!dup) {
-      bucket.push_back(static_cast<uint32_t>(i));
-      out_idx.push_back(static_cast<uint32_t>(i));
-    }
   }
-  return a.Gather(out_idx);
+}
+
+std::vector<int> AllColumns(const Table& t) {
+  std::vector<int> cols(t.num_fields());
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
+}
+
+// The rows of `t` hash-partitioned on their full-row kernel hash, `bits`
+// partition bits: equal rows share a partition.
+PartitionedRows PartitionFullRows(const Table& t, int bits) {
+  const std::vector<int> cols = AllColumns(t);
+  std::vector<uint64_t> hashes(t.num_rows());
+  ParallelChunks(t.num_rows(), kMorselRows,
+                 [&](size_t, size_t begin, size_t end) {
+                   RowKeyHashes(t, cols, begin, end, hashes.data() + begin);
+                 });
+  return PartitionRows(t.num_rows(), bits,
+                       [&](size_t i) { return RowKey{hashes[i], true}; });
+}
+
+// Indexes the rows k of partition p of `part` (rows of `t`, ascending) for
+// which take(k) holds, keeping each value's first occurrence: `index` ids
+// number the distinct values and first[id] is the value's first row.
+template <typename Take>
+void IndexFirstOccurrences(const Table& t, const PartitionedRows& part,
+                           size_t p, const Take& take, FlatMap64* index,
+                           std::vector<uint32_t>* first) {
+  const uint32_t lo = part.begin[p];
+  const uint32_t hi = part.begin[p + 1];
+  index->Clear(hi - lo);
+  first->clear();
+  for (uint32_t k = lo; k < hi; ++k) {
+    if (!take(k)) continue;
+    const uint32_t i = part.rows[k];
+    bool added = false;
+    index->FindOrAdd(
+        part.keys[k],
+        [&](uint32_t id) { return RowEqualsAcross(t, i, t, (*first)[id]); },
+        &added);
+    if (added) first->push_back(i);
+  }
+}
+
+// The rows of `t` with keep[i] set, in row order.
+Table GatherKept(const Table& t, const std::vector<uint8_t>& keep) {
+  auto parts = ParallelMapChunks<std::vector<uint32_t>>(
+      t.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
+        std::vector<uint32_t> kept;
+        CompactMask(keep.data() + begin, end - begin, begin, &kept);
+        return kept;
+      });
+  return t.Gather(ConcatIndices(parts));
+}
+
+// INTERSECT / DIFFERENCE share their shape. Both sides are partitioned on
+// the full-row hash, so equal rows meet in one partition; per partition, a
+// cache-sized index of `b`'s rows answers membership for `a`'s rows, and a
+// second pass keeps the first occurrence of each wanted `a` row. Emission
+// is in `a` order.
+Table SetOpFilter(const Table& a, const Table& b, bool want_member) {
+  const int bits = JoinPartitionBits(std::max(a.num_rows(), b.num_rows()));
+  const PartitionedRows pa = PartitionFullRows(a, bits);
+  const PartitionedRows pb = PartitionFullRows(b, bits);
+  std::vector<uint8_t> keep(a.num_rows(), 0);
+  ParallelChunks(size_t{1} << bits, 1, [&](size_t p, size_t, size_t) {
+    const uint32_t lo = pa.begin[p];
+    const uint32_t a_rows = pa.begin[p + 1] - lo;
+    const uint32_t b_rows = pb.begin[p + 1] - pb.begin[p];
+    WithTaskIndex(std::max(a_rows, b_rows), [&](FlatMap64& index) {
+      std::vector<uint32_t> first;
+      IndexFirstOccurrences(b, pb, p, [](uint32_t) { return true; }, &index,
+                            &first);
+      std::vector<uint8_t> wanted(a_rows);
+      for (uint32_t k = lo; k < pa.begin[p + 1]; ++k) {
+        const uint32_t i = pa.rows[k];
+        const bool member = index.Find(pa.keys[k], [&](uint32_t id) {
+                              return RowEqualsAcross(a, i, b, first[id]);
+                            }) != FlatMap64::kNone;
+        wanted[k - lo] = member == want_member ? 1 : 0;
+      }
+      IndexFirstOccurrences(
+          a, pa, p, [&](uint32_t k) { return wanted[k - lo] != 0; }, &index,
+          &first);
+      for (uint32_t i : first) keep[i] = 1;
+    });
+  });
+  return GatherKept(a, keep);
 }
 
 }  // namespace
 
 StatusOr<Table> Intersect(const Table& a, const Table& b) {
+  Span span("kernel.intersect", "kernel");
+  static Counter& calls =
+      MetricsRegistry::Global().counter("musketeer.relational.intersect.calls");
+  static Counter& rows = MetricsRegistry::Global().counter(
+      "musketeer.relational.intersect.input_rows");
+  calls.Increment();
+  rows.Increment(a.num_rows() + b.num_rows());
+  if (span.active()) {
+    span.SetAttr("left_rows", std::to_string(a.num_rows()));
+    span.SetAttr("right_rows", std::to_string(b.num_rows()));
+  }
   if (a.schema().num_fields() != b.schema().num_fields()) {
     return InvalidArgumentError("INTERSECT arity mismatch");
   }
@@ -635,6 +784,17 @@ StatusOr<Table> Intersect(const Table& a, const Table& b) {
 }
 
 StatusOr<Table> Difference(const Table& a, const Table& b) {
+  Span span("kernel.difference", "kernel");
+  static Counter& calls = MetricsRegistry::Global().counter(
+      "musketeer.relational.difference.calls");
+  static Counter& rows = MetricsRegistry::Global().counter(
+      "musketeer.relational.difference.input_rows");
+  calls.Increment();
+  rows.Increment(a.num_rows() + b.num_rows());
+  if (span.active()) {
+    span.SetAttr("left_rows", std::to_string(a.num_rows()));
+    span.SetAttr("right_rows", std::to_string(b.num_rows()));
+  }
   if (a.schema().num_fields() != b.schema().num_fields()) {
     return InvalidArgumentError("DIFFERENCE arity mismatch");
   }
@@ -644,133 +804,57 @@ StatusOr<Table> Difference(const Table& a, const Table& b) {
 }
 
 Table Distinct(const Table& in) {
-  // Chunk-local dedup (preserving chunk order), then a sequential global
-  // dedup over the chunk survivors in chunk order — emission order equals
-  // global first-occurrence order.
-  auto parts = ParallelMapChunks<std::vector<uint32_t>>(
-      in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        RowBuckets local;
-        std::vector<uint32_t> unique;
-        for (size_t i = begin; i < end; ++i) {
-          size_t h = HashRowAllCols(in, i);
-          std::vector<uint32_t>& bucket = local[h];
-          bool dup = false;
-          for (uint32_t prev : bucket) {
-            if (RowEqualsAcross(in, i, in, prev)) {
-              dup = true;
-              break;
-            }
-          }
-          if (!dup) {
-            bucket.push_back(static_cast<uint32_t>(i));
-            unique.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return unique;
-      });
-  RowBuckets seen;
-  std::vector<uint32_t> out_idx;
-  for (const auto& part : parts) {
-    for (uint32_t i : part) {
-      size_t h = HashRowAllCols(in, i);
-      std::vector<uint32_t>& bucket = seen[h];
-      bool dup = false;
-      for (uint32_t prev : bucket) {
-        if (RowEqualsAcross(in, i, in, prev)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) {
-        bucket.push_back(i);
-        out_idx.push_back(i);
-      }
-    }
+  Span span("kernel.distinct", "kernel");
+  static Counter& calls =
+      MetricsRegistry::Global().counter("musketeer.relational.distinct.calls");
+  static Counter& rows = MetricsRegistry::Global().counter(
+      "musketeer.relational.distinct.input_rows");
+  calls.Increment();
+  rows.Increment(in.num_rows());
+  if (span.active()) {
+    span.SetAttr("rows", std::to_string(in.num_rows()));
   }
-  return in.Gather(out_idx);
+  // Equal rows share a partition, so each partition keeps its own first
+  // occurrences.
+  const int bits = JoinPartitionBits(in.num_rows());
+  const PartitionedRows part = PartitionFullRows(in, bits);
+  std::vector<uint8_t> keep(in.num_rows(), 0);
+  ParallelChunks(size_t{1} << bits, 1, [&](size_t p, size_t, size_t) {
+    WithTaskIndex(part.begin[p + 1] - part.begin[p], [&](FlatMap64& index) {
+      std::vector<uint32_t> first;
+      IndexFirstOccurrences(in, part, p, [](uint32_t) { return true; },
+                            &index, &first);
+      for (uint32_t i : first) keep[i] = 1;
+    });
+  });
+  return GatherKept(in, keep);
 }
 
 namespace {
 
-// Partial aggregation over one morsel. Keys live in a columnar sub-table
-// (slot order = first-occurrence order); accumulators are flat slot-major
-// arrays instead of per-group heap objects.
-struct GroupPartial {
-  Table keys;
-  // Single-INT64-key fast path: key value → slot (flat open addressing; the
-  // probe loop is one mix + linear scan over contiguous arrays).
-  FlatMap64 int_slots;
-  // Generic path: full-key hash (HashRow formula) → candidate slots.
-  std::unordered_map<size_t, std::vector<uint32_t>> slots;
-  // Flattened [slot * num_aggs + j] accumulators.
-  std::vector<double> sums;
-  std::vector<double> mins;
-  std::vector<double> maxs;
-  std::vector<int64_t> counts;
-  size_t num_aggs = 0;
+// What GROUP BY accumulates per group besides the row count: the running
+// SUM, MIN or MAX of one column. Each AggFn reads only what it needs — SUM
+// a sum, MIN a min, MAX a max, AVG a sum and the count, COUNT the count —
+// and aggregates over the same (stat, column) share one accumulator.
+enum class StatKind { kSum, kMin, kMax };
 
-  size_t num_slots() const { return keys.num_rows(); }
-
-  void AddSlotAccs() {
-    for (size_t j = 0; j < num_aggs; ++j) {
-      sums.push_back(0.0);
-      mins.push_back(std::numeric_limits<double>::infinity());
-      maxs.push_back(-std::numeric_limits<double>::infinity());
-      counts.push_back(0);
-    }
-  }
+struct StatSpec {
+  StatKind kind;
+  int column;
 };
 
-// Folds `b` into `a`. Groups new to `a` append in `b`'s slot order, so the
-// merged first-occurrence order equals the first-occurrence order of the
-// concatenated inputs; the per-slot combines form the FP summation tree.
-void MergeGroupPartial(GroupPartial* a, GroupPartial&& b, bool int_fast_path) {
-  const size_t A = a->num_aggs;
-  for (size_t slot = 0; slot < b.num_slots(); ++slot) {
-    uint32_t dst = std::numeric_limits<uint32_t>::max();
-    if (int_fast_path) {
-      uint64_t key = static_cast<uint64_t>(b.keys.col(0).ints()[slot]);
-      bool inserted = false;
-      uint32_t* v = a->int_slots.FindOrInsert(
-          key, static_cast<uint32_t>(a->num_slots()), &inserted);
-      if (!inserted) dst = *v;
-    } else {
-      size_t h = HashRowAllCols(b.keys, slot);
-      std::vector<uint32_t>& bucket = a->slots[h];
-      for (uint32_t cand : bucket) {
-        if (RowEqualsAcross(b.keys, slot, a->keys, cand)) {
-          dst = cand;
-          break;
-        }
-      }
-      if (dst == std::numeric_limits<uint32_t>::max()) {
-        bucket.push_back(static_cast<uint32_t>(a->num_slots()));
-      }
-    }
-    if (dst == std::numeric_limits<uint32_t>::max()) {
-      a->keys.AppendRowFrom(b.keys, slot);
-      for (size_t j = 0; j < A; ++j) {
-        a->sums.push_back(b.sums[slot * A + j]);
-        a->mins.push_back(b.mins[slot * A + j]);
-        a->maxs.push_back(b.maxs[slot * A + j]);
-        a->counts.push_back(b.counts[slot * A + j]);
-      }
-      continue;
-    }
-    for (size_t j = 0; j < A; ++j) {
-      a->sums[dst * A + j] += b.sums[slot * A + j];
-      a->mins[dst * A + j] = std::min(a->mins[dst * A + j], b.mins[slot * A + j]);
-      a->maxs[dst * A + j] = std::max(a->maxs[dst * A + j], b.maxs[slot * A + j]);
-      a->counts[dst * A + j] += b.counts[slot * A + j];
-    }
-  }
-}
+// How GROUP BY keys rows for FlatMap64: a single INT64 group column keys
+// exactly; any other key — a DOUBLE, several columns, a string, or none at
+// all — keys on the row hash and compares the group cells.
+enum class GroupKey { kInt64, kHashed };
 
-// Validated group-by shapes: key and output schemas, int-key fast path.
+// Validated group-by shapes.
 struct GroupPlan {
-  Schema key_schema;
   Schema out_schema;
-  bool int_fast_path = false;
+  GroupKey key = GroupKey::kHashed;
+  std::vector<StatSpec> stats;
+  std::vector<int> stat_of_agg;  // agg → index into stats, -1 for COUNT
+  bool needs_count = false;
 };
 
 StatusOr<GroupPlan> PlanGroupBy(const Schema& in_schema,
@@ -798,7 +882,6 @@ StatusOr<GroupPlan> PlanGroupBy(const Schema& in_schema,
   }
   GroupPlan plan;
   for (int c : group_columns) {
-    plan.key_schema.AddField(in_schema.field(c));
     plan.out_schema.AddField(in_schema.field(c));
   }
   for (const AggSpec& a : aggs) {
@@ -811,168 +894,293 @@ StatusOr<GroupPlan> PlanGroupBy(const Schema& in_schema,
       t = FieldType::kInt64;
     }
     plan.out_schema.AddField({a.output_name, t});
+
+    int stat = -1;
+    if (a.fn != AggFn::kCount) {
+      const StatKind kind = a.fn == AggFn::kMin   ? StatKind::kMin
+                            : a.fn == AggFn::kMax ? StatKind::kMax
+                                                  : StatKind::kSum;
+      for (size_t s = 0; s < plan.stats.size(); ++s) {
+        if (plan.stats[s].kind == kind && plan.stats[s].column == a.column) {
+          stat = static_cast<int>(s);
+        }
+      }
+      if (stat < 0) {
+        stat = static_cast<int>(plan.stats.size());
+        plan.stats.push_back({kind, a.column});
+      }
+    }
+    plan.stat_of_agg.push_back(stat);
+    plan.needs_count |= a.fn == AggFn::kCount || a.fn == AggFn::kAvg;
   }
-  plan.int_fast_path =
-      group_columns.size() == 1 &&
-      in_schema.field(group_columns[0]).type == FieldType::kInt64;
+  if (group_columns.size() == 1 &&
+      in_schema.field(group_columns[0]).type == FieldType::kInt64) {
+    plan.key = GroupKey::kInt64;
+  }
   return plan;
 }
 
-// Accumulates rows [begin, end) of `src` into `part` — the phase-1 inner
-// loop of GroupByAgg.
-// Slot order is first-occurrence order of keys within the accumulated rows.
-void AccumulateGroupRows(GroupPartial* part, const Table& src, size_t begin,
-                         size_t end, const std::vector<int>& group_columns,
-                         const std::vector<AggSpec>& aggs, bool int_fast_path) {
-  const size_t A = aggs.size();
-  std::vector<const Column*> agg_cols(A, nullptr);
-  for (size_t j = 0; j < A; ++j) {
-    if (aggs[j].fn != AggFn::kCount) {
-      agg_cols[j] = &src.col(aggs[j].column);
-    }
+// One morsel's partial aggregate. Its groups ("slots") are numbered in
+// first-occurrence order within the morsel; accumulators are flat
+// slot-indexed arrays starting from (0.0, +inf, -inf, 0).
+struct MorselGroups {
+  std::vector<uint32_t> first_row;         // slot → first input row
+  std::vector<std::vector<double>> stats;  // stat → slot → accumulator
+  std::vector<int64_t> counts;             // slot → rows (if needed)
+  std::vector<uint32_t> group;             // slot → global group id
+};
+
+// True when rows i and j of `in` agree on every column of `cols`.
+bool RowsEqualOn(const Table& in, const std::vector<int>& cols, size_t i,
+                 size_t j) {
+  for (int c : cols) {
+    if (!in.col(c).EqualAt(i, in.col(c), j)) return false;
   }
-  const std::vector<int64_t>* int_keys =
-      int_fast_path ? &src.col(group_columns[0]).ints() : nullptr;
-  for (size_t i = begin; i < end; ++i) {
-    uint32_t slot = std::numeric_limits<uint32_t>::max();
-    if (int_fast_path) {
-      bool inserted = false;
-      uint32_t* v = part->int_slots.FindOrInsert(
-          static_cast<uint64_t>((*int_keys)[i]),
-          static_cast<uint32_t>(part->num_slots()), &inserted);
-      slot = *v;
-      if (inserted) {
-        part->keys.AppendRowFromCols(src, i, group_columns);
-        part->AddSlotAccs();
-      }
-    } else {
-      size_t h = HashRow(src, i, group_columns);
-      std::vector<uint32_t>& bucket = part->slots[h];
-      for (uint32_t cand : bucket) {
-        bool equal = true;
-        for (size_t k = 0; k < group_columns.size(); ++k) {
-          if (!src.col(group_columns[k]).EqualAt(i, part->keys.col(k), cand)) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) {
-          slot = cand;
-          break;
-        }
-      }
-      if (slot == std::numeric_limits<uint32_t>::max()) {
-        slot = static_cast<uint32_t>(part->num_slots());
-        bucket.push_back(slot);
-        part->keys.AppendRowFromCols(src, i, group_columns);
-        part->AddSlotAccs();
-      }
+  return true;
+}
+
+// Calls fn(key, same) with the row keying `plan.key` needs: key(row) is a
+// row's 64-bit key and same(a, b) group-key equality (see AssignIds). Exact
+// keys read the group column and need no comparison; hashed keys read
+// `row_hashes` and compare the group cells.
+template <typename Fn>
+void WithGroupKeys(const GroupPlan& plan, const Table& in,
+                   const std::vector<int>& group_columns,
+                   const std::vector<uint64_t>& row_hashes, const Fn& fn) {
+  const auto exact = [](uint32_t, uint32_t) { return true; };
+  switch (plan.key) {
+    case GroupKey::kInt64: {
+      const int64_t* v = in.col(group_columns[0]).ints().data();
+      fn([v](size_t row) { return static_cast<uint64_t>(v[row]); }, exact);
+      return;
     }
-    for (size_t j = 0; j < A; ++j) {
-      part->counts[slot * A + j] += 1;
-      if (aggs[j].fn == AggFn::kCount) {
-        continue;
-      }
-      double v = NumericAt(*agg_cols[j], i);
-      part->sums[slot * A + j] += v;
-      part->mins[slot * A + j] = std::min(part->mins[slot * A + j], v);
-      part->maxs[slot * A + j] = std::max(part->maxs[slot * A + j], v);
-    }
+    case GroupKey::kHashed:
+      fn([&](size_t row) { return row_hashes[row]; },
+         [&](uint32_t a, uint32_t b) {
+           return RowsEqualOn(in, group_columns, a, b);
+         });
+      return;
   }
 }
 
-// Phase 2 of GroupByAgg: fixed pairwise merge tree over the partials (merge
-// chunk 2p+step into 2p each round). The tree shape depends only on the
-// chunk count, never the thread count — FP results are bit-stable.
-void MergePartialsTree(std::vector<GroupPartial>* partials,
-                       bool int_fast_path) {
-  for (size_t step = 1; step < partials->size(); step *= 2) {
-    size_t pairs = 0;
-    for (size_t l = 0; l + step < partials->size(); l += 2 * step) ++pairs;
-    ParallelChunks(pairs, 1, [&](size_t p, size_t, size_t) {
-      const size_t l = 2 * step * p;
-      MergeGroupPartial(&(*partials)[l], std::move((*partials)[l + step]),
-                        int_fast_path);
-    });
-  }
-}
+// Phase 1 of GroupByAgg over rows [begin, end): slots in first-occurrence
+// order, then one tight typed loop per accumulator over the morsel's rows
+// (per slot, the same row-order operation sequence as a row-at-a-time loop).
+MorselGroups AccumulateMorsel(const Table& in,
+                              const std::vector<int>& group_columns,
+                              const GroupPlan& plan,
+                              const std::vector<uint64_t>& row_hashes,
+                              size_t begin, size_t end) {
+  const size_t n = end - begin;
+  MorselGroups part;
+  std::vector<uint32_t> slot_of(n);
+  part.first_row.reserve(n);
+  WithTaskIndex(n, [&](FlatMap64& index) {
+    index.Clear(n);
+    WithGroupKeys(plan, in, group_columns, row_hashes,
+                  [&](const auto& key, const auto& same) {
+                    AssignIds(
+                        n,
+                        [begin](size_t k) {
+                          return static_cast<uint32_t>(begin + k);
+                        },
+                        [&](size_t k) { return key(begin + k); }, same,
+                        &index, &part.first_row, slot_of.data());
+                  });
+  });
+  const size_t slots = part.first_row.size();
 
-// Output fill of GroupByAgg: releases the merged key table, computes the
-// aggregate columns slot-parallel, and handles the empty-input
-// global-aggregate edge (`emit_empty_global_row`).
-Table FinalizeGroupPartials(std::vector<GroupPartial>&& partials,
-                            const Schema& out_schema, size_t num_group_cols,
-                            const std::vector<AggSpec>& aggs, double scale,
-                            bool emit_empty_global_row) {
-  const size_t A = aggs.size();
-  Table out(out_schema);
-  out.set_scale(scale);
-  if (!partials.empty()) {
-    GroupPartial& groups = partials[0];
-    const size_t num_groups = groups.num_slots();
-    std::vector<Column> cols = groups.keys.ReleaseColumns();
-    cols.resize(out_schema.num_fields());
-    // Fill the aggregate output columns slot-parallel (each column is an
-    // independent dense array).
-    for (size_t j = 0; j < A; ++j) {
-      Column& c = cols[num_group_cols + j];
-      c = Column(out_schema.field(num_group_cols + j).type);
-      c.Resize(num_groups);
-    }
-    ParallelChunks(num_groups, kMorselRows,
-                   [&](size_t, size_t begin, size_t end) {
-      for (size_t g = begin; g < end; ++g) {
-        for (size_t j = 0; j < A; ++j) {
-          double v = 0;
-          switch (aggs[j].fn) {
-            case AggFn::kSum:
-              v = groups.sums[g * A + j];
-              break;
-            case AggFn::kCount:
-              v = static_cast<double>(groups.counts[g * A + j]);
-              break;
-            case AggFn::kMin:
-              v = groups.mins[g * A + j];
-              break;
-            case AggFn::kMax:
-              v = groups.maxs[g * A + j];
-              break;
-            case AggFn::kAvg:
-              v = groups.counts[g * A + j] > 0
-                      ? groups.sums[g * A + j] /
-                            static_cast<double>(groups.counts[g * A + j])
-                      : 0;
-              break;
-          }
-          Column& c = cols[num_group_cols + j];
-          if (c.type() == FieldType::kInt64) {
-            (*c.mutable_ints())[g] = static_cast<int64_t>(v);
-          } else {
-            (*c.mutable_doubles())[g] = v;
-          }
+  part.stats.resize(plan.stats.size());
+  for (size_t s = 0; s < plan.stats.size(); ++s) {
+    const StatSpec& spec = plan.stats[s];
+    std::vector<double>& acc = part.stats[s];
+    const auto fold = [&](auto op) {
+      const Column& c = in.col(spec.column);
+      if (c.type() == FieldType::kInt64) {
+        const int64_t* v = c.ints().data() + begin;
+        for (size_t k = 0; k < n; ++k) {
+          double& a = acc[slot_of[k]];
+          a = op(a, static_cast<double>(v[k]));
         }
-      }
-    });
-    out = Table::FromColumns(out_schema, std::move(cols));
-    out.set_scale(scale);
-  }
-
-  // Handle the empty-input global aggregate: SQL-ish engines return one row
-  // of zero counts; the paper's operators never hit this edge, but tests do.
-  if (emit_empty_global_row) {
-    Row r;
-    for (const AggSpec& a : aggs) {
-      if (a.fn == AggFn::kCount) {
-        r.push_back(static_cast<int64_t>(0));
-      } else if (out_schema.field(r.size()).type == FieldType::kInt64) {
-        r.push_back(static_cast<int64_t>(0));
       } else {
-        r.push_back(0.0);
+        const double* v = c.doubles().data() + begin;
+        for (size_t k = 0; k < n; ++k) {
+          double& a = acc[slot_of[k]];
+          a = op(a, v[k]);
+        }
+      }
+    };
+    switch (spec.kind) {
+      case StatKind::kSum:
+        acc.assign(slots, 0.0);
+        fold([](double a, double v) { return a + v; });
+        break;
+      case StatKind::kMin:
+        acc.assign(slots, std::numeric_limits<double>::infinity());
+        fold([](double a, double v) { return std::min(a, v); });
+        break;
+      case StatKind::kMax:
+        acc.assign(slots, -std::numeric_limits<double>::infinity());
+        fold([](double a, double v) { return std::max(a, v); });
+        break;
+    }
+  }
+  if (plan.needs_count) {
+    part.counts.assign(slots, 0);
+    for (size_t k = 0; k < n; ++k) ++part.counts[slot_of[k]];
+  }
+  return part;
+}
+
+// Phase 2 of GroupByAgg: global group ids, assigned once from each morsel's
+// slots in morsel order — so group order is global first-occurrence order.
+// Returns each group's first input row.
+std::vector<uint32_t> AssignGroups(const Table& in,
+                                   const std::vector<int>& group_columns,
+                                   const GroupPlan& plan,
+                                   const std::vector<uint64_t>& row_hashes,
+                                   std::vector<MorselGroups>* parts) {
+  if (parts->size() == 1) {  // one morsel: its slots are the groups
+    MorselGroups& only = (*parts)[0];
+    only.group.resize(only.first_row.size());
+    std::iota(only.group.begin(), only.group.end(), 0);
+    return only.first_row;
+  }
+  size_t total = 0;
+  for (const MorselGroups& p : *parts) total += p.first_row.size();
+  FlatMap64 index(total);
+  std::vector<uint32_t> first_row;
+  first_row.reserve(total);
+  WithGroupKeys(plan, in, group_columns, row_hashes,
+                [&](const auto& key, const auto& same) {
+                  for (MorselGroups& p : *parts) {
+                    p.group.resize(p.first_row.size());
+                    AssignIds(
+                        p.first_row.size(),
+                        [&p](size_t s) { return p.first_row[s]; },
+                        [&](size_t s) { return key(p.first_row[s]); }, same,
+                        &index, &first_row, p.group.data());
+                  }
+                });
+  return first_row;
+}
+
+// Phases 3 and 4 of GroupByAgg: combine each group's morsel partials along
+// the fixed pairwise merge tree and evaluate the aggregates.
+//
+// The tree is the one that merging partial l+step into partial l, for
+// step = 1, 2, 4, ..., builds over the morsels: a binary tree whose node
+// combines its children (left, then right) when both hold the group and
+// passes the one that does through otherwise. A group's partials are its
+// leaves, listed in ascending morsel order; the node joining two of them
+// splits the list at the highest bit in which their morsel indices differ.
+class GroupTree {
+ public:
+  GroupTree(const GroupPlan& plan, const std::vector<MorselGroups>& parts,
+            size_t num_groups)
+      : plan_(plan), num_stats_(plan.stats.size()) {
+    // Leaves in CSR form: group → [leaf_begin_[g], leaf_begin_[g + 1]).
+    leaf_begin_.assign(num_groups + 1, 0);
+    for (const MorselGroups& p : parts) {
+      for (uint32_t g : p.group) ++leaf_begin_[g + 1];
+    }
+    for (size_t g = 0; g < num_groups; ++g) {
+      leaf_begin_[g + 1] += leaf_begin_[g];
+    }
+    leaf_morsel_.resize(leaf_begin_.back());
+    leaf_slot_.resize(leaf_begin_.back());
+    std::vector<uint32_t> fill(leaf_begin_.begin(), leaf_begin_.end() - 1);
+    for (size_t m = 0; m < parts.size(); ++m) {
+      for (size_t s = 0; s < parts[m].group.size(); ++s) {
+        const uint32_t k = fill[parts[m].group[s]]++;
+        leaf_morsel_[k] = static_cast<uint32_t>(m);
+        leaf_slot_[k] = static_cast<uint32_t>(s);
       }
     }
-    out.AddRow(std::move(r));
+    stat_data_.resize(num_stats_ * parts.size());
+    count_data_.resize(parts.size());
+    for (size_t m = 0; m < parts.size(); ++m) {
+      for (size_t t = 0; t < num_stats_; ++t) {
+        stat_data_[m * num_stats_ + t] = parts[m].stats[t].data();
+      }
+      count_data_[m] = parts[m].counts.data();
+    }
   }
-  return out;
+
+  size_t num_leaves() const { return leaf_morsel_.size(); }
+
+  // Scratch for Reduce: one stats vector per tree level.
+  std::vector<double> NewScratch() const {
+    return std::vector<double>(num_stats_ * 33);
+  }
+
+  // Reduces group g's partials into stats[0..num_stats) and *count.
+  void Reduce(size_t g, double* stats, int64_t* count,
+              double* scratch) const {
+    ReduceLeaves(leaf_begin_[g], leaf_begin_[g + 1], stats, count, scratch);
+  }
+
+ private:
+  void ReduceLeaves(uint32_t lo, uint32_t hi, double* stats, int64_t* count,
+                    double* scratch) const {
+    if (hi - lo == 1) {
+      const uint32_t m = leaf_morsel_[lo];
+      const uint32_t s = leaf_slot_[lo];
+      for (size_t t = 0; t < num_stats_; ++t) {
+        stats[t] = stat_data_[m * num_stats_ + t][s];
+      }
+      if (plan_.needs_count) *count = count_data_[m][s];
+      return;
+    }
+    const uint32_t bit =
+        std::bit_floor(leaf_morsel_[lo] ^ leaf_morsel_[hi - 1]);
+    const uint32_t mid = static_cast<uint32_t>(
+        std::partition_point(
+            leaf_morsel_.begin() + lo, leaf_morsel_.begin() + hi,
+            [bit](uint32_t m) { return (m & bit) == 0; }) -
+        leaf_morsel_.begin());
+    ReduceLeaves(lo, mid, stats, count, scratch + num_stats_);
+    int64_t right_count = 0;
+    ReduceLeaves(mid, hi, scratch, &right_count, scratch + num_stats_);
+    for (size_t t = 0; t < num_stats_; ++t) {
+      switch (plan_.stats[t].kind) {
+        case StatKind::kSum:
+          stats[t] += scratch[t];
+          break;
+        case StatKind::kMin:
+          stats[t] = std::min(stats[t], scratch[t]);
+          break;
+        case StatKind::kMax:
+          stats[t] = std::max(stats[t], scratch[t]);
+          break;
+      }
+    }
+    *count += right_count;
+  }
+
+  const GroupPlan& plan_;
+  const size_t num_stats_;
+  std::vector<uint32_t> leaf_begin_;
+  std::vector<uint32_t> leaf_morsel_;
+  std::vector<uint32_t> leaf_slot_;
+  std::vector<const double*> stat_data_;  // [morsel * num_stats + stat]
+  std::vector<const int64_t*> count_data_;
+};
+
+// The output of an empty-input global aggregate: SQL-ish engines return one
+// row of zero counts; the paper's operators never hit this edge, but tests
+// do.
+Row EmptyGlobalRow(const Schema& out_schema, const std::vector<AggSpec>& aggs) {
+  Row r;
+  for (const AggSpec& a : aggs) {
+    if (a.fn == AggFn::kCount ||
+        out_schema.field(r.size()).type == FieldType::kInt64) {
+      r.push_back(static_cast<int64_t>(0));
+    } else {
+      r.push_back(0.0);
+    }
+  }
+  return r;
 }
 
 }  // namespace
@@ -993,22 +1201,79 @@ StatusOr<Table> GroupByAgg(const Table& in, const std::vector<int>& group_column
   if (!plan_or.ok()) return plan_or.status();
   const GroupPlan& plan = plan_or.value();
 
-  // Phase 1: thread-local partial aggregates, one per morsel. Every AggFn is
-  // associative (AVG decomposes into (sum, count)), so partials combine.
-  auto partials = ParallelMapChunks<GroupPartial>(
+  // Hashed keys hash every row once, for both phases that look keys up.
+  std::vector<uint64_t> row_hashes;
+  if (plan.key == GroupKey::kHashed) {
+    row_hashes.resize(in.num_rows());
+    ParallelChunks(in.num_rows(), kMorselRows,
+                   [&](size_t, size_t begin, size_t end) {
+                     RowKeyHashes(in, group_columns, begin, end,
+                                  row_hashes.data() + begin);
+                   });
+  }
+  // Phase 1: one partial aggregate per morsel. Every AggFn is associative
+  // (AVG decomposes into (sum, count)), so partials combine.
+  std::vector<MorselGroups> parts = ParallelMapChunks<MorselGroups>(
       in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-        GroupPartial part;
-        part.num_aggs = aggs.size();
-        part.keys = Table(plan.key_schema);
-        AccumulateGroupRows(&part, in, begin, end, group_columns, aggs,
-                            plan.int_fast_path);
-        return part;
+        return AccumulateMorsel(in, group_columns, plan, row_hashes, begin,
+                                end);
       });
+  const std::vector<uint32_t> first_row =
+      AssignGroups(in, group_columns, plan, row_hashes, &parts);
+  const size_t num_groups = first_row.size();
+  const GroupTree tree(plan, parts, num_groups);
 
-  MergePartialsTree(&partials, plan.int_fast_path);
-  return FinalizeGroupPartials(
-      std::move(partials), plan.out_schema, group_columns.size(), aggs,
-      in.scale(), group_columns.empty() && in.num_rows() == 0);
+  std::vector<Column> cols;
+  cols.reserve(plan.out_schema.num_fields());
+  for (int c : group_columns) {
+    cols.push_back(in.col(c).Gather(first_row));
+  }
+  const size_t num_group_cols = group_columns.size();
+  for (size_t j = 0; j < aggs.size(); ++j) {
+    cols.emplace_back(plan.out_schema.field(num_group_cols + j).type);
+    cols.back().Resize(num_groups);
+  }
+  // Groups are independent, so any chunking of them gives the same bits;
+  // the grain spreads about kMorselRows partials over each task.
+  const size_t grain = std::max<size_t>(
+      1, num_groups * kMorselRows / std::max<size_t>(1, tree.num_leaves()));
+  ParallelChunks(num_groups, grain, [&](size_t, size_t begin, size_t end) {
+    std::vector<double> stats(plan.stats.size());
+    std::vector<double> scratch = tree.NewScratch();
+    int64_t count = 0;
+    for (size_t g = begin; g < end; ++g) {
+      tree.Reduce(g, stats.data(), &count, scratch.data());
+      for (size_t j = 0; j < aggs.size(); ++j) {
+        const int s = plan.stat_of_agg[j];
+        double v = 0;
+        switch (aggs[j].fn) {
+          case AggFn::kSum:
+          case AggFn::kMin:
+          case AggFn::kMax:
+            v = stats[s];
+            break;
+          case AggFn::kCount:
+            v = static_cast<double>(count);
+            break;
+          case AggFn::kAvg:
+            v = count > 0 ? stats[s] / static_cast<double>(count) : 0;
+            break;
+        }
+        Column& c = cols[num_group_cols + j];
+        if (c.type() == FieldType::kInt64) {
+          (*c.mutable_ints())[g] = static_cast<int64_t>(v);
+        } else {
+          (*c.mutable_doubles())[g] = v;
+        }
+      }
+    }
+  });
+  Table out = Table::FromColumns(plan.out_schema, std::move(cols));
+  out.set_scale(in.scale());
+  if (group_columns.empty() && in.num_rows() == 0) {
+    out.AddRow(EmptyGlobalRow(plan.out_schema, aggs));
+  }
+  return out;
 }
 
 StatusOr<Table> ExtremeRow(const Table& in, int column, bool take_max) {

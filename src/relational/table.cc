@@ -114,18 +114,6 @@ Table Table::Gather(const std::vector<uint32_t>& idx) const {
   return out;
 }
 
-std::vector<Column> Table::ReleaseColumns() {
-  std::vector<Column> out = std::move(cols_);
-  cols_.clear();
-  cols_.reserve(schema_.num_fields());
-  for (const Field& f : schema_.fields()) {
-    cols_.emplace_back(f.type);
-  }
-  num_rows_ = 0;
-  InvalidateAvgRowBytes();
-  return out;
-}
-
 Status Table::Validate() const {
   if (cols_.size() != schema_.num_fields()) {
     return InternalError("table has " + std::to_string(cols_.size()) +
@@ -282,8 +270,8 @@ bool Table::Identical(const Table& a, const Table& b) {
     }
   }
   for (size_t c = 0; c < a.num_fields(); ++c) {
-    // Typed vector ==: same length and bit-identical cells. No cross-numeric
-    // coercion and no floating-point tolerance.
+    // Same length and bit-identical cells. No cross-numeric coercion and no
+    // floating-point tolerance.
     if (!a.col(c).IdenticalTo(b.col(c))) {
       return false;
     }

@@ -166,19 +166,6 @@ class Table {
     InvalidateAvgRowBytes();
   }
 
-  // Appends src row `i` restricted to src columns `cols` (in that order);
-  // this table's column types must match those src columns. Used by the
-  // group-by kernel to collect key rows without materialization.
-  void AppendRowFromCols(const Table& src, size_t i,
-                         const std::vector<int>& cols) {
-    assert(cols.size() == cols_.size());
-    for (size_t k = 0; k < cols_.size(); ++k) {
-      cols_[k].AppendFrom(src.cols_[cols[k]], i);
-    }
-    ++num_rows_;
-    InvalidateAvgRowBytes();
-  }
-
   // Splices `other` onto the end. A default-constructed (schema-less) table
   // adopts `other` wholesale — the engines' shuffle buckets start empty and
   // take their schema from the first append.
@@ -190,10 +177,6 @@ class Table {
 
   // New table with the rows at `idx` in `idx` order; keeps schema and scale.
   Table Gather(const std::vector<uint32_t>& idx) const;
-
-  // Releases the column vector (e.g. to re-assemble into a wider table).
-  // The table is left empty.
-  std::vector<Column> ReleaseColumns();
 
   // Validates the structural invariant: one column per schema field, every
   // column of the schema's type and of num_rows() length. (Cell-level type
@@ -259,15 +242,6 @@ class Table {
 inline size_t HashRow(const Table& t, size_t row, const std::vector<int>& cols) {
   size_t h = 0x9e3779b97f4a7c15ULL;
   for (int c : cols) {
-    h ^= t.col(c).HashAt(row) + 0x9e3779b9 + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-// Row hash over all columns (RowHash over a full materialized row).
-inline size_t HashRowAllCols(const Table& t, size_t row) {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t c = 0; c < t.num_fields(); ++c) {
     h ^= t.col(c).HashAt(row) + 0x9e3779b9 + (h << 6) + (h >> 2);
   }
   return h;

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/base/parallel.h"
 #include "src/ir/expr.h"
@@ -107,6 +109,22 @@ TEST(ColumnTest, IdenticalToIsExact) {
   EXPECT_FALSE(a.IdenticalTo(b));
   Column a2 = a;
   EXPECT_TRUE(a.IdenticalTo(a2));
+}
+
+TEST(ColumnTest, IdenticalComparesDoublesByBitPattern) {
+  const Schema s({{"v", FieldType::kDouble}});
+  const auto table_of = [&](double v) {
+    Table t(s);
+    t.AddRow({Value(v)});
+    return t;
+  };
+  // A NaN cell is identical to the same NaN, though NaN != NaN.
+  const Table nan = table_of(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(Table::Identical(nan, nan));
+  EXPECT_TRUE(Table::Identical(nan, Table(nan)));
+  // -0.0 == +0.0, but they are different bits and not identical.
+  EXPECT_TRUE(Table::Identical(table_of(0.0), table_of(0.0)));
+  EXPECT_FALSE(Table::Identical(table_of(-0.0), table_of(0.0)));
 }
 
 // --- Table over columns -------------------------------------------------
@@ -328,6 +346,261 @@ TEST(VectorizedKernelTest, IntKeyGroupByNegativeKeysMatchRowOracle) {
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_TRUE(Table::Identical(*expected, *got));
   }
+}
+
+// --- Hash kernels vs the row oracle at the workflows' shapes -------------
+
+// The key shapes the sweep covers. kMixed keys the left/`a` side on INT64
+// and the right/`b` side on DOUBLE (integral values, so they match across
+// types); kTwoColumn groups on an (INT64, STRING) pair.
+enum class SweepKey { kInt64, kDouble, kMixed, kString, kTwoColumn };
+
+const char* SweepKeyName(SweepKey k) {
+  switch (k) {
+    case SweepKey::kInt64:
+      return "int64";
+    case SweepKey::kDouble:
+      return "double";
+    case SweepKey::kMixed:
+      return "mixed";
+    case SweepKey::kString:
+      return "string";
+    case SweepKey::kTwoColumn:
+      return "two-column";
+  }
+  return "?";
+}
+
+// A seeded table of `rows` rows whose key is drawn from `cardinality` key
+// ids (cardinality == rows: every row its own id, in reverse order), then
+// a small-range INT64 `v` (so full rows repeat, for the set operators) and
+// a DOUBLE `x` whose summation order shows in its low bits. Double keys map
+// id 0 to alternating +0.0 / -0.0 and id 1 to NaN; `right_side` selects the
+// DOUBLE half of a kMixed pair.
+Table MakeSweepTable(SweepKey key, size_t rows, size_t cardinality,
+                     uint64_t seed, bool right_side) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Field> fields;
+  switch (key) {
+    case SweepKey::kInt64:
+      fields.push_back({"k", FieldType::kInt64});
+      break;
+    case SweepKey::kDouble:
+      fields.push_back({"k", FieldType::kDouble});
+      break;
+    case SweepKey::kMixed:
+      fields.push_back(
+          {"k", right_side ? FieldType::kDouble : FieldType::kInt64});
+      break;
+    case SweepKey::kString:
+      fields.push_back({"k", FieldType::kString});
+      break;
+    case SweepKey::kTwoColumn:
+      fields.push_back({"k", FieldType::kInt64});
+      fields.push_back({"tag", FieldType::kString});
+      break;
+  }
+  fields.push_back({"v", FieldType::kInt64});
+  fields.push_back({"x", FieldType::kDouble});
+  Table t{Schema(fields)};
+  uint64_t state = seed;
+  for (size_t i = 0; i < rows; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const int64_t id = cardinality >= rows
+                           ? static_cast<int64_t>(rows - 1 - i)
+                           : static_cast<int64_t>((state >> 33) % cardinality);
+    Row row;
+    switch (key) {
+      case SweepKey::kInt64:
+        row.push_back(id);
+        break;
+      case SweepKey::kDouble:
+        row.push_back(id == 0   ? (i % 2 == 0 ? 0.0 : -0.0)
+                      : id == 1 ? nan
+                                : static_cast<double>(id) * 0.5);
+        break;
+      case SweepKey::kMixed:
+        if (right_side) {
+          row.push_back(static_cast<double>(id));
+        } else {
+          row.push_back(id);
+        }
+        break;
+      case SweepKey::kString:
+        row.push_back("k" + std::to_string(id));
+        break;
+      case SweepKey::kTwoColumn:
+        row.push_back(id / 3);
+        row.push_back("t" + std::to_string(id % 3));
+        break;
+    }
+    row.push_back(static_cast<int64_t>((state >> 17) % 2));
+    row.push_back(static_cast<double>(static_cast<int64_t>(state % 100003)) /
+                  7.0);
+    t.AddRow(std::move(row));
+  }
+  return t;
+}
+
+struct SweepCase {
+  SweepKey key;
+  size_t rows;
+  size_t cardinality;
+  std::string Name() const {
+    return std::string(SweepKeyName(key)) + " rows=" + std::to_string(rows) +
+           " cardinality=" + std::to_string(cardinality);
+  }
+};
+
+// Every key shape × cardinality {1, 97, rows/2, all-unique} × size {0, 1,
+// kMorselRows±1, 3·kMorselRows+17}: single morsels, exact morsel edges and
+// groups ≈ rows spread across morsels.
+std::vector<SweepCase> SweepCases() {
+  std::vector<SweepCase> cases;
+  for (SweepKey key : {SweepKey::kInt64, SweepKey::kDouble, SweepKey::kMixed,
+                       SweepKey::kString, SweepKey::kTwoColumn}) {
+    for (size_t rows : {size_t{0}, size_t{1}, kMorselRows - 1, kMorselRows + 1,
+                        3 * kMorselRows + 17}) {
+      for (size_t cardinality :
+           {size_t{1}, size_t{97}, std::max<size_t>(1, rows / 2), rows}) {
+        if (cardinality == 0) continue;
+        cases.push_back({key, rows, cardinality});
+      }
+    }
+  }
+  return cases;
+}
+
+// Runs `kernel` at widths 1 and 4 and requires Table::Identical to `oracle`.
+template <typename Kernel>
+void ExpectKernelMatchesOracle(const Table& oracle, const Kernel& kernel,
+                               const std::string& what) {
+  for (int threads : {1, 4}) {
+    ScopedParallelThreads width(threads);
+    const Table got = kernel();
+    EXPECT_TRUE(Table::Identical(oracle, got))
+        << what << " diverged from the row oracle at " << threads
+        << " thread(s)";
+  }
+}
+
+// The group columns of a sweep table: the key column(s).
+std::vector<int> SweepGroupColumns(SweepKey key) {
+  return key == SweepKey::kTwoColumn ? std::vector<int>{0, 1}
+                                     : std::vector<int>{0};
+}
+
+TEST(KernelOracleSweepTest, GroupByMatchesRowOracle) {
+  for (const SweepCase& c : SweepCases()) {
+    const Table in = MakeSweepTable(c.key, c.rows, c.cardinality, 11, false);
+    const int v = c.key == SweepKey::kTwoColumn ? 2 : 1;
+    const std::vector<AggSpec> aggs{{AggFn::kSum, v + 1, "sx"},
+                                    {AggFn::kAvg, v + 1, "ax"},
+                                    {AggFn::kMin, v, "mn"},
+                                    {AggFn::kMax, v + 1, "mx"},
+                                    {AggFn::kCount, 0, "c"}};
+    for (const std::vector<int>& group :
+         {SweepGroupColumns(c.key), std::vector<int>{}}) {
+      auto expected = rowref::GroupByAgg(in, group, aggs);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ExpectKernelMatchesOracle(
+          *expected,
+          [&] { return std::move(GroupByAgg(in, group, aggs)).value(); },
+          "GROUP BY (" + std::to_string(group.size()) + " columns) " +
+              c.Name());
+    }
+  }
+}
+
+TEST(KernelOracleSweepTest, HashJoinMatchesRowOracle) {
+  for (const SweepCase& c : SweepCases()) {
+    // Low-cardinality keys cross-multiply, so keep the build side to about
+    // three rows per key there.
+    const size_t right_rows = c.cardinality >= c.rows / 2
+                                  ? c.rows
+                                  : std::min(c.rows, 3 * c.cardinality);
+    const Table left = MakeSweepTable(c.key, c.rows, c.cardinality, 21, false);
+    const Table right =
+        MakeSweepTable(c.key, right_rows, c.cardinality, 22, true);
+    auto expected = rowref::HashJoin(left, right, 0, 0);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectKernelMatchesOracle(
+        *expected,
+        [&] { return std::move(HashJoin(left, right, 0, 0)).value(); },
+        "JOIN " + c.Name());
+  }
+}
+
+// The set operators compare whole rows: the key column(s) and `v`.
+Table SweepSetTable(const SweepCase& c, uint64_t seed, bool right_side) {
+  std::vector<int> cols = SweepGroupColumns(c.key);
+  cols.push_back(static_cast<int>(cols.size()));
+  return std::move(ProjectColumns(MakeSweepTable(c.key, c.rows, c.cardinality,
+                                                 seed, right_side),
+                                  cols))
+      .value();
+}
+
+TEST(KernelOracleSweepTest, IntersectMatchesRowOracle) {
+  for (const SweepCase& c : SweepCases()) {
+    const Table a = SweepSetTable(c, 31, false);
+    const Table b = SweepSetTable(c, 32, true);
+    auto expected = rowref::Intersect(a, b);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectKernelMatchesOracle(
+        *expected, [&] { return std::move(Intersect(a, b)).value(); },
+        "INTERSECT " + c.Name());
+  }
+}
+
+TEST(KernelOracleSweepTest, DifferenceMatchesRowOracle) {
+  for (const SweepCase& c : SweepCases()) {
+    const Table a = SweepSetTable(c, 41, false);
+    const Table b = SweepSetTable(c, 42, true);
+    auto expected = rowref::Difference(a, b);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectKernelMatchesOracle(
+        *expected, [&] { return std::move(Difference(a, b)).value(); },
+        "DIFFERENCE " + c.Name());
+  }
+}
+
+TEST(KernelOracleSweepTest, DistinctMatchesRowOracle) {
+  for (const SweepCase& c : SweepCases()) {
+    const Table in = SweepSetTable(c, 51, false);
+    ExpectKernelMatchesOracle(rowref::Distinct(in),
+                              [&] { return Distinct(in); },
+                              "DISTINCT " + c.Name());
+  }
+}
+
+// A hot key puts more rows in one partition than the index a thread keeps
+// between tasks holds (2^15 ids); those partitions get an index of their own.
+TEST(KernelOracleSweepTest, SkewedPartitionsMatchRowOracle) {
+  const SweepCase c{SweepKey::kInt64, 10 * kMorselRows, 1};
+  const Table left = MakeSweepTable(c.key, 2, 1, 61, false);
+  const Table right = MakeSweepTable(c.key, c.rows, 1, 62, true);
+  auto joined = rowref::HashJoin(left, right, 0, 0);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  ExpectKernelMatchesOracle(
+      *joined, [&] { return std::move(HashJoin(left, right, 0, 0)).value(); },
+      "JOIN on a hot key");
+
+  // Two distinct rows, about 40k copies of each.
+  const Table a = SweepSetTable(c, 63, false);
+  const Table b = SweepSetTable(c, 64, true);
+  auto intersect = rowref::Intersect(a, b);
+  ASSERT_TRUE(intersect.ok()) << intersect.status();
+  ExpectKernelMatchesOracle(
+      *intersect, [&] { return std::move(Intersect(a, b)).value(); },
+      "INTERSECT of hot rows");
+  auto difference = rowref::Difference(a, b);
+  ASSERT_TRUE(difference.ok()) << difference.status();
+  ExpectKernelMatchesOracle(
+      *difference, [&] { return std::move(Difference(a, b)).value(); },
+      "DIFFERENCE of hot rows");
+  ExpectKernelMatchesOracle(rowref::Distinct(a), [&] { return Distinct(a); },
+                            "DISTINCT of hot rows");
 }
 
 // --- Value sentinels ----------------------------------------------------

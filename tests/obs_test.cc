@@ -16,6 +16,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/runtime_history.h"
 #include "src/obs/trace.h"
+#include "src/relational/ops.h"
 #include "src/service/service.h"
 #include "src/workloads/datasets.h"
 #include "src/workloads/workflows.h"
@@ -155,6 +156,39 @@ TEST(TracerTest, ChromeExportIsValidJson) {
   EXPECT_TRUE(e.Find("ts")->is_number());
   EXPECT_TRUE(e.Find("dur")->is_number());
   EXPECT_EQ(e.Find("args")->Find("detail")->string_value, "line1\nline2");
+  tracer.Clear();
+}
+
+// The set operators are traced like join and group-by: a traced Intersect
+// records exactly one kernel.intersect span and bumps its per-call counters
+// once, whatever the input size.
+TEST(TracerTest, TracedIntersectRecordsOneSpan) {
+  Schema s({{"k", FieldType::kInt64}});
+  Table a(s);
+  Table b(s);
+  for (int64_t i = 0; i < 20; ++i) a.AddRow({i});
+  for (int64_t i = 10; i < 30; ++i) b.AddRow({i});
+  Counter& calls = MetricsRegistry::Global().counter(
+      "musketeer.relational.intersect.calls");
+  Counter& rows = MetricsRegistry::Global().counter(
+      "musketeer.relational.intersect.input_rows");
+  const uint64_t calls_before = calls.Value();
+  const uint64_t rows_before = rows.Value();
+
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.Enable(true);
+  auto out = Intersect(a, b);
+  tracer.Enable(false);
+
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->num_rows(), 10u);
+  std::vector<SpanRecord> spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "kernel.intersect");
+  EXPECT_EQ(spans[0].category, "kernel");
+  EXPECT_EQ(calls.Value() - calls_before, 1u);
+  EXPECT_EQ(rows.Value() - rows_before, 40u);
   tracer.Clear();
 }
 

@@ -173,12 +173,16 @@ grep -q "shutting down" "$obs_tmp/server_out.txt"
 
 echo "== [8/11] vectorized kernels: Release scaling gate + TSan sweep =="
 # Scaling gate: bench_columnar_ops sweeps threads {1,2,4,8} over every op and
-# exits non-zero when a floor is missed. Floors are hardware-aware: with >= 8
-# real cores, hash_join and group_by_agg must reach >= 4x at 8 threads and
-# sort >= 2.5x; on smaller hosts (where timeslicing cannot speed anything up)
-# the floor degrades to no-regression vs 1 thread. The 1.5x columnar-vs-row
-# single-thread floor always applies. Run from the Release tree: scaling
-# ratios in a -O0/-g build are not the numbers we ship.
+# exits non-zero when a floor is missed. Floors are hardware-aware: an op's
+# full 8-thread floor (4x for hash_join and group_by_agg, 2.5x for sort) is
+# prorated by min(threads, cores)/8 and never drops below the 0.85x
+# no-regression floor. So on >= 8 cores join and group-by must reach 4x at 8
+# threads, on a 4-core host 2x at 4 threads, and only a 1-core host (where
+# timeslicing cannot speed anything up) degrades to no-regression. The
+# high-cardinality group-by and intersect rows carry no floor of their own.
+# The 1.5x columnar-vs-row single-thread floor always applies to join and
+# group-by. Run from the Release tree: scaling ratios in a -O0/-g build are
+# not the numbers we ship.
 (cd "$repo/build-relassert" && ./bench/bench_columnar_ops)
 
 # The parallel kernels (mask selection, flat-hash join/group-by, index
@@ -186,6 +190,11 @@ echo "== [8/11] vectorized kernels: Release scaling gate + TSan sweep =="
 # Table::Identical across 1/2/4/8 threads through the one interpreter while
 # TSan watches the morsel tasks share partial buffers.
 MUSKETEER_THREADS=8 "$repo/build-tsan/tests/column_test"
+# The flat hash kernels share per-row scratch arrays across morsel tasks
+# (join spans, set-op membership, group-by slots): TSan watches every
+# kernel's 1-vs-N-thread bit-identity check.
+MUSKETEER_THREADS=8 "$repo/build-tsan/tests/parallel_test" \
+    --gtest_filter='KernelBitIdentityTest.*'
 MUSKETEER_THREADS=8 "$repo/build-tsan/tests/engine_equivalence_test" \
     --gtest_filter='*Parallel*:*RowReference*:*InterpreterBitIdentical*'
 
