@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   }
   std::printf("--- partitioning on %s (%s search) ---\n",
               sel.cluster.name.c_str(),
-              result->partitioning.used_exhaustive ? "exhaustive" : "DP");
+              result->partition_strategy.c_str());
   for (size_t i = 0; i < result->partitioning.jobs.size(); ++i) {
     const JobAssignment& job = result->partitioning.jobs[i];
     std::printf("  job %zu -> %-11s (%zu ops, est. %.1f s)\n", i + 1,

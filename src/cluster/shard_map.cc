@@ -29,17 +29,6 @@ const char* ShardingStrategyName(ShardingStrategy strategy) {
   return "unknown";
 }
 
-std::optional<ShardingStrategy> ShardingStrategyFromName(
-    const std::string& name) {
-  if (name == "consistent-hash" || name == "consistent" || name == "ring") {
-    return ShardingStrategy::kConsistentHash;
-  }
-  if (name == "modulo" || name == "mod" || name == "hash-mod") {
-    return ShardingStrategy::kModulo;
-  }
-  return std::nullopt;
-}
-
 uint64_t ShardMap::HashName(const std::string& name) {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
   for (unsigned char c : name) {

@@ -36,8 +36,6 @@ enum class ShardingStrategy {
 };
 
 const char* ShardingStrategyName(ShardingStrategy strategy);
-std::optional<ShardingStrategy> ShardingStrategyFromName(
-    const std::string& name);
 
 class ShardMap {
  public:

@@ -41,11 +41,33 @@ ExecutionContext MakeContext(const WorkflowSpec& workflow,
   return ctx;
 }
 
+// The cost model Plan() and suffix re-planning price jobs with: job costs
+// are in measured-time units once the runtime history has observations.
+// The model points at *calibration, which must outlive it.
+CostModel CalibratedCostModel(const WorkflowSpec& workflow,
+                              const RunOptions& options,
+                              RuntimeCalibration* calibration) {
+  if (options.runtime_history != nullptr) {
+    *calibration = options.runtime_history->Calibration();
+  }
+  return CostModel(options.cluster, options.history, workflow.id,
+                   options.conservative_first_run,
+                   calibration->has_observations ? calibration : nullptr);
+}
+
 }  // namespace
 
 RunOptions PinDeadline(RunOptions options) {
   options.absolute_deadline = EffectiveDeadline(options);
   return options;
+}
+
+PlannerConfig EffectivePlanner(const RunOptions& options) {
+  PlannerConfig planner = options.planner;
+  if (planner.engines.empty()) {
+    planner.engines = options.engines;
+  }
+  return planner;
 }
 
 StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
@@ -132,20 +154,12 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
   {
     Span span("stage.partition", "stage");
     RuntimeCalibration calibration;
-    if (options.runtime_history != nullptr) {
-      calibration = options.runtime_history->Calibration();
-    }
-    CostModel model(options.cluster, options.history, workflow.id,
-                    options.conservative_first_run,
-                    calibration.has_observations ? &calibration : nullptr);
+    CostModel model = CalibratedCostModel(workflow, options, &calibration);
     MUSKETEER_ASSIGN_OR_RETURN(std::vector<Bytes> sizes,
                                model.PredictSizes(*dag, DfsSizes()));
-    PlannerConfig pconfig = options.planner;
-    if (pconfig.engines.empty()) {
-      pconfig.engines = options.engines;
-    }
-    MUSKETEER_ASSIGN_OR_RETURN(out.partitioning,
-                               PartitionWorkflow(*dag, model, sizes, pconfig));
+    MUSKETEER_ASSIGN_OR_RETURN(
+        out.partitioning,
+        PartitionWorkflow(*dag, model, sizes, EffectivePlanner(options)));
     if (span.active()) {
       span.SetAttr("jobs", std::to_string(out.partitioning.jobs.size()));
       span.SetAttr("strategy", out.partitioning.strategy);
@@ -357,19 +371,14 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       const std::vector<int>& job_ops = result.partitioning.jobs[j].ops;
       ops.insert(ops.end(), job_ops.begin(), job_ops.end());
     }
-    RuntimeCalibration calibration = options.runtime_history->Calibration();
-    CostModel model(options.cluster, options.history, workflow.id,
-                    options.conservative_first_run,
-                    calibration.has_observations ? &calibration : nullptr);
+    RuntimeCalibration calibration;
+    CostModel model = CalibratedCostModel(workflow, options, &calibration);
     auto sizes = model.PredictSizes(*plan.dag, DfsSizes());
     if (!sizes.ok()) {
       return;
     }
-    PlannerConfig pconfig = options.planner;
-    if (pconfig.engines.empty()) {
-      pconfig.engines = options.engines;
-    }
-    auto repart = PartitionRemainder(*plan.dag, model, *sizes, pconfig, ops);
+    auto repart = PartitionRemainder(*plan.dag, model, *sizes,
+                                     EffectivePlanner(options), ops);
     if (!repart.ok()) {
       return;
     }

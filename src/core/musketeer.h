@@ -57,7 +57,7 @@ struct RunOptions {
   // Engines the partitioner may use; empty = all seven (automatic mapping).
   std::vector<EngineKind> engines;
   CodeGenOptions codegen;
-  // Partitioning strategy + parameters (src/scheduler/partition_strategy.h),
+  // Partitioning strategy and settings (src/scheduler/partition_strategy.h),
   // including the online re-planning policy (replan_threshold/max_replans)
   // Execute() applies mid-run.
   PlannerConfig planner;
@@ -170,8 +170,8 @@ struct RunResult {
   int total_faults_injected = 0;  // injected (not organic) attempt failures
   // Incremental accounting (src/stream/fingerprint.h).
   int jobs_reused = 0;  // jobs skipped on a fingerprint match
-  // Planner accounting (DESIGN.md "Planner at scale"): the registry name of
-  // the strategy that produced the partitioning, and how many times Execute
+  // Planner accounting (DESIGN.md "Planner at scale"): the name of the
+  // strategy that produced the partitioning, and how many times Execute
   // re-partitioned the remaining DAG suffix after a misprediction.
   std::string partition_strategy;
   int replans = 0;
@@ -206,6 +206,11 @@ StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
 // absolute deadline wins), so one budget spans everything that follows —
 // Plan + Execute, or queue wait + both.
 RunOptions PinDeadline(RunOptions options);
+
+// The planner configuration a run partitions with: options.planner, whose
+// empty engine set falls back to the run-level options.engines. Plan(),
+// suffix re-planning and the service's plan-cache key all read this.
+PlannerConfig EffectivePlanner(const RunOptions& options);
 
 class Musketeer {
  public:

@@ -1,5 +1,6 @@
 #include "src/frontends/frontend.h"
 
+#include "src/base/strings.h"
 #include "src/frontends/beer_parser.h"
 #include "src/frontends/gas_parser.h"
 #include "src/frontends/hive_parser.h"
@@ -19,6 +20,14 @@ const char* FrontendLanguageName(FrontendLanguage lang) {
       return "Lindi";
   }
   return "UNKNOWN";
+}
+
+std::optional<FrontendLanguage> FrontendLanguageFromName(std::string_view name) {
+  if (EqualsIgnoreCase(name, "beer")) return FrontendLanguage::kBeer;
+  if (EqualsIgnoreCase(name, "hive")) return FrontendLanguage::kHive;
+  if (EqualsIgnoreCase(name, "gas")) return FrontendLanguage::kGas;
+  if (EqualsIgnoreCase(name, "lindi")) return FrontendLanguage::kLindi;
+  return std::nullopt;
 }
 
 std::unique_ptr<Frontend> MakeFrontend(FrontendLanguage lang) {

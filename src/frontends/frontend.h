@@ -5,7 +5,9 @@
 #define MUSKETEER_SRC_FRONTENDS_FRONTEND_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/ir/dag.h"
 
@@ -19,6 +21,8 @@ enum class FrontendLanguage {
 };
 
 const char* FrontendLanguageName(FrontendLanguage lang);
+// "beer" | "hive" | "gas" | "lindi", case-insensitive; nullopt otherwise.
+std::optional<FrontendLanguage> FrontendLanguageFromName(std::string_view name);
 
 class Frontend {
  public:

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <optional>
 
@@ -56,12 +55,6 @@ Counter& HttpRequestsCounter() {
   return c;
 }
 
-Counter& LineCommandsCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("musketeer.net.line.commands");
-  return c;
-}
-
 Counter& BytesReadCounter() {
   static Counter& c =
       MetricsRegistry::Global().counter("musketeer.net.bytes_read");
@@ -92,16 +85,6 @@ Histogram& RequestSecondsHistogram() {
   static Histogram& h =
       MetricsRegistry::Global().histogram("musketeer.net.request_seconds");
   return h;
-}
-
-std::optional<FrontendLanguage> ParseLanguage(std::string_view name) {
-  if (name.empty() || EqualsIgnoreCase(name, "beer")) {
-    return FrontendLanguage::kBeer;
-  }
-  if (EqualsIgnoreCase(name, "hive")) return FrontendLanguage::kHive;
-  if (EqualsIgnoreCase(name, "gas")) return FrontendLanguage::kGas;
-  if (EqualsIgnoreCase(name, "lindi")) return FrontendLanguage::kLindi;
-  return std::nullopt;
 }
 
 // "/status/17" → 17; nullopt on junk (empty, non-digits, trailing garbage).
@@ -366,10 +349,9 @@ void HttpServer::LoopThread() {
     }
     // Idle keep-alive sweep: close connections with no traffic in either
     // direction for keepalive_timeout. Connections with queued output are
-    // not idle (the peer may just be slow); mid-request input (a partially
-    // parsed HTTP request, a SUBMIT awaiting its body) still counts as idle
-    // once the bytes stop flowing — a stalled sender holds a slot either
-    // way.
+    // not idle (the peer may just be slow); a partially parsed request
+    // still counts as idle once the bytes stop flowing — a stalled sender
+    // holds a slot either way.
     if (!draining && config_.keepalive_timeout.count() > 0) {
       const auto now = Clock::now();
       for (const auto& conn : connections_) {
@@ -446,57 +428,21 @@ bool HttpServer::OnReadable(Connection* conn) {
     BytesReadCounter().Increment(incoming.size());
     conn->last_activity = std::chrono::steady_clock::now();
 
-    if (conn->protocol == Protocol::kUnknown) {
-      conn->linebuf += incoming;
-      incoming.clear();
-      // Sniff once the first token is complete: HTTP methods vs line verbs.
-      size_t sep = conn->linebuf.find_first_of(" \r\n");
-      if (sep == std::string::npos && conn->linebuf.size() < 8) {
-        // First token still arriving; wait for more bytes.
-      } else {
-        std::string token = conn->linebuf.substr(
-            0, sep == std::string::npos ? conn->linebuf.size() : sep);
-        std::transform(token.begin(), token.end(), token.begin(),
-                       [](unsigned char c) { return std::toupper(c); });
-        static const char* kMethods[] = {"GET",     "POST",  "PUT",
-                                         "HEAD",    "DELETE", "OPTIONS",
-                                         "PATCH"};
-        bool is_http = false;
-        for (const char* m : kMethods) {
-          if (token == m) {
-            is_http = true;
-            break;
-          }
-        }
-        conn->protocol = is_http ? Protocol::kHttp : Protocol::kLine;
-        if (is_http) {
-          incoming.swap(conn->linebuf);  // replay sniffed bytes into parser
-        }
+    std::vector<HttpRequest> requests;
+    conn->parser.Feed(incoming, &requests);
+    for (const HttpRequest& request : requests) {
+      HandleHttp(conn, request);
+      if (conn->close_after_write) {
+        break;
       }
     }
-
-    if (conn->protocol == Protocol::kHttp) {
-      std::vector<HttpRequest> requests;
-      conn->parser.Feed(incoming, &requests);
-      for (const HttpRequest& request : requests) {
-        HandleHttp(conn, request);
-        if (conn->close_after_write) {
-          break;
-        }
-      }
-      if (conn->parser.error()) {
-        HttpResponse resp =
-            JsonError(conn->parser.error_status(), conn->parser.error_message());
-        resp.close = true;
-        conn->outbuf += SerializeResponse(resp);
-        conn->close_after_write = true;
-        ResponseClassCounter(resp.status).Increment();
-      }
-    } else if (conn->protocol == Protocol::kLine) {
-      conn->linebuf += incoming;  // empty on the read that just sniffed
-      if (!HandleLineInput(conn)) {
-        conn->close_after_write = true;
-      }
+    if (conn->parser.error()) {
+      HttpResponse resp =
+          JsonError(conn->parser.error_status(), conn->parser.error_message());
+      resp.close = true;
+      conn->outbuf += SerializeResponse(resp);
+      conn->close_after_write = true;
+      ResponseClassCounter(resp.status).Increment();
     }
   }
   // Push what we can now instead of waiting one poll cycle for POLLOUT.
@@ -626,7 +572,10 @@ HttpResponse HttpServer::HandleSubmit(const HttpRequest& request) {
   const std::string* id_header = request.FindHeader("x-workflow-id");
   spec.id = id_header != nullptr ? *id_header : "net-anon";
   const std::string* lang_header = request.FindHeader("x-language");
-  auto language = ParseLanguage(lang_header != nullptr ? *lang_header : "");
+  // A missing or empty X-Language means BEER.
+  auto language = lang_header == nullptr || lang_header->empty()
+                      ? std::optional(FrontendLanguage::kBeer)
+                      : FrontendLanguageFromName(*lang_header);
   if (!language.has_value()) {
     return JsonError(400, "unknown language '" + *lang_header + "'");
   }
@@ -652,14 +601,12 @@ HttpResponse HttpServer::HandleSubmit(const HttpRequest& request) {
     }
   }
 
-  // X-Partitioner: a strategy name in the planner registry
-  // (auto|dp|exhaustive|dp-multi, or a custom registration).
+  // X-Partitioner: auto|dp|exhaustive|dp-multi.
   if (const std::string* strat = request.FindHeader("x-partitioner")) {
-    if (!PartitionStrategyKindFromName(*strat).has_value() &&
-        PartitionStrategyRegistry::Global().Find(*strat) == nullptr) {
+    overrides.partitioner = PartitionStrategyKindFromName(*strat);
+    if (!overrides.partitioner.has_value()) {
       return JsonError(400, "unknown partitioner '" + *strat + "'");
     }
-    overrides.partitioner = *strat;
   }
 
   // X-Replan-Threshold: misprediction ratio above which the run
@@ -850,149 +797,6 @@ HttpResponse HttpServer::HandleRelationPut(const HttpRequest& request,
   return resp;
 }
 
-// ---- line protocol ---------------------------------------------------------
-
-bool HttpServer::HandleLineInput(Connection* conn) {
-  while (true) {
-    if (conn->submit_remaining > 0) {
-      size_t take = std::min(conn->submit_remaining, conn->linebuf.size());
-      conn->submit_body.append(conn->linebuf, 0, take);
-      conn->linebuf.erase(0, take);
-      conn->submit_remaining -= take;
-      if (conn->submit_remaining > 0) {
-        return true;  // source still arriving
-      }
-      HandleLineCommand(conn, conn->submit_line);  // re-dispatch, body ready
-      conn->submit_line.clear();
-      continue;
-    }
-    size_t nl = conn->linebuf.find('\n');
-    if (nl == std::string::npos) {
-      if (conn->linebuf.size() > config_.max_message_bytes) {
-        conn->outbuf += "ERR 431 line too long\n";
-        return false;
-      }
-      return true;
-    }
-    std::string line = conn->linebuf.substr(0, nl);
-    conn->linebuf.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty()) {
-      continue;  // blank lines (e.g. after a SUBMIT body) are no-ops
-    }
-    HandleLineCommand(conn, line);
-    if (conn->close_after_write) {
-      return true;
-    }
-  }
-}
-
-void HttpServer::HandleLineCommand(Connection* conn, const std::string& line) {
-  LineCommandsCounter().Increment();
-  std::vector<std::string> parts;
-  for (const std::string& p : StrSplit(line, ' ')) {
-    if (!p.empty()) parts.push_back(p);
-  }
-  if (parts.empty()) {
-    return;
-  }
-  std::string cmd = parts[0];
-  std::transform(cmd.begin(), cmd.end(), cmd.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-
-  if (cmd == "TENANT" && parts.size() == 2) {
-    conn->tenant = parts[1];
-    conn->outbuf += "OK tenant " + conn->tenant + "\n";
-    return;
-  }
-  if (cmd == "SUBMIT") {
-    // SUBMIT <workflow-id> <language> <nbytes>, then <nbytes> of source.
-    if (parts.size() != 4) {
-      conn->outbuf += "ERR 400 usage: SUBMIT <id> <language> <nbytes>\n";
-      return;
-    }
-    auto language = ParseLanguage(parts[2]);
-    auto nbytes = ParseInt64(parts[3]);
-    if (!language.has_value()) {
-      conn->outbuf += "ERR 400 unknown language " + parts[2] + "\n";
-      return;
-    }
-    if (!nbytes.has_value() || *nbytes <= 0 ||
-        static_cast<size_t>(*nbytes) > config_.max_message_bytes) {
-      conn->outbuf += "ERR 400 bad source byte count\n";
-      return;
-    }
-    if (conn->submit_body.size() < static_cast<size_t>(*nbytes)) {
-      // First pass: arm body accumulation and re-dispatch when complete.
-      conn->submit_line = line;
-      conn->submit_remaining =
-          static_cast<size_t>(*nbytes) - conn->submit_body.size();
-      return;
-    }
-    WorkflowSpec spec;
-    spec.id = parts[1];
-    spec.language = *language;
-    spec.source = std::move(conn->submit_body);
-    conn->submit_body.clear();
-    WorkflowHandle ticket =
-        SubmitSpec(conn->tenant, std::move(spec), SubmitOverrides{});
-    if (ticket->state() == WorkflowState::kRejected) {
-      conn->outbuf += "ERR " + std::to_string(RejectStatus(ticket->reject_reason())) +
-                      " " + ticket->result().status().message() + "\n";
-    } else {
-      conn->outbuf += "OK " + std::to_string(ticket->id()) + " " +
-                      WorkflowStateName(ticket->state()) + "\n";
-    }
-    return;
-  }
-  if ((cmd == "STATUS" || cmd == "CANCEL" || cmd == "RESULT") &&
-      parts.size() == 2) {
-    auto id = ParseInt64(parts[1]);
-    WorkflowHandle ticket =
-        id.has_value() && *id > 0 ? FindTicket(static_cast<uint64_t>(*id))
-                                  : nullptr;
-    if (ticket == nullptr) {
-      conn->outbuf += "ERR 404 unknown ticket " + parts[1] + "\n";
-      return;
-    }
-    if (cmd == "CANCEL") {
-      ticket->Cancel();
-    }
-    if (cmd == "RESULT") {
-      if (ticket->state() != WorkflowState::kDone) {
-        conn->outbuf += "ERR " +
-                        std::string(ticket->terminal() ? "500 " : "409 ") +
-                        WorkflowStateName(ticket->state()) + "\n";
-        return;
-      }
-      std::string json = ResultJson(ticket);
-      conn->outbuf += "OK " + std::to_string(ticket->id()) + " " +
-                      std::to_string(json.size()) + "\n" + json;
-      return;
-    }
-    conn->outbuf += "OK " + std::to_string(ticket->id()) + " " +
-                    WorkflowStateName(ticket->state()) + "\n";
-    return;
-  }
-  if (cmd == "METRICS" && parts.size() == 1) {
-    std::string text = MetricsRegistry::Global().DumpText();
-    conn->outbuf += "OK " + std::to_string(text.size()) + "\n" + text;
-    return;
-  }
-  if (cmd == "PING") {
-    conn->outbuf += "OK pong\n";
-    return;
-  }
-  if (cmd == "QUIT") {
-    conn->outbuf += "OK bye\n";
-    conn->close_after_write = true;
-    return;
-  }
-  conn->outbuf += "ERR 400 unknown command " + cmd + "\n";
-}
-
 // ---- ticket registry -------------------------------------------------------
 
 WorkflowHandle HttpServer::SubmitSpec(const std::string& tenant,
@@ -1000,7 +804,7 @@ WorkflowHandle HttpServer::SubmitSpec(const std::string& tenant,
                                       const SubmitOverrides& overrides) {
   const bool customized = overrides.deadline.count() > 0 ||
                           overrides.incremental ||
-                          !overrides.partitioner.empty() ||
+                          overrides.partitioner.has_value() ||
                           overrides.replan_threshold >= 0;
   WorkflowHandle ticket;
   if (customized) {
@@ -1008,16 +812,8 @@ WorkflowHandle HttpServer::SubmitSpec(const std::string& tenant,
     if (overrides.deadline.count() > 0) {
       options.deadline = overrides.deadline;
     }
-    if (!overrides.partitioner.empty()) {
-      // Built-in names set the enum (so the plan-cache key and RunResult
-      // agree with the auto default); anything else is a registry lookup.
-      auto kind = PartitionStrategyKindFromName(overrides.partitioner);
-      if (kind.has_value()) {
-        options.planner.strategy = *kind;
-        options.planner.custom_strategy.clear();
-      } else {
-        options.planner.custom_strategy = overrides.partitioner;
-      }
+    if (overrides.partitioner.has_value()) {
+      options.planner.strategy = *overrides.partitioner;
     }
     if (overrides.replan_threshold >= 0) {
       options.planner.replan_threshold = overrides.replan_threshold;

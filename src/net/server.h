@@ -7,32 +7,28 @@
 // queue/ticket/registry operation, so a single event thread keeps up with
 // hundreds of concurrent clients the same way pazpar2-style C servers do.
 //
-// Two protocols are auto-detected per connection from the first bytes:
-//   * HTTP/1.1 (first token is a method name), keep-alive by default:
-//       POST /submit        body = workflow source
-//                           headers: X-Tenant, X-Language, X-Workflow-Id,
-//                           X-Deadline-Ms (optional per-request deadline)
-//       GET  /status/<id>   ticket state JSON
-//       POST /cancel/<id>   cooperative cancel, returns state JSON
-//       GET  /result/<id>   outputs JSON: name, schema spec, rows, CSV text
-//       GET  /relations     sorted relation names in this node's DFS, JSON
-//       GET  /relation/<n>  one relation: schema spec, scale, rows, CSV text
-//       PUT  /relation/<n>  store a relation; body = CSV, headers X-Schema
-//                           (spec) and optional X-Scale — the peer-to-peer
-//                           shard transport (src/net/peer_dfs.h)
-//       GET  /metrics       MetricsRegistry text exposition
-//       GET  /trace         Chrome trace-event JSON (Tracer::Global())
-//       GET  /stats         ServiceStats incl. per-tenant counters, JSON
-//       GET  /healthz       liveness probe
-//   * line protocol (anything else), one command per line for nc/telnet:
-//       TENANT <name> | SUBMIT <id> <language> <nbytes>\n<source> |
-//       STATUS <t> | CANCEL <t> | RESULT <t> | METRICS | PING | QUIT
+// One protocol, HTTP/1.1 with keep-alive by default; every byte a
+// connection sends goes to its HttpParser:
+//   POST /submit        body = workflow source
+//                       headers: X-Tenant, X-Language, X-Workflow-Id,
+//                       X-Deadline-Ms (optional per-request deadline)
+//   GET  /status/<id>   ticket state JSON
+//   POST /cancel/<id>   cooperative cancel, returns state JSON
+//   GET  /result/<id>   outputs JSON: name, schema spec, rows, CSV text
+//   GET  /relations     sorted relation names in this node's DFS, JSON
+//   GET  /relation/<n>  one relation: schema spec, scale, rows, CSV text
+//   PUT  /relation/<n>  store a relation; body = CSV, headers X-Schema
+//                       (spec) and optional X-Scale — the peer-to-peer
+//                       shard transport (src/net/peer_dfs.h)
+//   GET  /metrics       MetricsRegistry text exposition
+//   GET  /trace         Chrome trace-event JSON (Tracer::Global())
+//   GET  /stats         ServiceStats incl. per-tenant counters, JSON
+//   GET  /healthz       liveness probe
 //
-// Tenancy: HTTP requests carry the tenant in the X-Tenant header; line
-// connections set it once with TENANT (a session property). Admission
-// verdicts map onto HTTP codes — tenant over quota → 429, shared queue
-// full or shutting down → 503 — with the REJECTED ticket's reason string
-// in the JSON body, so backpressure is visible at the edge.
+// Tenancy: each request carries its tenant in the X-Tenant header.
+// Admission verdicts map onto HTTP codes — tenant over quota → 429, shared
+// queue full or shutting down → 503 — with the REJECTED ticket's reason
+// string in the JSON body, so backpressure is visible at the edge.
 //
 // Shutdown ordering (cooperative): Shutdown() stops accepting, lets
 // in-flight responses flush (bounded by drain_timeout), closes every
@@ -50,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,19 +102,10 @@ class HttpServer {
   }
 
  private:
-  enum class Protocol { kUnknown, kHttp, kLine };
-
   struct Connection {
     int fd = -1;
-    Protocol protocol = Protocol::kUnknown;
     HttpParser parser;
-    std::string linebuf;     // line-protocol input accumulator
-    std::string outbuf;      // bytes awaiting POLLOUT
-    std::string tenant;      // line-protocol session tenant
-    // Line-protocol SUBMIT in progress: source bytes still expected.
-    size_t submit_remaining = 0;
-    std::string submit_line;  // the SUBMIT command awaiting its body
-    std::string submit_body;
+    std::string outbuf;  // bytes awaiting POLLOUT
     bool close_after_write = false;
     bool saw_eof = false;
     // Last time bytes moved on this connection (accept counts); the idle
@@ -138,9 +126,6 @@ class HttpServer {
   void CloseConnection(Connection* conn);
 
   void HandleHttp(Connection* conn, const HttpRequest& request);
-  // Consumes complete line-protocol commands from conn->linebuf.
-  bool HandleLineInput(Connection* conn);
-  void HandleLineCommand(Connection* conn, const std::string& line);
 
   HttpResponse Route(const HttpRequest& request);
   HttpResponse HandleSubmit(const HttpRequest& request);
@@ -160,8 +145,8 @@ class HttpServer {
   struct SubmitOverrides {
     std::chrono::milliseconds deadline{0};
     bool incremental = false;
-    std::string partitioner;      // strategy registry name; "" = default
-    double replan_threshold = -1; // < 0 = default
+    std::optional<PartitionStrategyKind> partitioner;  // nullopt = default
+    double replan_threshold = -1;                      // < 0 = default
   };
 
   // Submits to the service under `tenant` and registers the ticket.

@@ -179,14 +179,6 @@ class Column {
     return CompareAt(i, other, j) == 0;
   }
 
-  // ValueBytes of cell i (8.0 for numerics, length + separator for strings).
-  double BytesAt(size_t i) const {
-    if (type_ == FieldType::kString) {
-      return static_cast<double>(strings_[i].size()) + 1.0;
-    }
-    return 8.0;
-  }
-
   // Exact equality: same type, same length, bit-identical cells (no
   // cross-numeric coercion). Doubles compare by bit pattern, so a NaN cell
   // is identical to the same NaN and -0.0 is not identical to +0.0. The

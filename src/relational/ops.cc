@@ -164,18 +164,6 @@ const char* AggFnName(AggFn fn) {
   return "UNKNOWN";
 }
 
-bool AggFnIsAssociative(AggFn fn) {
-  switch (fn) {
-    case AggFn::kSum:
-    case AggFn::kCount:
-    case AggFn::kMin:
-    case AggFn::kMax:
-    case AggFn::kAvg:  // decomposes into (sum, count)
-      return true;
-  }
-  return false;
-}
-
 Table SelectRowsMask(const Table& in, const MaskEval& filter) {
   auto parts = ParallelMapChunks<std::vector<uint32_t>>(
       in.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {

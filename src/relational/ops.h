@@ -45,11 +45,6 @@ enum class AggFn { kSum, kCount, kMin, kMax, kAvg };
 
 const char* AggFnName(AggFn fn);
 
-// True for aggregations that can be combined associatively (enables
-// pre-aggregation / combiners in distributed engines). AVG is handled as an
-// associative (sum, count) pair by engines that support combiners.
-bool AggFnIsAssociative(AggFn fn);
-
 struct AggSpec {
   AggFn fn;
   int column;               // input column aggregated (ignored for COUNT)

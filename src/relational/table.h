@@ -11,7 +11,7 @@
 // Storage is columnar: one typed Column per schema field plus a row count
 // (see column.h). Batch kernels operate on the typed vectors directly;
 // row-at-a-time call sites (the record-oriented timely runtime, tests) go
-// through RowRef / MaterializeRow, which rebuild the old row-of-variants
+// through ValueAt / MaterializeRow, which rebuild the old row-of-variants
 // view on demand.
 
 #ifndef MUSKETEER_SRC_RELATIONAL_TABLE_H_
@@ -31,23 +31,6 @@
 #include "src/relational/value.h"
 
 namespace musketeer {
-
-class Table;
-
-// Lightweight non-owning view of one row; cells materialize to Value on
-// access. Valid while the underlying Table is alive and unmodified.
-class RowRef {
- public:
-  RowRef(const Table& table, size_t row) : table_(&table), row_(row) {}
-
-  size_t size() const;
-  Value operator[](size_t c) const;
-  Row Materialize() const;
-
- private:
-  const Table* table_;
-  size_t row_;
-};
 
 class Table {
  public:
@@ -127,7 +110,6 @@ class Table {
   bool empty() const { return num_rows_ == 0; }
 
   Value ValueAt(size_t row, size_t c) const { return cols_[c].ValueAt(row); }
-  RowRef RowAt(size_t row) const { return RowRef(*this, row); }
 
   // Rebuilds one row (all rows) as row-of-variants. O(num_fields) Value
   // materializations per row — a compatibility path, not a kernel path.
@@ -246,12 +228,6 @@ inline size_t HashRow(const Table& t, size_t row, const std::vector<int>& cols) 
   }
   return h;
 }
-
-inline size_t RowRef::size() const { return table_->num_fields(); }
-inline Value RowRef::operator[](size_t c) const {
-  return table_->ValueAt(row_, c);
-}
-inline Row RowRef::Materialize() const { return table_->MaterializeRow(row_); }
 
 using TablePtr = std::shared_ptr<const Table>;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -93,11 +92,8 @@ std::pair<EngineKind, double> BestEngine(const Dag& dag, const CostModel& model,
 // long before that), so segments beyond the window are noise. Within the
 // window, an engine stops being priced at the first segment it cannot run
 // as one job, so only runnable segments pay for JobCost.
-int EffectiveSegmentCap(const PlannerConfig& config, int n) {
-  if (config.dp_segment_cap > 0) {
-    return config.dp_segment_cap;
-  }
-  return n > 64 ? 24 : n;
+int EffectiveSegmentCap(int n) {
+  return n > kDpSegmentCapAbove ? kDpSegmentCap : n;
 }
 
 StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model,
@@ -109,7 +105,7 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
   if (n == 0) {
     return InvalidArgumentError("workflow has no operators");
   }
-  const int cap = std::max(1, EffectiveSegmentCap(config, n));
+  const int cap = std::max(1, EffectiveSegmentCap(n));
 
   // best[i]: cheapest way to run the first i operators; boundary[i]/engine[i]
   // reconstruct the final segment of that prefix.
@@ -177,7 +173,7 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
   return out;
 }
 
-// DP over the construction order plus `extra_orders` seeded shuffles; the
+// DP over the construction order plus `orders - 1` seeded shuffles; the
 // cheapest partitioning over all orders wins (§8's remedy for merge
 // opportunities one linear order breaks, Fig. 16).
 StatusOr<Partitioning> PartitionDpMulti(const Dag& dag, const CostModel& model,
@@ -187,7 +183,7 @@ StatusOr<Partitioning> PartitionDpMulti(const Dag& dag, const CostModel& model,
   auto best = PartitionDpOnOrder(dag, model, sizes, config, OperatorOrder(dag));
   for (int i = 1; i < orders; ++i) {
     std::vector<int> order =
-        RandomTopoOrder(dag, config.dp_order_seed + static_cast<uint64_t>(i));
+        RandomTopoOrder(dag, kDpOrderSeed + static_cast<uint64_t>(i));
     auto candidate = PartitionDpOnOrder(dag, model, sizes, config, order);
     if (!candidate.ok()) {
       continue;
@@ -247,7 +243,6 @@ class ExhaustiveSearch {
     }
     Partitioning out;
     out.total_cost = best_cost_;
-    out.used_exhaustive = true;
     out.jobs = best_jobs_;
     return out;
   }
@@ -541,83 +536,8 @@ StatusOr<Partitioning> RunExhaustive(const Dag& dag, const CostModel& model,
   }
   Partitioning out;
   out.total_cost = best->best_cost();
-  out.used_exhaustive = true;
   out.jobs = best->best_jobs();
   return out;
-}
-
-// ---- Built-in strategies ----
-
-class DpStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "dp"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    auto out = PartitionDpMulti(dag, model, sizes, config,
-                                std::max(1, config.dp_linear_orders));
-    if (out.ok()) {
-      out->strategy = name();
-    }
-    return out;
-  }
-};
-
-class DpMultiOrderStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "dp-multi"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    // Selecting the multi-order strategy with the orders knob untouched
-    // still explores a meaningful spread.
-    int orders = config.dp_linear_orders > 1 ? config.dp_linear_orders : 8;
-    auto out = PartitionDpMulti(dag, model, sizes, config, orders);
-    if (out.ok()) {
-      out->strategy = name();
-    }
-    return out;
-  }
-};
-
-class ExhaustiveStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "exhaustive"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    auto out = RunExhaustive(dag, model, sizes, config);
-    if (out.ok()) {
-      out->strategy = name();
-    }
-    return out;
-  }
-};
-
-class AutoStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "auto"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    const int ops = static_cast<int>(OperatorOrder(dag).size());
-    const char* target =
-        ops <= config.exhaustive_threshold
-            ? "exhaustive"
-            : (config.dp_linear_orders > 1 ? "dp-multi" : "dp");
-    const PartitionStrategy* impl =
-        PartitionStrategyRegistry::Global().Find(target);
-    if (impl == nullptr) {
-      return InternalError(std::string("auto strategy target '") + target +
-                           "' not registered");
-    }
-    return impl->Partition(dag, model, sizes, config);
-  }
-};
-
-std::mutex& RegistryMutex() {
-  static std::mutex mu;
-  return mu;
 }
 
 }  // namespace
@@ -653,62 +573,32 @@ std::optional<PartitionStrategyKind> PartitionStrategyKindFromName(
   return std::nullopt;
 }
 
-PartitionStrategyRegistry::PartitionStrategyRegistry() {
-  strategies_.emplace_back("auto", std::make_unique<AutoStrategy>());
-  strategies_.emplace_back("dp", std::make_unique<DpStrategy>());
-  strategies_.emplace_back("exhaustive", std::make_unique<ExhaustiveStrategy>());
-  strategies_.emplace_back("dp-multi", std::make_unique<DpMultiOrderStrategy>());
-}
-
-PartitionStrategyRegistry& PartitionStrategyRegistry::Global() {
-  static PartitionStrategyRegistry* registry = new PartitionStrategyRegistry();
-  return *registry;
-}
-
-void PartitionStrategyRegistry::Register(
-    std::string name, std::unique_ptr<PartitionStrategy> strategy) {
-  std::lock_guard lock(RegistryMutex());
-  strategies_.emplace_back(std::move(name), std::move(strategy));
-}
-
-const PartitionStrategy* PartitionStrategyRegistry::Find(
-    std::string_view name) const {
-  std::lock_guard lock(RegistryMutex());
-  // Back-to-front: the latest registration under a name wins, so user
-  // strategies can shadow built-ins without unregistering them.
-  for (auto it = strategies_.rbegin(); it != strategies_.rend(); ++it) {
-    if (it->first == name) {
-      return it->second.get();
-    }
-  }
-  return nullptr;
-}
-
-std::vector<std::string> PartitionStrategyRegistry::Names() const {
-  std::lock_guard lock(RegistryMutex());
-  std::vector<std::string> out;
-  for (const auto& [name, strategy] : strategies_) {
-    if (std::find(out.begin(), out.end(), name) == out.end()) {
-      out.push_back(name);
-    }
-  }
-  return out;
-}
-
 StatusOr<Partitioning> PartitionWorkflow(const Dag& dag, const CostModel& model,
                                          const std::vector<Bytes>& sizes,
                                          const PlannerConfig& config) {
-  const std::string name = !config.custom_strategy.empty()
-                               ? config.custom_strategy
-                               : PartitionStrategyKindName(config.strategy);
-  const PartitionStrategy* strategy =
-      PartitionStrategyRegistry::Global().Find(name);
-  if (strategy == nullptr) {
-    return InvalidArgumentError("unknown partition strategy '" + name + "'");
+  PartitionStrategyKind kind = config.strategy;
+  if (kind == PartitionStrategyKind::kAuto) {
+    kind = static_cast<int>(OperatorOrder(dag).size()) <= kExhaustiveThreshold
+               ? PartitionStrategyKind::kExhaustive
+               : PartitionStrategyKind::kDp;
   }
-  auto out = strategy->Partition(dag, model, sizes, config);
-  if (out.ok() && out->strategy.empty()) {
-    out->strategy = std::string(strategy->name());
+  StatusOr<Partitioning> out =
+      InvalidArgumentError("unknown partition strategy");
+  switch (kind) {
+    case PartitionStrategyKind::kExhaustive:
+      out = RunExhaustive(dag, model, sizes, config);
+      break;
+    case PartitionStrategyKind::kDp:
+      out = PartitionDpMulti(dag, model, sizes, config, 1);
+      break;
+    case PartitionStrategyKind::kDpMultiOrder:
+      out = PartitionDpMulti(dag, model, sizes, config, kDpMultiOrders);
+      break;
+    case PartitionStrategyKind::kAuto:  // resolved above
+      break;
+  }
+  if (out.ok()) {
+    out->strategy = PartitionStrategyKindName(kind);
   }
   return out;
 }

@@ -17,9 +17,7 @@ uint64_t HashSource(const std::string& source) {
 std::string PlanCacheKey(const WorkflowSpec& spec, const RunOptions& options) {
   // The effective engine set is what the partitioner sees: the planner
   // override when present, the run-level restriction otherwise.
-  std::vector<EngineKind> engines = options.planner.engines.empty()
-                                        ? options.engines
-                                        : options.planner.engines;
+  std::vector<EngineKind> engines = EffectivePlanner(options).engines;
   std::sort(engines.begin(), engines.end());
   engines.erase(std::unique(engines.begin(), engines.end()), engines.end());
 
@@ -37,13 +35,7 @@ std::string PlanCacheKey(const WorkflowSpec& spec, const RunOptions& options) {
       << '\x1f' << static_cast<int>(options.codegen.flavor) << ':'
       << options.codegen.shared_scans << ':' << options.optimize_ir << ':'
       << options.planner.enable_merging << ':'
-      << (options.planner.custom_strategy.empty()
-              ? PartitionStrategyKindName(options.planner.strategy)
-              : options.planner.custom_strategy)
-      << ':' << options.planner.exhaustive_threshold << ':'
-      << options.planner.dp_linear_orders << ':'
-      << options.planner.dp_order_seed << ':'
-      << options.planner.dp_segment_cap << ':'
+      << PartitionStrategyKindName(options.planner.strategy) << ':'
       << options.conservative_first_run;
   return key.str();
 }

@@ -1,7 +1,7 @@
 // End-to-end tests for the network front door (src/net/): HTTP parsing,
 // real-socket submit/status/result round-trips against a live server, the
-// tenant admission codes (429 vs 503), the line protocol, and the
-// observability endpoints. The flagship assertion: results fetched over the
+// tenant admission codes (429 vs 503), non-HTTP input, per-request planner
+// headers, and the observability endpoints. The flagship assertion: results fetched over the
 // wire decode to tables bit-identical (Table::Identical) to an in-process
 // Musketeer::Run of the same workflow.
 
@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -386,124 +387,100 @@ TEST(NetServerTest, MetricsAndTraceEndpointsServeLiveData) {
   service.Shutdown();
 }
 
-// ---- line protocol ---------------------------------------------------------
+// ---- one wire protocol ------------------------------------------------------
 
-// Minimal blocking line-protocol client: send text, read until a newline-
-// terminated reply (or `bytes` payload bytes) arrives.
-class LineClient {
- public:
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool Connect(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-           0;
-  }
-
-  bool Send(const std::string& text) {
-    size_t sent = 0;
-    while (sent < text.size()) {
-      ssize_t n = ::send(fd_, text.data() + sent, text.size() - sent,
-                         MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  // One reply line (without the trailing newline), reading as needed.
-  std::string ReadLine() {
-    while (true) {
-      size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      if (!Fill()) return "";
-    }
-  }
-
-  std::string ReadBytes(size_t n) {
-    while (buffer_.size() < n) {
-      if (!Fill()) return "";
-    }
-    std::string out = buffer_.substr(0, n);
-    buffer_.erase(0, n);
-    return out;
-  }
-
- private:
-  bool Fill() {
+// Sends `bytes` on a fresh raw socket and returns everything the server
+// writes back until it closes the connection (or stays silent for 5 s).
+std::string RawExchange(uint16_t port, const std::string& bytes) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  timeval timeout{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(bytes.size())) {
     char buf[4096];
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) return false;
-    buffer_.append(buf, static_cast<size_t>(n));
-    return true;
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      reply.append(buf, static_cast<size_t>(n));
+    }
   }
+  ::close(fd);
+  return reply;
+}
 
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-TEST(NetServerTest, LineProtocolSubmitStatusResult) {
+// Every byte goes to the HTTP parser: a bare command line is a malformed
+// request line, answered with 400 and a close, and the server keeps serving.
+TEST(NetServerTest, NonHttpInputGets400AndClose) {
   Dfs dfs;
   SeedDfs(&dfs);
-  WorkflowService service(&dfs, ServiceConfig{.num_workers = 2});
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
   HttpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
-  LineClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_TRUE(client.Send("PING\n"));
-  EXPECT_EQ(client.ReadLine(), "OK pong");
+  const std::string reply = RawExchange(server.port(), "PING\r\n\r\n");
+  EXPECT_EQ(reply.rfind("HTTP/1.1 400", 0), 0u) << reply;
+  EXPECT_NE(reply.find("malformed request line"), std::string::npos) << reply;
 
-  ASSERT_TRUE(client.Send("TENANT dana\n"));
-  EXPECT_EQ(client.ReadLine(), "OK tenant dana");
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_NE(health->find("ok"), std::string::npos);
 
-  const std::string source = SimpleJoinBeer();
-  ASSERT_TRUE(client.Send("SUBMIT net-join beer " +
-                          std::to_string(source.size()) + "\n" + source));
-  std::string reply = client.ReadLine();
-  ASSERT_EQ(reply.substr(0, 3), "OK ") << reply;
-  const uint64_t ticket = std::stoull(reply.substr(3));
+  server.Shutdown();
+  service.Shutdown();
+}
 
-  // Poll STATUS until terminal.
-  std::string state;
-  for (int i = 0; i < 15000; ++i) {
-    ASSERT_TRUE(client.Send("STATUS " + std::to_string(ticket) + "\n"));
-    std::string status_reply = client.ReadLine();
-    ASSERT_EQ(status_reply.substr(0, 3), "OK ") << status_reply;
-    state = status_reply.substr(status_reply.rfind(' ') + 1);
-    if (state == "DONE" || state == "FAILED") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(state, "DONE");
+// X-Partitioner takes exactly the strategy names: an unknown one is a 400,
+// and dp-multi plans the run with the multi-order DP.
+TEST(NetServerTest, PartitionerHeaderSelectsStrategy) {
+  Dfs dfs;
+  SeedDfs(&dfs);
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
 
-  // RESULT returns a byte-counted JSON payload.
-  ASSERT_TRUE(client.Send("RESULT " + std::to_string(ticket) + "\n"));
-  std::string result_header = client.ReadLine();
-  ASSERT_EQ(result_header.substr(0, 3), "OK ") << result_header;
-  const size_t payload_bytes =
-      std::stoull(result_header.substr(result_header.rfind(' ') + 1));
-  ASSERT_GT(payload_bytes, 0u);
-  std::string payload = client.ReadBytes(payload_bytes);
-  auto json = ParseJson(payload);
-  ASSERT_TRUE(json.ok()) << payload.substr(0, 200);
-  ASSERT_NE(json->Find("outputs"), nullptr);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto submit = [&](const std::string& partitioner) {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/submit";
+    request.body = SimpleJoinBeer();
+    request.headers.emplace_back("X-Workflow-Id", "net-join");
+    request.headers.emplace_back("X-Partitioner", partitioner);
+    return client.Request(request);
+  };
 
-  // The submission was attributed to the session tenant set via TENANT.
-  EXPECT_EQ(service.stats().tenants.at("dana").completed, 1u);
+  auto bogus = submit("bogus");
+  ASSERT_TRUE(bogus.ok()) << bogus.status();
+  EXPECT_EQ(bogus->status, 400);
+  EXPECT_NE(bogus->body.find("unknown partitioner"), std::string::npos)
+      << bogus->body;
 
-  ASSERT_TRUE(client.Send("QUIT\n"));
-  EXPECT_EQ(client.ReadLine(), "OK bye");
+  auto multi = submit("dp-multi");
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  ASSERT_EQ(multi->status, 202) << multi->body;
+  auto submitted = ParseJson(multi->body);
+  ASSERT_TRUE(submitted.ok()) << multi->body;
+  const auto ticket =
+      static_cast<uint64_t>(submitted->Find("ticket")->number_value);
+  auto state = client.WaitTerminal(ticket, std::chrono::milliseconds(30000));
+  ASSERT_TRUE(state.ok()) << state.status();
+  ASSERT_EQ(*state, "DONE");
+  auto status_body = client.Get("/status/" + std::to_string(ticket));
+  ASSERT_TRUE(status_body.ok()) << status_body.status();
+  auto status_json = ParseJson(*status_body);
+  ASSERT_TRUE(status_json.ok()) << *status_body;
+  const JsonValue* strategy = status_json->Find("partition_strategy");
+  ASSERT_NE(strategy, nullptr) << *status_body;
+  EXPECT_EQ(strategy->string_value, "dp-multi");
 
   server.Shutdown();
   service.Shutdown();
@@ -524,28 +501,24 @@ TEST(NetServerTest, KeepAliveIdleTimeoutClosesQuietConnections) {
       "musketeer.net.connections.idle_closed");
   const uint64_t idle_closed_before = idle_closed.Value();
 
-  LineClient idle;
-  ASSERT_TRUE(idle.Connect(server.port()));
-  ASSERT_TRUE(idle.Send("PING\n"));
-  EXPECT_EQ(idle.ReadLine(), "OK pong");
+  NetClient idle;
+  ASSERT_TRUE(idle.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(idle.Get("/healthz").ok());
 
-  // The busy connection keeps pinging well inside the timeout for longer
-  // than the timeout itself; the idle one goes quiet after its first ping.
-  LineClient busy;
-  ASSERT_TRUE(busy.Connect(server.port()));
+  // The busy connection keeps requesting well inside the timeout for longer
+  // than the timeout itself; the idle one goes quiet after its first request.
+  NetClient busy;
+  ASSERT_TRUE(busy.Connect("127.0.0.1", server.port()).ok());
   for (int i = 0; i < 8; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    ASSERT_TRUE(busy.Send("PING\n"));
-    EXPECT_EQ(busy.ReadLine(), "OK pong");
+    ASSERT_TRUE(busy.Get("/healthz").ok()) << "request " << i;
   }
 
-  // The quiet connection was closed by the sweep: its next read sees EOF
-  // (ReadLine returns empty on a closed socket).
-  EXPECT_EQ(idle.ReadLine(), "");
+  // The quiet connection was closed by the sweep: its next request fails.
+  EXPECT_FALSE(idle.Get("/healthz").ok());
   EXPECT_GE(idle_closed.Value(), idle_closed_before + 1);
   // The busy connection is still serving.
-  ASSERT_TRUE(busy.Send("PING\n"));
-  EXPECT_EQ(busy.ReadLine(), "OK pong");
+  EXPECT_TRUE(busy.Get("/healthz").ok());
 
   server.Shutdown();
   service.Shutdown();

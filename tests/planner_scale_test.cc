@@ -141,11 +141,9 @@ TEST(PlannerScaleTest, AutoSwitchesToDpAboveThreshold) {
 
   Partitioning small = partition_auto(8);
   EXPECT_EQ(small.strategy, "exhaustive");
-  EXPECT_TRUE(small.used_exhaustive);
 
   Partitioning large = partition_auto(40);
   EXPECT_EQ(large.strategy, "dp");
-  EXPECT_FALSE(large.used_exhaustive);
 }
 
 // §8/Fig. 16 multi-order DP: seeded shuffles make the whole search a pure
@@ -164,7 +162,6 @@ TEST(PlannerScaleTest, MultiOrderIsDeterministicAndNoWorseThanSingle) {
 
   PlannerConfig config;
   config.strategy = PartitionStrategyKind::kDpMultiOrder;
-  config.dp_linear_orders = 6;
   auto first = PartitionWorkflow(**dag, model, *sizes, config);
   ASSERT_TRUE(first.ok()) << first.status();
   auto second = PartitionWorkflow(**dag, model, *sizes, config);
@@ -176,19 +173,16 @@ TEST(PlannerScaleTest, MultiOrderIsDeterministicAndNoWorseThanSingle) {
     EXPECT_EQ(first->jobs[i].engine, second->jobs[i].engine) << "job " << i;
   }
   EXPECT_DOUBLE_EQ(first->total_cost, second->total_cost);
+  EXPECT_EQ(first->strategy, "dp-multi");
 
   config.strategy = PartitionStrategyKind::kDp;
   auto single = PartitionWorkflow(**dag, model, *sizes, config);
   ASSERT_TRUE(single.ok()) << single.status();
   EXPECT_LE(first->total_cost, single->total_cost + 1e-9);
 
-  // A different seed still yields a valid partitioning covering every op.
-  config.strategy = PartitionStrategyKind::kDpMultiOrder;
-  config.dp_order_seed = 0xdeadbeef;
-  auto reseeded = PartitionWorkflow(**dag, model, *sizes, config);
-  ASSERT_TRUE(reseeded.ok()) << reseeded.status();
+  // The multi-order partitioning covers every operator.
   std::set<int> covered;
-  for (const JobAssignment& job : reseeded->jobs) {
+  for (const JobAssignment& job : first->jobs) {
     covered.insert(job.ops.begin(), job.ops.end());
   }
   EXPECT_EQ(static_cast<int>(covered.size()), OuterOperatorCount(**dag));
@@ -231,8 +225,7 @@ StatusOr<Partitioning> UnprunedDp(const Dag& dag, const CostModel& model,
     engines.assign(kAllEngines.begin(), kAllEngines.end());
   }
   const int n = static_cast<int>(order.size());
-  const int cap = std::max(
-      1, config.dp_segment_cap > 0 ? config.dp_segment_cap : (n > 64 ? 24 : n));
+  const int cap = std::max(1, n > kDpSegmentCapAbove ? kDpSegmentCap : n);
   std::vector<double> best(n + 1, kInfiniteCost);
   std::vector<int> boundary(n + 1, 0);
   std::vector<EngineKind> engine_of(n + 1, engines[0]);

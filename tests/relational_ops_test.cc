@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "src/relational/csv.h"
+#include "src/relational/schema.h"
 
 namespace musketeer {
 namespace {
@@ -287,6 +288,30 @@ TEST(ValueTest, CrossTypeNumericEquality) {
   EXPECT_EQ(HashValue(Value(int64_t{3})), HashValue(Value(3.0)));
   EXPECT_LT(CompareValues(Value(int64_t{2}), Value(2.5)), 0);
   EXPECT_LT(CompareValues(Value(2.5), Value(std::string("a"))), 0);
+}
+
+// The one schema-spec parser, shared by the CLI's --input and the network
+// API's X-Schema header.
+TEST(SchemaSpecTest, ParsesAliasesAndRejectsMalformedSpecs) {
+  auto parsed = ParseSchemaSpec("id:int64, name:STRING,score:double");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, Schema({{"id", FieldType::kInt64},
+                             {"name", FieldType::kString},
+                             {"score", FieldType::kDouble}}));
+
+  EXPECT_FALSE(ParseSchemaSpec(":int").has_value());        // empty name
+  EXPECT_FALSE(ParseSchemaSpec("id:int, :int").has_value());
+  EXPECT_FALSE(ParseSchemaSpec("id:float").has_value());    // unknown type
+  EXPECT_FALSE(ParseSchemaSpec("id").has_value());
+  EXPECT_FALSE(ParseSchemaSpec("").has_value());
+
+  Schema schema({{"uid", FieldType::kInt64},
+                 {"region", FieldType::kInt64},
+                 {"amount", FieldType::kDouble},
+                 {"city", FieldType::kString}});
+  auto round_trip = ParseSchemaSpec(FormatSchemaSpec(schema));
+  ASSERT_TRUE(round_trip.has_value());
+  EXPECT_EQ(*round_trip, schema);
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(PartitionerTest, ExhaustiveBeatsDpOnFigure16Shape) {
 }
 
 TEST(PartitionerTest, MultipleLinearOrdersRecoverFigure16Merge) {
-  // §8's proposed fix, implemented as PlannerConfig::dp_linear_orders:
+  // §8's proposed fix, implemented as PartitionStrategyKind::kDpMultiOrder:
   // with several randomized topological orders, the DP finds the
   // JOIN+PROJECT merge that the single depth-first order breaks.
   const char* kSource = R"(
@@ -208,7 +208,7 @@ TEST(PartitionerTest, MultipleLinearOrdersRecoverFigure16Merge) {
   auto single = PartitionWorkflow(**dag, model, *sizes, config);
   ASSERT_TRUE(single.ok());
 
-  config.dp_linear_orders = 8;
+  config.strategy = PartitionStrategyKind::kDpMultiOrder;
   auto multi = PartitionWorkflow(**dag, model, *sizes, config);
   ASSERT_TRUE(multi.ok());
   EXPECT_LT(multi->total_cost, single->total_cost);

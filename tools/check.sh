@@ -115,7 +115,7 @@ test -s "$obs_tmp/fault_out.csv"
 (cd "$repo/build" && ./bench/bench_service_throughput)
 
 echo "== [7/11] network front door: scripted client session + TSan net tests =="
-# Server tests (HTTP parser, live-socket e2e, line protocol, tenant quotas)
+# Server tests (HTTP parser, live-socket e2e, non-HTTP input, tenant quotas)
 # under ThreadSanitizer: the poll loop, worker pool and client threads all
 # share the ticket registry.
 "$repo/build-tsan/tests/net_test"
@@ -263,8 +263,9 @@ echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selecti
 
 # Scripted CLI strategy selection: every built-in partitioner must produce
 # byte-identical output on the same workflow (also when the run re-plans on
-# three shards), the report must name the strategy that ran, and an unknown
-# strategy name must be rejected.
+# three shards), the report must name the strategy that ran, an unknown
+# strategy name must be rejected with the list of known ones, and a schema
+# spec with an empty column name must be rejected.
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
     --output=joined=part_auto.csv --partitioner=auto tiny.beer > part_auto_out.txt)
@@ -285,8 +286,13 @@ cmp "$obs_tmp/part_auto.csv" "$obs_tmp/part_shard.csv"
 grep -q "exhaustive partitioner" "$obs_tmp/part_auto_out.txt"
 grep -q "dp partitioner" "$obs_tmp/part_dp_out.txt"
 if "$repo/build/tools/musketeer" --partitioner=bogus tiny.beer \
-    > /dev/null 2>&1; then
+    > /dev/null 2> "$obs_tmp/part_bogus_err.txt"; then
   echo "expected --partitioner=bogus to be rejected"; exit 1
+fi
+grep -qF "auto|dp|exhaustive|dp-multi" "$obs_tmp/part_bogus_err.txt"
+if (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
+    --input=lhs=lhs.csv::int tiny.beer > /dev/null 2>&1); then
+  echo "expected --input with an empty column name to be rejected"; exit 1
 fi
 
 # Planning-latency gate: seeded synthetic DAGs at 100-1000 operators must

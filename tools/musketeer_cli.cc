@@ -68,6 +68,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relational/csv.h"
+#include "src/relational/schema.h"
 #include "src/scheduler/partition_strategy.h"
 #include "src/service/service.h"
 #include "src/service/shard_coordinator.h"
@@ -81,22 +82,6 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-std::optional<FrontendLanguage> LanguageFromName(const std::string& name) {
-  if (EqualsIgnoreCase(name, "beer")) {
-    return FrontendLanguage::kBeer;
-  }
-  if (EqualsIgnoreCase(name, "hive")) {
-    return FrontendLanguage::kHive;
-  }
-  if (EqualsIgnoreCase(name, "gas")) {
-    return FrontendLanguage::kGas;
-  }
-  if (EqualsIgnoreCase(name, "lindi")) {
-    return FrontendLanguage::kLindi;
-  }
-  return std::nullopt;
-}
-
 std::optional<EngineKind> EngineFromName(const std::string& name) {
   for (EngineKind kind : kAllEngines) {
     if (EqualsIgnoreCase(name, EngineKindName(kind))) {
@@ -104,29 +89,6 @@ std::optional<EngineKind> EngineFromName(const std::string& name) {
     }
   }
   return std::nullopt;
-}
-
-// "id:int,street:string,price:double" -> Schema.
-std::optional<Schema> ParseSchemaSpec(const std::string& spec) {
-  Schema schema;
-  for (const std::string& field : StrSplit(spec, ',')) {
-    std::vector<std::string> parts = StrSplit(field, ':');
-    if (parts.size() != 2) {
-      return std::nullopt;
-    }
-    FieldType type;
-    if (EqualsIgnoreCase(parts[1], "int")) {
-      type = FieldType::kInt64;
-    } else if (EqualsIgnoreCase(parts[1], "double")) {
-      type = FieldType::kDouble;
-    } else if (EqualsIgnoreCase(parts[1], "string")) {
-      type = FieldType::kString;
-    } else {
-      return std::nullopt;
-    }
-    schema.AddField({std::string(StripWhitespace(parts[0])), type});
-  }
-  return schema.num_fields() > 0 ? std::optional<Schema>(schema) : std::nullopt;
 }
 
 void PrintUsage() {
@@ -156,7 +118,7 @@ void PrintUsage() {
       "                                 shard, '-' for this process's slot;\n"
       "                                 each process loads only the --input\n"
       "                                 relations its shard owns)\n"
-      "  --listen=PORT                 (serve HTTP + line protocol; compose\n"
+      "  --listen=PORT                 (serve HTTP; compose\n"
       "                                 with --serve=N for the worker count,\n"
       "                                 Ctrl-C drains and exits)\n"
       "  --quota=TENANT=W[:QUEUED[:INFLIGHT]]  (fair-share weight and caps)\n"
@@ -176,8 +138,7 @@ void PrintUsage() {
       "  --partitioner=auto|dp|exhaustive|dp-multi\n"
       "                                (partitioning strategy; auto picks\n"
       "                                 exhaustive below the op threshold,\n"
-      "                                 DP above it. Names registered via\n"
-      "                                 PartitionStrategyRegistry also work)\n"
+      "                                 DP above it)\n"
       "  --replan-threshold=R          (re-plan the remaining DAG when a\n"
       "                                 job's measured runtime is off by\n"
       "                                 more than Rx from its prediction;\n"
@@ -194,7 +155,7 @@ std::optional<FrontendLanguage> LanguageForFile(
   if (dot == std::string::npos) {
     return std::nullopt;
   }
-  return LanguageFromName(path.substr(dot + 1));
+  return FrontendLanguageFromName(path.substr(dot + 1));
 }
 
 std::optional<WorkflowSpec> LoadWorkflowFile(
@@ -260,7 +221,7 @@ void HandleStopSignal(int) { g_stop_requested.store(true); }
 // Listen mode: stand up the workflow service plus the network front door
 // and serve until SIGINT/SIGTERM. Any positional workflow files are
 // submitted once at startup (a warm-up batch); remote clients then submit
-// over HTTP or the line protocol.
+// over HTTP.
 int RunListen(Dfs* dfs, const std::vector<std::string>& paths,
               std::optional<FrontendLanguage> forced_language,
               const RunOptions& base_options, int workers, uint16_t port,
@@ -427,7 +388,7 @@ int main(int argc, char** argv) {
   std::vector<PeerAddress> peer_addrs;
   bool peers_given = false;
   bool incremental = false;
-  std::string partitioner;         // "" = planner default (auto)
+  std::optional<PartitionStrategyKind> partitioner;  // nullopt = auto
   double replan_threshold = -1;    // < 0 = off (planner default)
 
   // Input relations are parsed now but loaded only after the storage layer
@@ -573,7 +534,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (StartsWith(arg, "--language=")) {
-      language = LanguageFromName(arg.substr(11));
+      language = FrontendLanguageFromName(arg.substr(11));
       if (!language.has_value()) {
         return Fail("unknown language in " + arg);
       }
@@ -631,16 +592,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (StartsWith(arg, "--partitioner=")) {
-      partitioner = arg.substr(14);
-      if (!PartitionStrategyKindFromName(partitioner).has_value() &&
-          PartitionStrategyRegistry::Global().Find(partitioner) == nullptr) {
-        std::string known;
-        for (const std::string& name :
-             PartitionStrategyRegistry::Global().Names()) {
-          if (!known.empty()) known += "|";
-          known += name;
-        }
-        return Fail("--partitioner needs one of " + known);
+      partitioner = PartitionStrategyKindFromName(arg.substr(14));
+      if (!partitioner.has_value()) {
+        return Fail("--partitioner needs one of auto|dp|exhaustive|dp-multi");
       }
       continue;
     }
@@ -845,14 +799,8 @@ int main(int argc, char** argv) {
   options.fault_rate = fault_rate;
   options.fault_seed = static_cast<uint64_t>(fault_seed);
   options.incremental = incremental;
-  if (!partitioner.empty()) {
-    auto kind = PartitionStrategyKindFromName(partitioner);
-    if (kind.has_value()) {
-      options.planner.strategy = *kind;
-      options.planner.custom_strategy.clear();
-    } else {
-      options.planner.custom_strategy = partitioner;  // registry extension
-    }
+  if (partitioner.has_value()) {
+    options.planner.strategy = *partitioner;
   }
   if (replan_threshold >= 0) {
     options.planner.replan_threshold = replan_threshold;
