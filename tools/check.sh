@@ -22,8 +22,9 @@
 # gate (the incremental-recomputation tests under TSan, a scripted CLI run
 # asserting --incremental output is byte-identical to a plain run, and
 # bench_incremental's reused-job / delta-equals-cold acceptance), and
-# finally the planner-at-scale gate (the forced re-planning sweep under
-# TSan, a scripted CLI run asserting every --partitioner choice, and a
+# finally the planner-at-scale gate (the forced re-planning sweep and the
+# plan golden test under TSan, the plan golden test in the Release-assert
+# tree, a scripted CLI run asserting every --partitioner choice, and a
 # re-planning run on three shards, produces byte-identical output, and bench_partitioner_scale's 250 ms planning
 # budget on 1000-operator synthetic DAGs plus the DP optimality-gap
 # acceptance).
@@ -260,6 +261,13 @@ echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selecti
 # bit-identical, while morsel workers execute each job in parallel.
 "$repo/build-tsan/tests/planner_scale_test" \
     --gtest_filter='ReplanningTest.*:PlannerScaleTest.*'
+
+# Plan golden: the nine workflows under every strategy and the synthetic
+# DAGs must plan byte-identically to tests/golden/plans.txt, at one and at
+# four threads, under TSan and in the Release-assert tree (-O3 must not
+# move a bit of a `%a` cost).
+"$repo/build-tsan/tests/plan_golden_test"
+"$repo/build-relassert/tests/plan_golden_test"
 
 # Scripted CLI strategy selection: every built-in partitioner must produce
 # byte-identical output on the same workflow (also when the run re-plans on
