@@ -126,15 +126,7 @@ class EngineBackend : public Backend {
       return std::get<BlackBoxParams>(n.params).backend == name();
     }
     if (traits_.graph_only) {
-      if (n.kind != OpKind::kWhile) {
-        return false;
-      }
-      for (const GraphIdiomMatch& m : DetectGraphIdioms(dag)) {
-        if (m.while_node == node_id && m.vertex_centric) {
-          return true;
-        }
-      }
-      return false;
+      return IsGraphIdiom(dag, node_id);
     }
     return true;
   }

@@ -28,9 +28,11 @@ SimSeconds PriceJob(EngineKind engine, const ClusterConfig& cluster,
 
   // PROCESS + shuffle per charged operator.
   double shuffle_bw = ShuffleBandwidth(engine, cluster);
+  const double process_bws[2] = {
+      ProcessBandwidth(engine, cluster, false) * shape.process_efficiency,
+      ProcessBandwidth(engine, cluster, true) * shape.process_efficiency};
   for (const PricedOp& op : shape.ops) {
-    double process_bw = ProcessBandwidth(engine, cluster, op.graph_path) *
-                        shape.process_efficiency;
+    double process_bw = process_bws[op.graph_path ? 1 : 0];
     if (op.single_node) {
       // Non-associative operator: the whole input funnels through one
       // worker's NIC before the operator can be applied.

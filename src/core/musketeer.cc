@@ -83,8 +83,24 @@ StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
 }
 
 SchemaMap Musketeer::DfsSchemas() const {
+  return DfsSchemasOf(dfs_->ListRelations());
+}
+
+RelationSizes Musketeer::DfsSizes() const {
+  return DfsSizesOf(dfs_->ListRelations());
+}
+
+SchemaMap Musketeer::DfsSchemas(const Dag& dag) const {
+  return DfsSchemasOf(dag.InputRelations());
+}
+
+RelationSizes Musketeer::DfsSizes(const Dag& dag) const {
+  return DfsSizesOf(dag.InputRelations());
+}
+
+SchemaMap Musketeer::DfsSchemasOf(const std::vector<std::string>& names) const {
   SchemaMap out;
-  for (const std::string& name : dfs_->ListRelations()) {
+  for (const std::string& name : names) {
     auto table = dfs_->Get(name);
     if (table.ok()) {
       out[name] = (*table)->schema();
@@ -93,9 +109,9 @@ SchemaMap Musketeer::DfsSchemas() const {
   return out;
 }
 
-RelationSizes Musketeer::DfsSizes() const {
+RelationSizes Musketeer::DfsSizesOf(const std::vector<std::string>& names) const {
   RelationSizes out;
-  for (const std::string& name : dfs_->ListRelations()) {
+  for (const std::string& name : names) {
     auto table = dfs_->Get(name);
     if (table.ok()) {
       out[name] = (*table)->nominal_bytes();
@@ -111,7 +127,7 @@ StatusOr<std::unique_ptr<Dag>> Musketeer::Lower(const WorkflowSpec& workflow,
   if (!optimize) {
     return dag;
   }
-  return OptimizeDag(*dag, DfsSchemas());
+  return OptimizeDag(*dag, DfsSchemas(*dag));
 }
 
 StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
@@ -127,7 +143,7 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
     Span span("stage.parse", "stage");
     MUSKETEER_ASSIGN_OR_RETURN(
         dag, ParseWorkflow(workflow.language, workflow.source));
-    base_schemas = DfsSchemas();
+    base_schemas = DfsSchemas(*dag);
   }
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());
 
@@ -156,7 +172,7 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
     RuntimeCalibration calibration;
     CostModel model = CalibratedCostModel(workflow, options, &calibration);
     MUSKETEER_ASSIGN_OR_RETURN(std::vector<Bytes> sizes,
-                               model.PredictSizes(*dag, DfsSizes()));
+                               model.PredictSizes(*dag, DfsSizes(*dag)));
     MUSKETEER_ASSIGN_OR_RETURN(
         out.partitioning,
         PartitionWorkflow(*dag, model, sizes, EffectivePlanner(options)));
@@ -251,7 +267,9 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     env.ops = &result.partitioning.jobs[i].ops;
     env.options = &options;
     env.runner = &run_attempt;
-    env.dfs_sizes = [this] { return DfsSizes(); };
+    env.dfs_sizes = [this, &plan] {
+      return plan.dag != nullptr ? DfsSizes(*plan.dag) : RelationSizes{};
+    };
     return DispatchJobWithRecovery(&result.plans[i], &ctx, env);
   };
 
@@ -373,7 +391,9 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     }
     RuntimeCalibration calibration;
     CostModel model = CalibratedCostModel(workflow, options, &calibration);
-    auto sizes = model.PredictSizes(*plan.dag, DfsSizes());
+    // Sizes of the base relations the plan's DAG reads: predicting the
+    // remaining jobs' inputs needs every upstream INPUT's size.
+    auto sizes = model.PredictSizes(*plan.dag, DfsSizes(*plan.dag));
     if (!sizes.ok()) {
       return;
     }

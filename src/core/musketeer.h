@@ -249,8 +249,15 @@ class Musketeer {
   // Schemas and nominal sizes of every relation currently in the DFS.
   SchemaMap DfsSchemas() const;
   RelationSizes DfsSizes() const;
+  // Same, for only the relations `dag` reads (Dag::InputRelations), so
+  // planning costs the workflow's inputs, not the DFS's contents.
+  SchemaMap DfsSchemas(const Dag& dag) const;
+  RelationSizes DfsSizes(const Dag& dag) const;
 
  private:
+  SchemaMap DfsSchemasOf(const std::vector<std::string>& names) const;
+  RelationSizes DfsSizesOf(const std::vector<std::string>& names) const;
+
   Dfs* dfs_;
 };
 

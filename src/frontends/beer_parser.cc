@@ -380,6 +380,10 @@ class BeerParser {
 
   // WHILE n LOOP lv = init UPDATE next [, ...] { body } YIELD rel AS name;
   Status ParseWhile(Scope* scope) {
+    if (while_depth_ >= kMaxStatementDepth) {
+      return cursor_.ErrorHere("WHILE blocks nested deeper than " +
+                               std::to_string(kMaxStatementDepth) + " levels");
+    }
     cursor_.Next();  // WHILE
     // WHILE FIXPOINT <max> iterates until the loop-carried relations stop
     // changing (data-dependent iteration), bounded by <max> trips.
@@ -414,7 +418,10 @@ class BeerParser {
       int id = body->AddInput(b.loop_input);
       body_scope.defined[b.loop_input] = id;
     }
-    MUSKETEER_RETURN_IF_ERROR(ParseStatements(&body_scope, /*stop_at_brace=*/true));
+    ++while_depth_;
+    Status body_status = ParseStatements(&body_scope, /*stop_at_brace=*/true);
+    --while_depth_;
+    MUSKETEER_RETURN_IF_ERROR(body_status);
     MUSKETEER_RETURN_IF_ERROR(cursor_.ExpectSymbol("}"));
 
     MUSKETEER_RETURN_IF_ERROR(cursor_.ExpectKeyword("YIELD"));
@@ -450,6 +457,7 @@ class BeerParser {
   }
 
   TokenCursor& cursor_;
+  int while_depth_ = 0;  // WHILE bodies open at the cursor
 };
 
 }  // namespace

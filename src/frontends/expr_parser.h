@@ -18,6 +18,12 @@ namespace musketeer {
 // untrusted source could overflow the stack.
 inline constexpr int kMaxExpressionDepth = 256;
 
+// The deepest nesting of statement blocks (BEER WHILE bodies) a front end
+// accepts. Parsing, and everything that walks the IR later, recurses once
+// per level; a deeper program is InvalidArgument, naming the limit and the
+// line.
+inline constexpr int kMaxStatementDepth = 64;
+
 // Parses one expression at the cursor. An expression deeper than
 // kMaxExpressionDepth is InvalidArgument, naming the limit and the line.
 StatusOr<ExprPtr> ParseExpression(TokenCursor* cursor);

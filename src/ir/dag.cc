@@ -283,9 +283,17 @@ StatusOr<std::vector<Schema>> Dag::InferSchemas(const SchemaMap& base) const {
     }
     if (n.kind == OpKind::kWhile) {
       const auto& p = std::get<WhileParams>(n.params);
-      // Body base schemas: outer base relations, plus loop-carried bindings
-      // seeded from the WHILE node's own inputs (positional).
-      SchemaMap body_base = base;
+      // Body base schemas: the outer base relations the body reads, plus
+      // loop-carried bindings seeded from the WHILE node's own inputs
+      // (positional). Only names the body's INPUT nodes read are copied:
+      // `base` may be a whole plan's relations.
+      SchemaMap body_base;
+      for (const std::string& rel : p.body->InputRelations()) {
+        auto it = base.find(rel);
+        if (it != base.end()) {
+          body_base.emplace(rel, it->second);
+        }
+      }
       for (size_t i = 0; i < p.bindings.size(); ++i) {
         body_base[p.bindings[i].loop_input] = schemas[n.inputs[i]];
       }
@@ -318,6 +326,34 @@ StatusOr<std::vector<Schema>> Dag::InferSchemas(const SchemaMap& base) const {
     MUSKETEER_ASSIGN_OR_RETURN(schemas[n.id], InferNodeSchema(n, in));
   }
   return schemas;
+}
+
+namespace {
+
+void CollectInputRelations(const Dag& dag, std::unordered_set<std::string>* seen,
+                           std::vector<std::string>* out) {
+  for (const OperatorNode& n : dag.nodes()) {
+    if (n.kind == OpKind::kInput) {
+      const std::string& rel = std::get<InputParams>(n.params).relation;
+      if (seen->insert(rel).second) {
+        out->push_back(rel);
+      }
+    } else if (n.kind == OpKind::kWhile) {
+      const auto& body = std::get<WhileParams>(n.params).body;
+      if (body != nullptr) {
+        CollectInputRelations(*body, seen, out);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> Dag::InputRelations() const {
+  std::unordered_set<std::string> seen;
+  std::vector<std::string> out;
+  CollectInputRelations(*this, &seen, &out);
+  return out;
 }
 
 int Dag::TotalOperatorCount() const {

@@ -55,6 +55,11 @@ class Dag {
   // Fails if an expression references a missing column, arities mismatch, etc.
   StatusOr<std::vector<Schema>> InferSchemas(const SchemaMap& base) const;
 
+  // Relations this DAG's INPUT nodes read, WHILE bodies included, each
+  // once, in first-read order. A WHILE body's list also names its
+  // loop-carried and loop-invariant inputs, which its INPUT nodes read too.
+  std::vector<std::string> InputRelations() const;
+
   // Number of operators counting WHILE bodies recursively (WHILE itself is
   // not counted; its body operators are).
   int TotalOperatorCount() const;

@@ -19,6 +19,7 @@
 #ifndef MUSKETEER_SRC_OPT_IDIOM_H_
 #define MUSKETEER_SRC_OPT_IDIOM_H_
 
+#include <optional>
 #include <vector>
 
 #include "src/ir/dag.h"
@@ -34,11 +35,17 @@ struct GraphIdiomMatch {
   bool vertex_centric = false;
 };
 
-// Scans the DAG's WHILE operators for the graph-processing idiom.
+// Matches node `node_id` alone: the idiom when it is a WHILE whose body
+// holds it, else nothing. Inspects only that node's body.
+std::optional<GraphIdiomMatch> MatchGraphIdiom(const Dag& dag, int node_id);
+
+// Scans the DAG's WHILE operators for the graph-processing idiom
+// (MatchGraphIdiom over every node).
 std::vector<GraphIdiomMatch> DetectGraphIdioms(const Dag& dag);
 
 // Convenience: true if `while_id` matches the idiom in its strict
 // vertex-centric form (i.e., it can execute on a vertex-centric runtime).
+// Costs the size of that node's body, not of the DAG.
 bool IsGraphIdiom(const Dag& dag, int while_id);
 
 }  // namespace musketeer

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/backends/pricing.h"
 #include "src/opt/idiom.h"
 
 namespace musketeer {
@@ -69,8 +68,15 @@ StatusOr<std::vector<Bytes>> CostModel::PredictSizes(
     if (node.kind == OpKind::kWhile) {
       const auto& wp = std::get<WhileParams>(node.params);
       // Predict one loop trip (steady-state approximation): the body sees
-      // the loop seeds plus the loop-invariant extra inputs.
-      RelationSizes body_base = base_sizes;
+      // the outer base relations it reads, the loop seeds and the
+      // loop-invariant extra inputs.
+      RelationSizes body_base;
+      for (const std::string& rel : wp.body->InputRelations()) {
+        auto it = base_sizes.find(rel);
+        if (it != base_sizes.end()) {
+          body_base.emplace(rel, it->second);
+        }
+      }
       for (size_t i = 0; i < wp.bindings.size(); ++i) {
         body_base[wp.bindings[i].loop_input] = sizes[node.inputs[i]];
       }
@@ -95,12 +101,27 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
                           EngineKind engine,
                           const std::vector<Bytes>& sizes,
                           const ShardLocality* locality) const {
-  const Backend& backend = BackendFor(engine);
-  if (!backend.CanRunAsSingleJob(dag, ops)) {
+  if (!BackendFor(engine).CanRunAsSingleJob(dag, ops)) {
     return kInfiniteCost;
   }
   std::vector<int> sorted = ops;
   std::sort(sorted.begin(), sorted.end());
+  SegmentSummary summary;
+  Summarize(dag, sorted, sizes, &summary);
+  return PriceSummary(dag, sizes, summary, engine, locality);
+}
+
+void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
+                          const std::vector<Bytes>& sizes,
+                          SegmentSummary* out) const {
+  out->infeasible = false;
+  out->pulled.clear();
+  out->pull_bytes = 0;
+  out->push_bytes = 0;
+  out->entries.clear();
+  out->loops.clear();
+  out->spark_miss_after = -1;
+  out->spark_miss_bytes = 0;
   auto in_set = [&sorted](int id) {
     return std::binary_search(sorted.begin(), sorted.end(), id);
   };
@@ -117,7 +138,8 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
         if (!known) {
           for (int c : dag.ConsumersOf(id)) {
             if (in_set(c)) {
-              return kInfiniteCost;
+              out->infeasible = true;
+              return;
             }
           }
         }
@@ -125,32 +147,16 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
     }
   }
 
-  JobShape shape;
-  shape.process_efficiency = backend.generated_process_efficiency();
-  shape.ops.reserve(sorted.size());
-
-  // PULL: externally-produced inputs (deduplicated per producer). With a
-  // locality context, inputs the candidate shard does not own must first be
-  // fetched cross-shard — charged below at the measured transfer rate.
-  Bytes locality_remote_bytes = 0;
-  std::vector<int> pulled;
-  pulled.reserve(2 * sorted.size());
+  // PULL: externally-produced inputs (deduplicated per producer).
   for (int id : sorted) {
     for (int p : dag.node(id).inputs) {
       if (!in_set(p) &&
-          std::find(pulled.begin(), pulled.end(), p) == pulled.end()) {
-        pulled.push_back(p);
-        shape.pull_bytes += sizes[p];
-        if (locality != nullptr && locality->map != nullptr &&
-            locality->shard >= 0 &&
-            locality->map->OwnerOf(dag.node(p).output) != locality->shard) {
-          locality_remote_bytes += sizes[p];
-        }
+          std::find(out->pulled.begin(), out->pulled.end(), p) ==
+              out->pulled.end()) {
+        out->pulled.push_back(p);
+        out->pull_bytes += sizes[p];
       }
     }
-  }
-  if (RatesFor(engine).load_mbps > 0) {
-    shape.load_bytes = shape.pull_bytes;
   }
 
   // PUSH: outputs leaving the job.
@@ -161,22 +167,18 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
       external = external || !in_set(c);
     }
     if (external) {
-      shape.push_bytes += sizes[id];
+      out->push_bytes += sizes[id];
     }
   }
-
-  bool spark_miss = engine == EngineKind::kSpark;
-  bool miss_charged = false;
 
   // Per-operator processing.
   for (int id : sorted) {
     const OperatorNode& node = dag.node(id);
     if (node.kind == OpKind::kWhile) {
       const auto& wp = std::get<WhileParams>(node.params);
-      bool idiom = IsGraphIdiom(dag, id);
-      WhileExec mode = WhileModeFor(engine, idiom);
-      bool graph_path = mode == WhileExec::kVertexRuntime;
-
+      SegmentSummary::Loop loop;
+      loop.idiom = IsGraphIdiom(dag, id);
+      loop.iterations = wp.iterations;
       RelationSizes body_base;
       for (size_t i = 0; i < wp.bindings.size(); ++i) {
         body_base[wp.bindings[i].loop_input] = sizes[node.inputs[i]];
@@ -186,14 +188,10 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
       }
       auto body_sizes_or = PredictSizes(*wp.body, body_base);
       if (!body_sizes_or.ok()) {
-        return kInfiniteCost;
+        out->infeasible = true;
+        return;
       }
       const std::vector<Bytes>& body_sizes = *body_sizes_or;
-
-      int body_shuffles = 0;
-      Bytes materialized = 0;
-      bool charged_scan = false;
-      bool charged_gather = false;
       for (const OperatorNode& bn : wp.body->nodes()) {
         if (bn.kind == OpKind::kInput) {
           continue;
@@ -202,48 +200,12 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
         for (int bi : bn.inputs) {
           in_bytes += body_sizes[bi];
         }
-        if (graph_path) {
-          // Vertex runtime: one graph-rate edge scan plus gather
-          // communication per superstep (mirrors ExecuteJob's model).
-          if (bn.kind == OpKind::kJoin && !charged_scan) {
-            charged_scan = true;
-            shape.ops.push_back(
-                PricedOp{.in_bytes = in_bytes * static_cast<double>(wp.iterations),
-                         .shuffle = false,
-                         .charge_process = true,
-                         .graph_path = true});
-          } else if ((bn.kind == OpKind::kGroupBy || bn.kind == OpKind::kAgg) &&
-                     !charged_gather) {
-            charged_gather = true;
-            shape.ops.push_back(
-                PricedOp{.in_bytes = in_bytes * static_cast<double>(wp.iterations),
-                         .shuffle = true,
-                         .charge_process = false,
-                         .graph_path = true});
-          }
-          continue;
-        }
-        PricedOp priced;
-        priced.in_bytes = in_bytes * static_cast<double>(wp.iterations);
-        priced.shuffle = IsShuffleOp(bn.kind);
-        priced.charge_process = !IsRowwiseOp(bn.kind);
-        shape.ops.push_back(priced);
-        if (IsShuffleOp(bn.kind)) {
-          ++body_shuffles;
-          materialized += body_sizes[bn.id] * static_cast<double>(wp.iterations);
-        }
+        loop.body.push_back({bn.kind, in_bytes, body_sizes[bn.id]});
       }
-      switch (mode) {
-        case WhileExec::kPerIterationJobs:
-          shape.job_count += std::max(1, body_shuffles) *
-                             static_cast<int>(wp.iterations) - 1;
-          shape.pull_bytes += materialized;
-          shape.push_bytes += materialized;
-          break;
-        default:
-          shape.supersteps += static_cast<int>(wp.iterations);
-          break;
-      }
+      SegmentSummary::Entry entry;
+      entry.loop = static_cast<int>(out->loops.size());
+      out->entries.push_back(entry);
+      out->loops.push_back(std::move(loop));
       continue;
     }
 
@@ -255,12 +217,12 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
     priced.in_bytes = in_bytes;
     priced.shuffle = IsShuffleOp(node.kind);
     priced.charge_process = !IsRowwiseOp(node.kind);
-    shape.ops.push_back(priced);
+    out->entries.push_back({priced});
 
     // Spark type-inference miss (mirrors the executor): a join feeding a
     // differently-keyed aggregation — possibly through row-wise reshaping —
     // costs an extra pass over the join output.
-    if (spark_miss && !miss_charged && node.kind == OpKind::kJoin) {
+    if (out->spark_miss_after < 0 && node.kind == OpKind::kJoin) {
       const auto& jp = std::get<JoinParams>(node.params);
       int cur = id;
       bool reshaped = false;
@@ -284,13 +246,95 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
           miss = true;
         }
         if (miss) {
-          miss_charged = true;
-          shape.ops.push_back(PricedOp{.in_bytes = sizes[id],
-                                       .shuffle = false,
-                                       .charge_process = true});
+          out->spark_miss_after = static_cast<int>(out->entries.size()) - 1;
+          out->spark_miss_bytes = sizes[id];
         }
         break;
       }
+    }
+  }
+}
+
+double CostModel::PriceSummary(const Dag& dag, const std::vector<Bytes>& sizes,
+                               const SegmentSummary& summary,
+                               EngineKind engine,
+                               const ShardLocality* locality) const {
+  if (summary.infeasible) {
+    return kInfiniteCost;
+  }
+  // One shape per thread, reset per call: the DP prices thousands of
+  // segments per plan, and the ops buffer keeps its capacity.
+  thread_local JobShape shape;
+  shape = JobShape{.ops = std::move(shape.ops)};
+  shape.ops.clear();
+  shape.process_efficiency = BackendFor(engine).generated_process_efficiency();
+  shape.pull_bytes = summary.pull_bytes;
+  if (RatesFor(engine).load_mbps > 0) {
+    shape.load_bytes = shape.pull_bytes;
+  }
+  shape.push_bytes = summary.push_bytes;
+
+  for (size_t e = 0; e < summary.entries.size(); ++e) {
+    const SegmentSummary::Entry& entry = summary.entries[e];
+    if (entry.loop < 0) {
+      shape.ops.push_back(entry.op);
+    } else {
+      const SegmentSummary::Loop& loop = summary.loops[entry.loop];
+      const double iterations = static_cast<double>(loop.iterations);
+      WhileExec mode = WhileModeFor(engine, loop.idiom);
+      bool graph_path = mode == WhileExec::kVertexRuntime;
+      int body_shuffles = 0;
+      Bytes materialized = 0;
+      bool charged_scan = false;
+      bool charged_gather = false;
+      for (const SegmentSummary::Loop::BodyOp& bn : loop.body) {
+        if (graph_path) {
+          // Vertex runtime: one graph-rate edge scan plus gather
+          // communication per superstep (mirrors ExecuteJob's model).
+          if (bn.kind == OpKind::kJoin && !charged_scan) {
+            charged_scan = true;
+            shape.ops.push_back(PricedOp{.in_bytes = bn.in_bytes * iterations,
+                                         .shuffle = false,
+                                         .charge_process = true,
+                                         .graph_path = true});
+          } else if ((bn.kind == OpKind::kGroupBy ||
+                      bn.kind == OpKind::kAgg) &&
+                     !charged_gather) {
+            charged_gather = true;
+            shape.ops.push_back(PricedOp{.in_bytes = bn.in_bytes * iterations,
+                                         .shuffle = true,
+                                         .charge_process = false,
+                                         .graph_path = true});
+          }
+          continue;
+        }
+        PricedOp priced;
+        priced.in_bytes = bn.in_bytes * iterations;
+        priced.shuffle = IsShuffleOp(bn.kind);
+        priced.charge_process = !IsRowwiseOp(bn.kind);
+        shape.ops.push_back(priced);
+        if (IsShuffleOp(bn.kind)) {
+          ++body_shuffles;
+          materialized += bn.out_bytes * iterations;
+        }
+      }
+      switch (mode) {
+        case WhileExec::kPerIterationJobs:
+          shape.job_count += std::max(1, body_shuffles) *
+                             static_cast<int>(loop.iterations) - 1;
+          shape.pull_bytes += materialized;
+          shape.push_bytes += materialized;
+          break;
+        default:
+          shape.supersteps += static_cast<int>(loop.iterations);
+          break;
+      }
+    }
+    if (engine == EngineKind::kSpark &&
+        static_cast<int>(e) == summary.spark_miss_after) {
+      shape.ops.push_back(PricedOp{.in_bytes = summary.spark_miss_bytes,
+                                   .shuffle = false,
+                                   .charge_process = true});
     }
   }
 
@@ -302,12 +346,22 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
   if (calibration_ != nullptr && calibration_->has_observations) {
     cost *= calibration_->TimeScale(EngineKindName(engine));
   }
-  // Locality term: transfer seconds for the inputs this shard must fetch,
-  // at the measured cross-shard rate. Added after calibration — the rate is
-  // already a wall-clock measurement, not a sim-time constant.
-  if (locality_remote_bytes > 0 && locality != nullptr) {
-    const double rate = locality->remote_mbps > 0 ? locality->remote_mbps : 1.0;
-    cost += locality_remote_bytes / MBps(rate);
+  // Locality term: transfer seconds for the inputs this shard does not own
+  // and must fetch cross-shard, at the measured rate. Added after
+  // calibration — the rate is already a wall-clock measurement, not a
+  // sim-time constant.
+  if (locality != nullptr && locality->map != nullptr && locality->shard >= 0) {
+    Bytes remote_bytes = 0;
+    for (int p : summary.pulled) {
+      if (locality->map->OwnerOf(dag.node(p).output) != locality->shard) {
+        remote_bytes += sizes[p];
+      }
+    }
+    if (remote_bytes > 0) {
+      const double rate =
+          locality->remote_mbps > 0 ? locality->remote_mbps : 1.0;
+      cost += remote_bytes / MBps(rate);
+    }
   }
   return cost;
 }

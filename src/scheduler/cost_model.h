@@ -14,12 +14,14 @@
 #ifndef MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_
 #define MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/backends/backend.h"
+#include "src/backends/pricing.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/shard_map.h"
 #include "src/obs/runtime_history.h"
@@ -43,6 +45,46 @@ struct ShardLocality {
   const ShardMap* map = nullptr;  // relation-location directory (not owned)
   int shard = -1;                 // candidate executing shard
   double remote_mbps = 100.0;     // measured cross-shard byte rate
+};
+
+// The engine-independent half of a job's price: everything JobCost derives
+// from the operator set alone, before it looks at the engine. The DP builds
+// one per candidate segment and prices it for each engine that can run the
+// segment, instead of re-deriving it per engine.
+struct SegmentSummary {
+  // The set cannot be priced on any engine: conservative merging vetoed
+  // it, or a WHILE body's sizes could not be predicted.
+  bool infeasible = false;
+  // Externally produced inputs, deduplicated, in first-read order, and
+  // their summed bytes; bytes leaving the job.
+  std::vector<int> pulled;
+  Bytes pull_bytes = 0;
+  Bytes push_bytes = 0;
+  // One entry per operator in id order: a non-WHILE operator's PricedOp,
+  // or (loop >= 0) the WHILE operator loops[loop], whose priced ops depend
+  // on the engine's loop mode.
+  struct Entry {
+    PricedOp op;
+    int loop = -1;
+  };
+  std::vector<Entry> entries;
+  // A WHILE operator's body, predicted once for one trip.
+  struct Loop {
+    bool idiom = false;  // matches the vertex-centric graph idiom
+    int64_t iterations = 1;
+    // Per non-INPUT body node, in body order.
+    struct BodyOp {
+      OpKind kind;
+      Bytes in_bytes;
+      Bytes out_bytes;
+    };
+    std::vector<BodyOp> body;
+  };
+  std::vector<Loop> loops;
+  // Spark's type-inference miss: an extra pass of `spark_miss_bytes` right
+  // after entries[spark_miss_after] (-1: none).
+  int spark_miss_after = -1;
+  Bytes spark_miss_bytes = 0;
 };
 
 class CostModel {
@@ -75,6 +117,18 @@ class CostModel {
   double JobCost(const Dag& dag, const std::vector<int>& ops, EngineKind engine,
                  const std::vector<Bytes>& sizes,
                  const ShardLocality* locality = nullptr) const;
+
+  // JobCost in two steps. Summarize fills *out with the engine-independent
+  // facts of running `sorted_ops` (ascending ids) as one job; PriceSummary
+  // prices that summary on `engine`, which the caller has checked can run
+  // the set as one job (Backend::CanRunAsSingleJob). JobCost is exactly
+  // these two steps, so every caller shares one definition of cost, bit
+  // for bit.
+  void Summarize(const Dag& dag, const std::vector<int>& sorted_ops,
+                 const std::vector<Bytes>& sizes, SegmentSummary* out) const;
+  double PriceSummary(const Dag& dag, const std::vector<Bytes>& sizes,
+                      const SegmentSummary& summary, EngineKind engine,
+                      const ShardLocality* locality = nullptr) const;
 
   const ClusterConfig& cluster() const { return cluster_; }
 

@@ -68,15 +68,17 @@ std::vector<int> RandomTopoOrder(const Dag& dag, uint64_t seed) {
   return order;
 }
 
-// Cheapest engine for one job; kInfiniteCost if none can run it.
-std::pair<EngineKind, double> BestEngine(const Dag& dag, const CostModel& model,
-                                         const std::vector<Bytes>& sizes,
-                                         const std::vector<int>& ops,
-                                         const std::vector<EngineKind>& engines) {
+// Cheapest of `engines` for the summarized job, first on ties;
+// kInfiniteCost if none prices it. Every engine must be able to run the job.
+std::pair<EngineKind, double> CheapestEngine(const Dag& dag,
+                                             const CostModel& model,
+                                             const std::vector<Bytes>& sizes,
+                                             const SegmentSummary& summary,
+                                             const std::vector<EngineKind>& engines) {
   EngineKind best = engines[0];
   double best_cost = kInfiniteCost;
   for (EngineKind e : engines) {
-    double c = model.JobCost(dag, ops, e, sizes);
+    double c = model.PriceSummary(dag, sizes, summary, e);
     if (c < best_cost) {
       best_cost = c;
       best = e;
@@ -91,7 +93,7 @@ std::pair<EngineKind, double> BestEngine(const Dag& dag, const CostModel& model,
 // dozens of operators never wins on cost (PUSH/PULL amortization saturates
 // long before that), so segments beyond the window are noise. Within the
 // window, an engine stops being priced at the first segment it cannot run
-// as one job, so only runnable segments pay for JobCost.
+// as one job, so only runnable segments are priced.
 int EffectiveSegmentCap(int n) {
   return n > kDpSegmentCapAbove ? kDpSegmentCap : n;
 }
@@ -114,20 +116,25 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
   std::vector<EngineKind> engine_of(n + 1, engines[0]);
   best[0] = 0;
 
-  std::vector<int> segment;
+  std::vector<int> segment;  // sorted by id
   std::vector<EngineKind> live;
+  SegmentSummary summary;
   for (int i = 1; i <= n; ++i) {
     int min_k = config.enable_merging ? std::max(0, i - cap) : i - 1;
-    // segment = order[k, i), grown one operator per step (JobCost and
-    // CanRunAsSingleJob do not depend on its order). CanRunAsSingleJob is
-    // monotone under growth: an unsupported operator stays in the segment,
-    // and shuffle count and loop-singleton size only grow. So an engine
-    // that rejects the segment rejects every longer one: drop it for the
-    // rest of the window, and end the window when no engine is left.
+    // segment = order[k, i), grown one operator per step and kept sorted
+    // by insertion (CanRunAsSingleJob does not depend on its order).
+    // CanRunAsSingleJob is monotone under growth: an unsupported operator
+    // stays in the segment, and shuffle count and loop-singleton size only
+    // grow. So an engine that rejects the segment rejects every longer one:
+    // drop it for the rest of the window, and end the window when no
+    // engine is left. Each segment is summarized once and priced for every
+    // live engine.
     segment.clear();
     live = engines;
     for (int k = i - 1; k >= min_k; --k) {
-      segment.push_back(order[k]);
+      segment.insert(
+          std::lower_bound(segment.begin(), segment.end(), order[k]),
+          order[k]);
       live.erase(std::remove_if(live.begin(), live.end(),
                                 [&](EngineKind e) {
                                   return !BackendFor(e).CanRunAsSingleJob(
@@ -140,7 +147,8 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
       if (best[k] == kInfiniteCost) {
         continue;
       }
-      auto [eng, cost] = BestEngine(dag, model, sizes, segment, live);
+      model.Summarize(dag, segment, sizes, &summary);
+      auto [eng, cost] = CheapestEngine(dag, model, sizes, summary, live);
       if (cost == kInfiniteCost) {
         continue;
       }
@@ -427,7 +435,17 @@ class ExhaustiveSearch {
     if (it != cost_cache_.end()) {
       return it->second;
     }
-    auto result = BestEngine(dag_, model_, sizes_, key, engines_);
+    std::vector<EngineKind> runnable;
+    for (EngineKind e : engines_) {
+      if (BackendFor(e).CanRunAsSingleJob(dag_, key)) {
+        runnable.push_back(e);
+      }
+    }
+    std::pair<EngineKind, double> result{engines_[0], kInfiniteCost};
+    if (!runnable.empty()) {
+      model_.Summarize(dag_, key, sizes_, &summary_);
+      result = CheapestEngine(dag_, model_, sizes_, summary_, runnable);
+    }
     cost_cache_.emplace(std::move(key), result);
     return result;
   }
@@ -446,6 +464,7 @@ class ExhaustiveSearch {
   double best_cost_ = kInfiniteCost;
   std::vector<JobAssignment> best_jobs_;
   std::map<std::vector<int>, std::pair<EngineKind, double>> cost_cache_;
+  SegmentSummary summary_;  // scratch for CachedBestEngine
 };
 
 // A fixed assignment of the first `idx` operators (in enumeration order) —

@@ -199,7 +199,7 @@ StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow,
                   calibration.has_observations ? &calibration : nullptr);
   MUSKETEER_ASSIGN_OR_RETURN(
       std::vector<Bytes> sizes,
-      model.PredictSizes(*plan.dag, musketeer.DfsSizes()));
+      model.PredictSizes(*plan.dag, musketeer.DfsSizes(*plan.dag)));
 
   // Everything but placement — reuse, recovery, calibration, re-planning,
   // sinks and history — is Execute's one loop.

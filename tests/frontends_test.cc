@@ -358,5 +358,70 @@ TEST(ExpressionDepthTest, TwoHundredNestedParenthesesStillParse) {
   }
 }
 
+// `depth` WHILE blocks, each nested in the previous one's body. Every body
+// feeds its loop variable to the next level and yields a DISTINCT of what
+// that level yields.
+std::string NestedWhileSource(int depth) {
+  std::string out = "top = SELECT id FROM prices WHERE price > 0;\n";
+  for (int i = 0; i < depth; ++i) {
+    out += "WHILE 1 LOOP a = " + std::string(i == 0 ? "top" : "a") +
+           " UPDATE c {\n";
+  }
+  for (int i = depth - 1; i >= 0; --i) {
+    out += std::string("c = DISTINCT ") + (i == depth - 1 ? "a" : "d") +
+           ";\n} YIELD c AS d;\n";
+  }
+  return out;
+}
+
+TEST(StatementDepthTest, SixtyFourNestedWhileBlocksStillParse) {
+  auto dag = ParseWorkflow(FrontendLanguage::kBeer,
+                           NestedWhileSource(kMaxStatementDepth));
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  int depth = 0;
+  const Dag* scope = dag->get();
+  while (scope != nullptr) {
+    const Dag* inner = nullptr;
+    for (const OperatorNode& n : scope->nodes()) {
+      if (n.kind == OpKind::kWhile) {
+        ++depth;
+        inner = std::get<WhileParams>(n.params).body.get();
+      }
+    }
+    scope = inner;
+  }
+  EXPECT_EQ(depth, kMaxStatementDepth);
+  auto result = EvaluateDagRelation(**dag, PropertyData(), "d");
+  ASSERT_TRUE(result.ok()) << result.status();
+}
+
+TEST(StatementDepthTest, OneLevelTooDeepIsRejectedWithTheLine) {
+  auto dag = ParseWorkflow(FrontendLanguage::kBeer,
+                           NestedWhileSource(kMaxStatementDepth + 1));
+  ASSERT_FALSE(dag.ok());
+  EXPECT_EQ(dag.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(dag.status().message().find(
+                "nested deeper than " + std::to_string(kMaxStatementDepth)),
+            std::string::npos)
+      << dag.status();
+  // The first line opens the SELECT; WHILE number 65 opens line 66.
+  EXPECT_NE(dag.status().message().find(
+                "line " + std::to_string(kMaxStatementDepth + 2) + ":"),
+            std::string::npos)
+      << dag.status();
+}
+
+// 30,000 nested WHILE blocks used to overflow the stack in the
+// ParseWhile <-> ParseStatements recursion and kill the process.
+TEST(StatementDepthTest, ThirtyThousandNestedWhileBlocksAreRejectedNotCrashed) {
+  auto dag = ParseWorkflow(FrontendLanguage::kBeer, NestedWhileSource(30000));
+  ASSERT_FALSE(dag.ok());
+  EXPECT_EQ(dag.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(dag.status().message().find(
+                "nested deeper than " + std::to_string(kMaxStatementDepth)),
+            std::string::npos)
+      << dag.status();
+}
+
 }  // namespace
 }  // namespace musketeer

@@ -160,6 +160,47 @@ TEST(DagTest, TotalOperatorCountRecursesIntoWhile) {
   EXPECT_EQ(dag.TotalOperatorCount(), 2);
 }
 
+// A WHILE body may read an outer base relation that is not one of the
+// loop's inputs: inference copies into the body only the relations the body
+// reads, and must still find it — or report it missing as before.
+TEST(DagTest, WhileBodyResolvesOuterBaseRelationThatIsNotALoopInput) {
+  auto body = std::make_shared<Dag>();
+  int lv = body->AddInput("lv");
+  int side = body->AddInput("side_rel");
+  int joined =
+      body->AddNode(OpKind::kJoin, "joined", {lv, side}, JoinParams{"id", "id"});
+  body->AddNode(OpKind::kProject, "next", {joined}, ProjectParams{{"id"}});
+  Dag dag;
+  int seed = dag.AddInput("seed_rel");
+  WhileParams wp;
+  wp.iterations = 2;
+  wp.body = body;
+  wp.bindings = {LoopBinding{"lv", "next"}};
+  wp.result = "joined";
+  int loop = dag.AddNode(OpKind::kWhile, "out", {seed}, wp);
+
+  Schema seed_schema;
+  seed_schema.AddField({"id", FieldType::kInt64});
+  Schema side_schema;
+  side_schema.AddField({"id", FieldType::kInt64});
+  side_schema.AddField({"w", FieldType::kDouble});
+  SchemaMap base = {{"seed_rel", seed_schema}, {"side_rel", side_schema}};
+  for (int i = 0; i < 100; ++i) {
+    base["unrelated_" + std::to_string(i)] = side_schema;
+  }
+  auto schemas = dag.InferSchemas(base);
+  ASSERT_TRUE(schemas.ok()) << schemas.status();
+  ASSERT_EQ((*schemas)[loop].num_fields(), 2u);
+  EXPECT_EQ((*schemas)[loop].field(1).name, "w");
+
+  base.erase("side_rel");
+  auto missing = dag.InferSchemas(base);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(missing.status().message(),
+            "base relation 'side_rel' has no schema");
+}
+
 TEST(EvalTest, UdfOperatorRuns) {
   Dag dag;
   int in = dag.AddInput("edges");

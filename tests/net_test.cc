@@ -773,5 +773,48 @@ TEST(NetServerTest, DeepExpressionSubmitFailsAndServerSurvives) {
   service.Shutdown();
 }
 
+// 30,000 nested WHILE blocks (810 KB, under the server's 1 MB message cap)
+// used to overflow the parser's stack in a service worker and take the
+// whole server down. Now the ticket ends FAILED naming the nesting limit.
+TEST(NetServerTest, DeepWhileNestingSubmitFailsAndServerSurvives) {
+  Dfs dfs;
+  SeedDfs(&dfs);
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  std::string source = "WHILE 1 LOOP a=purchases UPDATE c{\n";
+  for (int i = 1; i < 30000; ++i) {
+    source += "WHILE 1 LOOP a=a UPDATE c{\n";
+  }
+  auto reply = client.SubmitWorkflow({.workflow_id = "net-deep-while"}, source);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->status, 202);
+  auto state =
+      client.WaitTerminal(reply->ticket, std::chrono::milliseconds(30000));
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(*state, "FAILED");
+
+  auto status_body = client.Get("/status/" + std::to_string(reply->ticket));
+  ASSERT_TRUE(status_body.ok()) << status_body.status();
+  auto status_json = ParseJson(*status_body);
+  ASSERT_TRUE(status_json.ok()) << *status_body;
+  const JsonValue* error = status_json->Find("error");
+  ASSERT_NE(error, nullptr) << *status_body;
+  EXPECT_NE(error->string_value.find(
+                "nested deeper than " + std::to_string(kMaxStatementDepth)),
+            std::string::npos)
+      << error->string_value;
+
+  auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_NE(health->find("ok"), std::string::npos);
+
+  server.Shutdown();
+  service.Shutdown();
+}
+
 }  // namespace
 }  // namespace musketeer

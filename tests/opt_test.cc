@@ -9,6 +9,8 @@
 #include "src/frontends/frontend.h"
 #include "src/ir/eval.h"
 #include "src/opt/idiom.h"
+#include "src/workloads/synthetic_dag.h"
+#include "tests/workflow_setups.h"
 
 namespace musketeer {
 namespace {
@@ -97,6 +99,25 @@ TEST(OptimizerTest, SelectionPushedThroughUnion) {
   auto optimized = OptimizeDag(**dag, SchemasOf(data), {}, &stats);
   ASSERT_TRUE(optimized.ok()) << optimized.status();
   EXPECT_EQ(stats.selections_pushed, 1);
+  ExpectSemanticsPreserved(kSource, "f");
+}
+
+// A UNION takes its column names from its left side. A filter naming a
+// column the right side calls something else must stay above the UNION:
+// pushing it used to fail the whole optimization with InvalidArgument.
+TEST(OptimizerTest, SelectionStaysAboveUnionWithRenamedRightColumns) {
+  const char* kSource = R"(
+    renamed = MAP k AS key, region AS area, amount AS total FROM b;
+    u = UNION a, renamed;
+    f = SELECT * FROM u WHERE amount > 30;
+  )";
+  TableMap data = TestData();
+  auto dag = ParseWorkflow(FrontendLanguage::kBeer, kSource);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  OptimizeStats stats;
+  auto optimized = OptimizeDag(**dag, SchemasOf(data), {}, &stats);
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  EXPECT_EQ(stats.selections_pushed, 0);
   ExpectSemanticsPreserved(kSource, "f");
 }
 
@@ -219,6 +240,53 @@ TEST(IdiomTest, NonGraphLoopNotVertexCentric) {
   for (const auto& m : matches) {
     EXPECT_FALSE(m.vertex_centric);
   }
+}
+
+// The per-node match agrees with the whole-DAG scan for every node of the
+// nine workflows and of seeded synthetic DAGs with WHILE blocks.
+TEST(IdiomTest, PerNodeMatchAgreesWithWholeDagScan) {
+  std::vector<std::unique_ptr<Dag>> dags;
+  for (Wf wf : kAllWorkflows) {
+    WfSetup setup = MakeSetup(wf);
+    auto dag = ParseWorkflow(setup.workflow.language, setup.workflow.source);
+    ASSERT_TRUE(dag.ok()) << WfName(wf) << ": " << dag.status();
+    dags.push_back(std::move(dag).value());
+  }
+  for (uint64_t seed : {5ull, 13ull, 29ull}) {
+    SyntheticDagSpec spec;
+    spec.target_ops = 250;
+    spec.seed = seed;
+    auto dag =
+        ParseWorkflow(FrontendLanguage::kBeer, MakeSyntheticDag(spec).source);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    dags.push_back(std::move(dag).value());
+  }
+  int whiles = 0;
+  int matched = 0;
+  for (const auto& dag : dags) {
+    const std::vector<GraphIdiomMatch> scan = DetectGraphIdioms(*dag);
+    for (const OperatorNode& n : dag->nodes()) {
+      const GraphIdiomMatch* want = nullptr;
+      for (const GraphIdiomMatch& m : scan) {
+        if (m.while_node == n.id) {
+          want = &m;
+        }
+      }
+      whiles += n.kind == OpKind::kWhile ? 1 : 0;
+      std::optional<GraphIdiomMatch> got = MatchGraphIdiom(*dag, n.id);
+      ASSERT_EQ(got.has_value(), want != nullptr) << "node " << n.id;
+      EXPECT_EQ(IsGraphIdiom(*dag, n.id), want != nullptr && want->vertex_centric)
+          << "node " << n.id;
+      if (want != nullptr) {
+        ++matched;
+        EXPECT_EQ(got->scatter_join, want->scatter_join);
+        EXPECT_EQ(got->gather_group_by, want->gather_group_by);
+        EXPECT_EQ(got->vertex_centric, want->vertex_centric);
+      }
+    }
+  }
+  EXPECT_GT(whiles, 0);
+  EXPECT_GT(matched, 0);
 }
 
 }  // namespace
