@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "src/base/memory.h"
 #include "src/base/parallel.h"
 #include "src/base/strings.h"
 #include "src/engines/executor.h"
@@ -18,6 +19,12 @@
 namespace musketeer {
 
 namespace {
+
+// Every program that executes jobs keeps freed kernel buffers in one heap
+// (src/base/memory.h). Set during static initialization, before main can
+// start a thread.
+[[maybe_unused]] const bool kFreedBlocksKept =
+    (KeepFreedBlocksInHeap(), true);
 
 // Joins whose downstream aggregation (possibly through row-wise reshaping
 // operators — the NetFlix join->map->group-by pattern) keys by something

@@ -1,9 +1,16 @@
 // Engine-simulator tests: job execution against the DFS, loop execution
-// strategies, quirk pricing, and accounting.
+// strategies, quirk pricing, accounting, and the heap settings of programs
+// that execute jobs.
 
 #include "src/engines/engine.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/backends/backend.h"
 #include "src/engines/executor.h"
@@ -225,6 +232,59 @@ TEST(EngineTest, ExtraJobsQuirkAddsOverhead) {
   ASSERT_TRUE(extra.ok());
   EXPECT_NEAR(extra->makespan - base->makespan,
               2 * RatesFor(EngineKind::kHadoop).job_overhead_s, 1e-6);
+}
+
+// glibc's malloc serves the process unless a sanitizer replaces it.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kGlibcMalloc = true;
+#else
+constexpr bool kGlibcMalloc = false;
+#endif
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// Allocates, writes and frees eight 1 MB blocks, the way a request builds
+// and drops its columns.
+void ChurnBlocks() {
+  constexpr size_t kBlock = size_t{1} << 20;
+  std::vector<std::unique_ptr<char[]>> blocks;
+  for (int i = 0; i < 8; ++i) {
+    blocks.emplace_back(new char[kBlock]);
+    std::memset(blocks.back().get(), i + 1, kBlock);
+  }
+  long sum = 0;
+  for (const auto& block : blocks) {
+    sum += block[kBlock / 2];
+  }
+  EXPECT_EQ(sum, 36);
+}
+
+// engine.cc applies KeepFreedBlocksInHeap (src/base/memory.h) before main.
+// With glibc's own thresholds the 1 MB blocks go to mmap on the first round;
+// freeing them raises the mmap threshold to 1 MB and the trim threshold to
+// 2 MB, so from then on the 8 MB freed at the top of the heap is handed back
+// to the system after every round and faulted in again on the next. With an
+// arena per thread, the main thread would not reuse the blocks the worker
+// freed.
+TEST(HeapTest, FreedBlocksStayInOneHeap) {
+  if (!kGlibcMalloc) {
+    GTEST_SKIP() << "the thresholds are glibc malloc's";
+  }
+  std::thread worker([] {
+    ChurnBlocks();
+    ChurnBlocks();
+  });
+  worker.join();
+  const long before = MinorFaults();
+  ChurnBlocks();
+  // 8 MB is 2,048 pages of 4 KB; a round that reuses the heap faults in
+  // none of them.
+  EXPECT_LT(MinorFaults() - before, 256);
 }
 
 }  // namespace
