@@ -1,4 +1,4 @@
-// Shard scaling and locality placement (PR 8, beyond the paper).
+// Shard scaling and locality placement (beyond the paper).
 //
 // Runs the nine evaluation workflows through the ShardCoordinator at M = 1,
 // 2, 3 shards and measures what sharding costs and what locality-aware
@@ -7,9 +7,10 @@
 //   - wall_ms: wall clock for the whole suite (min over reps, so a 1-core CI
 //     host's scheduling noise does not masquerade as a regression);
 //   - placement accounting: locality hit rate and the cross-shard bytes the
-//     placer agreed to move at decision time;
+//     placer agreed to move at decision time (locality placement sends each
+//     job to the shard holding the most of its input bytes);
 //   - DFS fetch accounting: measured cross-shard fetches/bytes and the
-//     observed transfer rate the cost model's ShardLocality term charges.
+//     observed transfer rate, reported only (placement counts bytes).
 //
 // The locality arm is compared against seeded-random placement (same
 // workflows, same shards, placement blind to data location). Three

@@ -180,8 +180,7 @@ class Dfs {
 // inner scope's totals propagate into the enclosing scope when it closes,
 // so an outer "whole submission" scope still sees bytes charged inside a
 // per-job scope. Remote-fetch bytes are a subset of bytes_read(): the
-// locality cost model calibrates its cross-shard term from exactly this
-// split.
+// cross-shard traffic a sharded run reports.
 class ScopedDfsRunCounters {
  public:
   ScopedDfsRunCounters();

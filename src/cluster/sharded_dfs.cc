@@ -168,10 +168,10 @@ StatusOr<TablePtr> ShardedDfs::FetchForShard(const std::string& name,
   if (shard < 0 || owner == shard) {
     return table;  // local read (or the global view): no fetch charge
   }
-  // Cross-shard fetch: deep-copy the table (columns and all) and time it —
-  // the measured byte rate is what the locality cost term charges. The copy
-  // is bit-identical by construction (Table's copy ctor), so sharded runs
-  // stay Table::Identical to 1-shard runs.
+  // Cross-shard fetch: deep-copy the table (columns and all) and time it
+  // for the reported measured byte rate. The copy is bit-identical by
+  // construction (Table's copy ctor), so sharded runs stay Table::Identical
+  // to 1-shard runs.
   const auto start = std::chrono::steady_clock::now();
   auto copy = std::make_shared<Table>(**table);
   const double seconds =
@@ -188,7 +188,7 @@ double ShardedDfs::measured_remote_mbps() const {
   const double seconds = copy_seconds_.load(std::memory_order_relaxed);
   const Bytes bytes = copied_sample_bytes_.load(std::memory_order_relaxed);
   if (seconds <= 0 || bytes <= 0) {
-    return fallback_remote_mbps_;
+    return 0;
   }
   return (bytes / seconds) / (1024.0 * 1024.0);
 }

@@ -1,4 +1,4 @@
-// M DFS partitions behind one namespace (PR 8).
+// M DFS partitions behind one namespace.
 //
 // ShardedDfs composes M DfsPartitions with a ShardMap location directory.
 // Used two ways:
@@ -9,8 +9,8 @@
 //     pays fetch charges, placement does.
 //   - Through per-shard *views* (View(k)): a Dfs whose IsLocal(name) answers
 //     from the directory, and whose Get deep-copies tables another shard
-//     owns — timing the copy, which is how the locality cost model gets a
-//     *measured* cross-shard byte rate instead of an assumed constant.
+//     owns — counting the bytes and timing the copy, so a run reports the
+//     cross-shard volume it moved and the byte rate it observed.
 //     Put through a view stores into the view's own partition and pins the
 //     relation there (placement-near-data: outputs live where they were
 //     produced), erasing any stale copy at the previous owner.
@@ -116,11 +116,10 @@ class ShardedDfs final : public Dfs {
   Bytes remote_bytes_fetched() const {
     return remote_bytes_.load(std::memory_order_relaxed);
   }
-  // Measured cross-shard transfer rate (MB/s) from the timed copies;
-  // `fallback_remote_mbps` until the first fetch. This is the rate the
-  // locality cost term charges (ShardLocality in cost_model.h).
+  // Measured cross-shard transfer rate (MB/s) from the timed copies; 0
+  // until the first fetch. A reported measurement only: placement counts
+  // bytes, not seconds.
   double measured_remote_mbps() const;
-  void set_fallback_remote_mbps(double mbps) { fallback_remote_mbps_ = mbps; }
 
  private:
   friend class ShardViewDfs;
@@ -148,7 +147,6 @@ class ShardedDfs final : public Dfs {
   mutable std::atomic<Bytes> remote_bytes_{0};        // nominal
   mutable std::atomic<Bytes> copied_sample_bytes_{0}; // physical
   mutable std::atomic<double> copy_seconds_{0};
-  double fallback_remote_mbps_ = 100.0;
 };
 
 }  // namespace musketeer

@@ -29,15 +29,10 @@ StatusOr<EngineKind> NextFailoverEngine(const WorkflowSpec& workflow,
                                         const RelationSizes& dfs_sizes,
                                         const std::vector<EngineKind>& tried) {
   RuntimeCalibration calibration;
-  if (options.runtime_history != nullptr) {
-    calibration = options.runtime_history->Calibration();
-  }
-  CostModel model(options.cluster, options.history, workflow.id,
-                  options.conservative_first_run,
-                  calibration.has_observations ? &calibration : nullptr);
+  CostModel model = CalibratedCostModel(workflow, options, &calibration);
   MUSKETEER_ASSIGN_OR_RETURN(std::vector<Bytes> sizes,
                              model.PredictSizes(*wplan.dag, dfs_sizes));
-  std::vector<EngineKind> candidates(options.engines);
+  std::vector<EngineKind> candidates = EffectivePlanner(options).engines;
   if (candidates.empty()) {
     candidates.assign(kAllEngines.begin(), kAllEngines.end());
   }
@@ -99,7 +94,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
         ++out.recovery.faults_injected;
       }
       StatusOr<JobResult> attempt =
-          (*env.runner)(*job, *env.ops, *ctx, &out.charged);
+          (*env.runner)(*job, *ctx, &out.charged);
       ++out.recovery.attempts;
       out.recovery.attempt_log.push_back(
           {global_attempt, job->engine,

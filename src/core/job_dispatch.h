@@ -51,10 +51,10 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(JobPlan* job,
                                                      ExecutionContext* ctx,
                                                      const JobDispatchEnv& env);
 
-// The failover choice: cheapest engine among the run's candidates, minus
-// `tried`, that can run `ops` as a single job. Mirrors Plan()'s cost-model
-// construction so failover uses the same cost basis as the original
-// partitioning.
+// The failover choice: cheapest engine among the engines the run plans
+// with (EffectivePlanner; empty = all seven), minus `tried`, that can run
+// `ops` as a single job, priced by CalibratedCostModel — the same cost
+// basis as the original partitioning.
 StatusOr<EngineKind> NextFailoverEngine(const WorkflowSpec& workflow,
                                         const WorkflowPlan& wplan,
                                         const std::vector<int>& ops,

@@ -41,20 +41,6 @@ ExecutionContext MakeContext(const WorkflowSpec& workflow,
   return ctx;
 }
 
-// The cost model Plan() and suffix re-planning price jobs with: job costs
-// are in measured-time units once the runtime history has observations.
-// The model points at *calibration, which must outlive it.
-CostModel CalibratedCostModel(const WorkflowSpec& workflow,
-                              const RunOptions& options,
-                              RuntimeCalibration* calibration) {
-  if (options.runtime_history != nullptr) {
-    *calibration = options.runtime_history->Calibration();
-  }
-  return CostModel(options.cluster, options.history, workflow.id,
-                   options.conservative_first_run,
-                   calibration->has_observations ? calibration : nullptr);
-}
-
 }  // namespace
 
 RunOptions PinDeadline(RunOptions options) {
@@ -68,6 +54,17 @@ PlannerConfig EffectivePlanner(const RunOptions& options) {
     planner.engines = options.engines;
   }
   return planner;
+}
+
+CostModel CalibratedCostModel(const WorkflowSpec& workflow,
+                              const RunOptions& options,
+                              RuntimeCalibration* calibration) {
+  if (options.runtime_history != nullptr) {
+    *calibration = options.runtime_history->Calibration();
+  }
+  return CostModel(options.cluster, options.history, workflow.id,
+                   options.conservative_first_run,
+                   calibration->has_observations ? calibration : nullptr);
 }
 
 StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
@@ -224,7 +221,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
   // workflows against the same DFS do not pollute each other's deltas.
   Span exec_span("stage.execute", "stage");
   ExecutionContext ctx = MakeContext(workflow, options);
-  const JobRunner run_inline = [&](const JobPlan& job, const std::vector<int>&,
+  const JobRunner run_inline = [&](const JobPlan& job,
                                    const ExecutionContext& c,
                                    DfsTraffic* charged) {
     return ExecuteJobCharged(job, options.cluster, dfs_, c, charged);
@@ -263,7 +260,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     env.workflow = &workflow;
     env.plan = &plan;
     // The run's (possibly re-planned) operator set for this job; the shared
-    // plan is immutable, so placement and failover re-costing read this copy.
+    // plan is immutable, so failover re-costing reads this copy.
     env.ops = &result.partitioning.jobs[i].ops;
     env.options = &options;
     env.runner = &run_attempt;

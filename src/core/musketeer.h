@@ -186,14 +186,12 @@ struct DfsTraffic {
 };
 
 // Runs one attempt of one job: the placement hook of Musketeer::Execute.
-// `ops` is the run's own operator set for the job, which a suffix re-plan
-// may have rewritten since Plan(). The runner adds the DFS bytes the attempt
-// charged, failed attempts included, to *charged — ExecuteJobCharged does
-// that on whichever thread the job runs. Retryable error codes re-enter the
-// recovery loop (src/core/job_dispatch.h); anything else ends the run.
+// The runner adds the DFS bytes the attempt charged, failed attempts
+// included, to *charged — ExecuteJobCharged does that on whichever thread
+// the job runs. Retryable error codes re-enter the recovery loop
+// (src/core/job_dispatch.h); anything else ends the run.
 using JobRunner = std::function<StatusOr<JobResult>(
-    const JobPlan& job, const std::vector<int>& ops,
-    const ExecutionContext& ctx, DfsTraffic* charged)>;
+    const JobPlan& job, const ExecutionContext& ctx, DfsTraffic* charged)>;
 
 // ExecuteJob on the calling thread under a thread-scoped DFS byte counter;
 // adds what the attempt charged to *charged, whether or not it succeeded.
@@ -209,8 +207,17 @@ RunOptions PinDeadline(RunOptions options);
 
 // The planner configuration a run partitions with: options.planner, whose
 // empty engine set falls back to the run-level options.engines. Plan(),
-// suffix re-planning and the service's plan-cache key all read this.
+// suffix re-planning, failover and the service's plan-cache key all read
+// this.
 PlannerConfig EffectivePlanner(const RunOptions& options);
+
+// The cost model a run prices jobs with, for Plan(), suffix re-planning and
+// failover alike: job costs are in measured-time units once the runtime
+// history has observations. The model points at *calibration, which must
+// outlive it.
+CostModel CalibratedCostModel(const WorkflowSpec& workflow,
+                              const RunOptions& options,
+                              RuntimeCalibration* calibration);
 
 class Musketeer {
  public:

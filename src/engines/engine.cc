@@ -181,8 +181,7 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   // 1. Pull the job's inputs from the DFS. Inputs another shard owns are a
   // cross-shard fetch (IsLocal answers from the relation-location
   // directory; always local on an unsharded Dfs) and are accounted
-  // separately so the locality cost model can calibrate against what jobs
-  // actually moved.
+  // separately so a sharded run reports the bytes it moved between shards.
   TableMap base;
   Bytes pull_bytes = 0;
   Bytes pull_remote_bytes = 0;

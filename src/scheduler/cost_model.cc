@@ -99,8 +99,7 @@ StatusOr<std::vector<Bytes>> CostModel::PredictSizes(
 
 double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
                           EngineKind engine,
-                          const std::vector<Bytes>& sizes,
-                          const ShardLocality* locality) const {
+                          const std::vector<Bytes>& sizes) const {
   if (!BackendFor(engine).CanRunAsSingleJob(dag, ops)) {
     return kInfiniteCost;
   }
@@ -108,7 +107,7 @@ double CostModel::JobCost(const Dag& dag, const std::vector<int>& ops,
   std::sort(sorted.begin(), sorted.end());
   SegmentSummary summary;
   Summarize(dag, sorted, sizes, &summary);
-  return PriceSummary(dag, sizes, summary, engine, locality);
+  return PriceSummary(summary, engine);
 }
 
 void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
@@ -255,10 +254,8 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
   }
 }
 
-double CostModel::PriceSummary(const Dag& dag, const std::vector<Bytes>& sizes,
-                               const SegmentSummary& summary,
-                               EngineKind engine,
-                               const ShardLocality* locality) const {
+double CostModel::PriceSummary(const SegmentSummary& summary,
+                               EngineKind engine) const {
   if (summary.infeasible) {
     return kInfiniteCost;
   }
@@ -345,23 +342,6 @@ double CostModel::PriceSummary(const Dag& dag, const std::vector<Bytes>& sizes,
   double cost = PriceJob(engine, cluster_, shape);
   if (calibration_ != nullptr && calibration_->has_observations) {
     cost *= calibration_->TimeScale(EngineKindName(engine));
-  }
-  // Locality term: transfer seconds for the inputs this shard does not own
-  // and must fetch cross-shard, at the measured rate. Added after
-  // calibration — the rate is already a wall-clock measurement, not a
-  // sim-time constant.
-  if (locality != nullptr && locality->map != nullptr && locality->shard >= 0) {
-    Bytes remote_bytes = 0;
-    for (int p : summary.pulled) {
-      if (locality->map->OwnerOf(dag.node(p).output) != locality->shard) {
-        remote_bytes += sizes[p];
-      }
-    }
-    if (remote_bytes > 0) {
-      const double rate =
-          locality->remote_mbps > 0 ? locality->remote_mbps : 1.0;
-      cost += remote_bytes / MBps(rate);
-    }
   }
   return cost;
 }

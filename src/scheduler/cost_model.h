@@ -10,6 +10,9 @@
 //     rates per engine (src/backends/perf_model.cc, the paper's Table 1).
 //  3. Workflow history: observed relation sizes from prior runs of the same
 //     workflow replace the bounds (src/scheduler/history.h).
+// The model chooses engines and job boundaries, not shards: a job's price
+// is the same on every shard, and a sharded run places each job by the
+// input bytes each shard holds (src/scheduler/placement.h).
 
 #ifndef MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_
 #define MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_
@@ -23,7 +26,6 @@
 #include "src/backends/backend.h"
 #include "src/backends/pricing.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/shard_map.h"
 #include "src/obs/runtime_history.h"
 #include "src/scheduler/history.h"
 
@@ -33,19 +35,6 @@ inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 
 // Known sizes of the workflow's base (DFS-resident) relations.
 using RelationSizes = std::unordered_map<std::string, Bytes>;
-
-// Locality context for a shard-placement cost query (PR 8): which shard the
-// job would execute on, where relations live, and the *measured* cross-shard
-// transfer rate (ShardedDfs::measured_remote_mbps — calibrated from timed
-// remote fetches, not an assumed constant). With this set, JobCost adds the
-// transfer seconds for every external input the candidate shard does not own,
-// so placement naturally sends a job to the shard holding the majority of its
-// input bytes.
-struct ShardLocality {
-  const ShardMap* map = nullptr;  // relation-location directory (not owned)
-  int shard = -1;                 // candidate executing shard
-  double remote_mbps = 100.0;     // measured cross-shard byte rate
-};
 
 // The engine-independent half of a job's price: everything JobCost derives
 // from the operator set alone, before it looks at the engine. The DP builds
@@ -111,12 +100,8 @@ class CostModel {
   // Estimated makespan of running `ops` as a single job on `engine`;
   // kInfiniteCost when the engine cannot run the set as one job.
   // `sizes` must come from PredictSizes on the same DAG.
-  // `locality` (optional) charges cross-shard transfer for externally
-  // produced inputs the candidate shard does not own, at the measured DFS
-  // byte rate — the term that makes placement locality-aware.
   double JobCost(const Dag& dag, const std::vector<int>& ops, EngineKind engine,
-                 const std::vector<Bytes>& sizes,
-                 const ShardLocality* locality = nullptr) const;
+                 const std::vector<Bytes>& sizes) const;
 
   // JobCost in two steps. Summarize fills *out with the engine-independent
   // facts of running `sorted_ops` (ascending ids) as one job; PriceSummary
@@ -126,9 +111,7 @@ class CostModel {
   // for bit.
   void Summarize(const Dag& dag, const std::vector<int>& sorted_ops,
                  const std::vector<Bytes>& sizes, SegmentSummary* out) const;
-  double PriceSummary(const Dag& dag, const std::vector<Bytes>& sizes,
-                      const SegmentSummary& summary, EngineKind engine,
-                      const ShardLocality* locality = nullptr) const;
+  double PriceSummary(const SegmentSummary& summary, EngineKind engine) const;
 
   const ClusterConfig& cluster() const { return cluster_; }
 

@@ -70,15 +70,13 @@ std::vector<int> RandomTopoOrder(const Dag& dag, uint64_t seed) {
 
 // Cheapest of `engines` for the summarized job, first on ties;
 // kInfiniteCost if none prices it. Every engine must be able to run the job.
-std::pair<EngineKind, double> CheapestEngine(const Dag& dag,
-                                             const CostModel& model,
-                                             const std::vector<Bytes>& sizes,
+std::pair<EngineKind, double> CheapestEngine(const CostModel& model,
                                              const SegmentSummary& summary,
                                              const std::vector<EngineKind>& engines) {
   EngineKind best = engines[0];
   double best_cost = kInfiniteCost;
   for (EngineKind e : engines) {
-    double c = model.PriceSummary(dag, sizes, summary, e);
+    double c = model.PriceSummary(summary, e);
     if (c < best_cost) {
       best_cost = c;
       best = e;
@@ -148,7 +146,7 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
         continue;
       }
       model.Summarize(dag, segment, sizes, &summary);
-      auto [eng, cost] = CheapestEngine(dag, model, sizes, summary, live);
+      auto [eng, cost] = CheapestEngine(model, summary, live);
       if (cost == kInfiniteCost) {
         continue;
       }
@@ -444,7 +442,7 @@ class ExhaustiveSearch {
     std::pair<EngineKind, double> result{engines_[0], kInfiniteCost};
     if (!runnable.empty()) {
       model_.Summarize(dag_, key, sizes_, &summary_);
-      result = CheapestEngine(dag_, model_, sizes_, summary_, runnable);
+      result = CheapestEngine(model_, summary_, runnable);
     }
     cost_cache_.emplace(std::move(key), result);
     return result;

@@ -97,24 +97,6 @@ PlacementDecision ShardPlacer::Place(
     chosen = static_cast<size_t>(
         Mix64(seed_ ^ ShardMap::HashName(job_name)) % candidates.size());
   }
-  return Adopt(inputs, candidates, candidates[chosen]);
-}
-
-PlacementDecision ShardPlacer::Adopt(
-    const std::vector<std::pair<std::string, Bytes>>& inputs,
-    const std::vector<int>& candidates, int chosen_shard) {
-  PlacementDecision decision;
-  if (candidates.empty()) {
-    return decision;
-  }
-  const LocalBytes local = ResidentBytes(map_, inputs, candidates);
-  size_t chosen = 0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i] == chosen_shard) {
-      chosen = i;
-      break;
-    }
-  }
   decision.shard = candidates[chosen];
   decision.local_bytes = local.per_candidate[chosen];
   decision.remote_bytes = local.total - local.per_candidate[chosen];

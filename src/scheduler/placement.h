@@ -1,18 +1,19 @@
-// Locality-aware shard placement (PR 8).
+// Shard placement.
 //
 // Decides which shard executes a job, given where the job's input relations
-// live (the ShardMap directory) and how big they are. The locality policy is
-// the paper's data-locality argument applied across shards: send the
-// computation to the shard that owns the majority of its input bytes, so the
-// cross-shard fetch volume — charged at the measured DFS byte rate by the
-// cost model's ShardLocality term — is minimized. The random policy is the
-// control arm bench_shard_scaling compares against: deterministic (seeded,
-// keyed on the job name) so runs are reproducible, but blind to data
-// placement.
+// live (the ShardMap directory) and how big they are. This is the one
+// placement rule of a sharded run. The locality policy sends the job to the
+// candidate shard that holds the most of its input bytes (lowest shard id
+// on ties), which is the candidate that fetches the fewest bytes from other
+// shards. Engine choice does not enter: the job's engine cost is the same
+// on every shard, so the bytes it would move are all that tell shards
+// apart. The random policy is the control arm bench_shard_scaling compares
+// against: deterministic (seeded, keyed on the job name) so runs are
+// reproducible, but blind to data placement.
 //
 // Thread-safety: NOT internally synchronized. The ShardCoordinator places
-// jobs sequentially from its Run loop; the running stats (placements,
-// locality hits, cross-shard bytes) are plain members.
+// jobs under its own lock; the running stats (placements, locality hits,
+// cross-shard bytes) are plain members.
 
 #ifndef MUSKETEER_SRC_SCHEDULER_PLACEMENT_H_
 #define MUSKETEER_SRC_SCHEDULER_PLACEMENT_H_
@@ -52,20 +53,14 @@ class ShardPlacer {
   // ownership; `seed` only matters for kRandom.
   ShardPlacer(const ShardMap* map, PlacementPolicy policy, uint64_t seed = 0);
 
-  // Places one job. `inputs` are the job's externally-produced input
-  // relations with their (predicted or actual) nominal sizes; `candidates`
-  // are the alive shards eligible to run it (must be non-empty).
+  // Places one job and adds the decision to the running stats. `inputs` are
+  // the job's input relations with their current nominal sizes;
+  // `candidates` are the alive shards eligible to run it (must be
+  // non-empty).
   PlacementDecision Place(
       const std::string& job_name,
       const std::vector<std::pair<std::string, Bytes>>& inputs,
       const std::vector<int>& candidates);
-
-  // Records an externally decided placement (the coordinator's cost-model
-  // ranking) into the running stats, scoring its locality against the
-  // byte-optimal candidate. `chosen_shard` must be one of `candidates`.
-  PlacementDecision Adopt(
-      const std::vector<std::pair<std::string, Bytes>>& inputs,
-      const std::vector<int>& candidates, int chosen_shard);
 
   uint64_t placements() const { return placements_; }
   uint64_t locality_hits() const { return locality_hits_; }

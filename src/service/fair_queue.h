@@ -76,17 +76,12 @@ class FairQueue {
   FairQueue& operator=(const FairQueue&) = delete;
 
   // Registers `quota` for `tenant`; submissions from unregistered tenants use
-  // the default quota. Safe to call while the queue is live; applies to
+  // TenantQuota{}. Safe to call while the queue is live; applies to
   // subsequent admissions and pops.
   void SetQuota(const std::string& tenant, TenantQuota quota) {
     std::lock_guard lock(mu_);
-    Lane& lane = LaneFor(tenant);
+    Lane& lane = lanes_[tenant];
     lane.quota = Clamp(quota);
-  }
-
-  void SetDefaultQuota(TenantQuota quota) {
-    std::lock_guard lock(mu_);
-    default_quota_ = Clamp(quota);
   }
 
   // Non-blocking admission.
@@ -149,7 +144,7 @@ class FairQueue {
   void OnFinished(const std::string& tenant) {
     {
       std::lock_guard lock(mu_);
-      Lane& lane = LaneFor(tenant);
+      Lane& lane = lanes_[tenant];
       assert(lane.in_flight > 0 && "OnFinished without a matching Pop");
       --lane.in_flight;
     }
@@ -204,14 +199,6 @@ class FairQueue {
     return quota;
   }
 
-  Lane& LaneFor(const std::string& tenant) {
-    auto [it, inserted] = lanes_.try_emplace(tenant);
-    if (inserted) {
-      it->second.quota = default_quota_;
-    }
-    return it->second;
-  }
-
   AdmitResult Admissible(const std::string& tenant) {
     if (closed_) {
       return AdmitResult::kClosed;
@@ -219,7 +206,7 @@ class FairQueue {
     if (total_queued_ >= capacity_) {
       return AdmitResult::kQueueFull;
     }
-    Lane& lane = LaneFor(tenant);
+    Lane& lane = lanes_[tenant];
     if (lane.quota.max_queued > 0 &&
         lane.items.size() >= lane.quota.max_queued) {
       return AdmitResult::kTenantOverQuota;
@@ -228,7 +215,7 @@ class FairQueue {
   }
 
   void Accept(const std::string& tenant, T item) {
-    Lane& lane = LaneFor(tenant);
+    Lane& lane = lanes_[tenant];
     if (lane.items.empty()) {
       // A tenant (re)entering the busy set must not have banked credit from
       // its idle time: start at the current virtual time, keeping any debt
@@ -271,7 +258,6 @@ class FairQueue {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::map<std::string, Lane> lanes_;  // guarded by mu_; ordered for ties
-  TenantQuota default_quota_;          // guarded by mu_
   size_t total_queued_ = 0;            // guarded by mu_
   double virtual_time_ = 0;            // guarded by mu_
   bool closed_ = false;                // guarded by mu_

@@ -191,7 +191,6 @@ WorkflowService::WorkflowService(Dfs* dfs, ServiceConfig config)
       config_(std::move(config)),
       queue_(config_.queue_capacity),
       plan_cache_(config_.plan_cache_capacity) {
-  queue_.SetDefaultQuota(config_.default_quota);
   for (const auto& [tenant, quota] : config_.tenant_quotas) {
     queue_.SetQuota(tenant, quota);
   }

@@ -170,11 +170,9 @@ struct ServiceConfig {
   // When set, the constructor does not spawn workers; call Start(). Lets
   // tests fill the queue deterministically before anything drains it.
   bool manual_start = false;
-  // Admission/scheduling policy for tenants not named in `tenant_quotas`.
-  // The default (weight 1, no caps) makes a single anonymous tenant behave
-  // exactly like the pre-tenant FIFO service.
-  TenantQuota default_quota;
   // Per-tenant weighted-fair-share and admission bounds (see fair_queue.h).
+  // Tenants not named here get TenantQuota{} (weight 1, no caps), so a
+  // single anonymous tenant behaves like a plain FIFO service.
   std::vector<std::pair<std::string, TenantQuota>> tenant_quotas;
 };
 

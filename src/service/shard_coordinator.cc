@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <limits>
 
 #include "src/base/logging.h"
 
@@ -82,9 +81,7 @@ CoordinatorStats ShardCoordinator::stats() const {
 }
 
 StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
-    const WorkflowPlan& plan, const std::vector<int>& ops, const JobPlan& job,
-    const ExecutionContext& ctx, const RunOptions& options,
-    const CostModel& model, const std::vector<Bytes>& sizes,
+    const JobPlan& job, const ExecutionContext& ctx, const RunOptions& options,
     DfsTraffic* charged) {
   // Placement inputs: the job's declared input relations at their *actual*
   // current nominal sizes (upstream jobs have already committed).
@@ -95,7 +92,6 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
     inputs.emplace_back(name, table.ok() ? (*table)->nominal_bytes() : 0);
   }
 
-  PlacementDecision decision;
   int shard = -1;
   {
     std::lock_guard lock(mu_);
@@ -112,31 +108,7 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
       return FailedPreconditionError("no shard left alive to place job '" +
                                      job.name + "'");
     }
-    if (config_.placement == PlacementPolicy::kLocality) {
-      // Next-cheapest-shard ranking: JobCost with the ShardLocality term —
-      // identical engine cost everywhere, plus measured-rate transfer
-      // seconds for inputs the candidate does not own. Argmin is therefore
-      // the shard holding the most input bytes; after a shard death the
-      // runner-up is, by construction, the next-cheapest.
-      const double remote_mbps = dfs_->measured_remote_mbps();
-      int best_shard = -1;
-      double best_cost = std::numeric_limits<double>::infinity();
-      for (int k : candidates) {
-        ShardLocality locality{&dfs_->shard_map(), k, remote_mbps};
-        const double cost =
-            model.JobCost(*plan.dag, ops, job.engine, sizes, &locality);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_shard = k;
-        }
-      }
-      decision = best_shard >= 0
-                     ? placer_.Adopt(inputs, candidates, best_shard)
-                     : placer_.Place(job.name, inputs, candidates);
-    } else {
-      decision = placer_.Place(job.name, inputs, candidates);
-    }
-    shard = decision.shard;
+    shard = placer_.Place(job.name, inputs, candidates).shard;
     ++jobs_per_shard_[static_cast<size_t>(shard)];
   }
 
@@ -165,7 +137,7 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
 
   if (!out.ok()) {
     // A dead shard surfaces as a retryable failure; the dispatcher's next
-    // attempt re-places among the survivors (next-cheapest shard).
+    // attempt re-places among the survivors.
     std::lock_guard lock(mu_);
     if (!alive_[static_cast<size_t>(shard)]) {
       ++shard_failovers_;
@@ -188,27 +160,13 @@ StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow,
   MUSKETEER_ASSIGN_OR_RETURN(WorkflowPlan plan,
                              musketeer.Plan(workflow, options));
 
-  // Cost/size basis for placement ranking — the same model construction
-  // Plan() used, so shard choice and partitioning share one cost basis.
-  RuntimeCalibration calibration;
-  if (options.runtime_history != nullptr) {
-    calibration = options.runtime_history->Calibration();
-  }
-  CostModel model(options.cluster, options.history, workflow.id,
-                  options.conservative_first_run,
-                  calibration.has_observations ? &calibration : nullptr);
-  MUSKETEER_ASSIGN_OR_RETURN(
-      std::vector<Bytes> sizes,
-      model.PredictSizes(*plan.dag, musketeer.DfsSizes(*plan.dag)));
-
   // Everything but placement — reuse, recovery, calibration, re-planning,
   // sinks and history — is Execute's one loop.
   return musketeer.Execute(
       workflow, plan, options,
-      [&](const JobPlan& job, const std::vector<int>& ops,
-          const ExecutionContext& ctx, DfsTraffic* charged) {
-        return DispatchAttempt(plan, ops, job, ctx, options, model, sizes,
-                               charged);
+      [&](const JobPlan& job, const ExecutionContext& ctx,
+          DfsTraffic* charged) {
+        return DispatchAttempt(job, ctx, options, charged);
       });
 }
 

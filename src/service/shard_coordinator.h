@@ -1,19 +1,17 @@
-// Cross-shard workflow fan-out (PR 8 tentpole).
+// Cross-shard workflow fan-out.
 //
 // The ShardCoordinator is the front of a sharded Musketeer deployment: one
 // ShardedDfs (M partitions behind a ShardMap directory) and M in-process
 // WorkflowService shard instances, each executing against its own per-shard
 // DFS view. A workflow is planned ONCE against the global namespace —
 // parse→optimize→partition→codegen are shard-agnostic — and then each job of
-// the plan is *placed*:
+// the plan is *placed* by ShardPlacer (src/scheduler/placement.h):
 //
-//   - kLocality (default): the job goes to the alive shard with the lowest
-//     CostModel::JobCost under a ShardLocality term, i.e. the shard that
-//     minimizes cross-shard input transfer at the *measured* DFS byte rate.
-//     In practice that is the shard owning the majority of the job's input
-//     bytes; its outputs are then pinned there (placement-near-data), so
-//     consumer jobs chain onto the same shard unless a bigger input pulls
-//     them elsewhere.
+//   - kLocality (default): the job goes to the alive shard holding the most
+//     of its input bytes at their actual current DFS sizes, lowest shard id
+//     on ties — the shard that fetches the fewest bytes cross-shard. Its
+//     outputs are then pinned there (placement-near-data), so consumer jobs
+//     chain onto the same shard unless a bigger input pulls them elsewhere.
 //   - kRandom: seeded hash of the job name — the locality-blind control arm
 //     bench_shard_scaling compares against.
 //
@@ -24,7 +22,7 @@
 // collection and history. Shard failover composes with the recovery loop: a
 // dead shard (DrainShard, or the seeded shard-fault config) surfaces as a
 // retryable kUnavailable, and the re-attempt re-places among the shards
-// still alive, which the cost ranking makes the next-cheapest choice.
+// still alive by the same byte rule.
 // The dead shard's DFS partition survives (the HDFS-replication stand-in):
 // reads fall back to a directory-repairing scan, so results stay
 // Table::Identical to the 1-shard run even across failovers.
@@ -104,17 +102,11 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
-  // The JobRunner Run() hands to Execute: place `job` (whose operator set
-  // is `ops` — the run's possibly re-planned set, not the shared plan's),
-  // run it on the placed shard's service, and add the DFS bytes it charged
-  // there to *charged.
-  StatusOr<JobResult> DispatchAttempt(const WorkflowPlan& plan,
-                                      const std::vector<int>& ops,
-                                      const JobPlan& job,
+  // The JobRunner Run() hands to Execute: place `job`, run it on the placed
+  // shard's service, and add the DFS bytes it charged there to *charged.
+  StatusOr<JobResult> DispatchAttempt(const JobPlan& job,
                                       const ExecutionContext& ctx,
                                       const RunOptions& options,
-                                      const CostModel& model,
-                                      const std::vector<Bytes>& sizes,
                                       DfsTraffic* charged);
 
   std::vector<int> AliveShardsLocked() const;  // requires mu_

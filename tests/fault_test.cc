@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -375,6 +376,42 @@ TEST(FaultRecoveryTest, FailoverSwitchesEngineAndPreservesBits) {
         << "failover to " << EngineKindName(alternate)
         << " changed the bits of '" << name << "'";
   }
+}
+
+// Failover chooses among the engines the run plans with: planner.engines
+// wins over the (here: empty, i.e. all seven) run-level options.engines, so
+// no attempt may land on an engine outside it.
+TEST(FaultRecoveryTest, FailoverStaysInsidePlannerEngines) {
+  WfSetup setup = MakeSetup(Wf::kTopShopper);
+  RunOptions options = BaseOptions();
+  const std::vector<EngineKind> allowed = {EngineKind::kSpark,
+                                           EngineKind::kHadoop};
+  options.planner.engines = allowed;
+  options.fault_rate = 0.5;
+  options.retry.max_attempts = 1;  // every fault exhausts an engine
+
+  int failovers = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    options.fault_seed = seed;
+    auto result = RunSetup(setup, options);
+    if (!result.ok()) {
+      // Both allowed engines failed: failover stops inside the set.
+      EXPECT_NE(result.status().message().find("failover exhausted"),
+                std::string::npos)
+          << result.status().message();
+      continue;
+    }
+    failovers += result->total_failovers;
+    for (const JobRecovery& rec : result->recovery) {
+      for (const JobAttempt& attempt : rec.attempt_log) {
+        EXPECT_NE(std::find(allowed.begin(), allowed.end(), attempt.engine),
+                  allowed.end())
+            << "seed " << seed << ": job " << rec.job << " attempted on "
+            << EngineKindName(attempt.engine);
+      }
+    }
+  }
+  EXPECT_GT(failovers, 0);
 }
 
 // A substrate that disagrees with the shared kernel is a detected execution

@@ -18,7 +18,6 @@
 
 #include "src/backends/backend.h"
 #include "src/base/rng.h"
-#include "src/cluster/shard_map.h"
 #include "src/cluster/sharded_dfs.h"
 #include "src/core/musketeer.h"
 #include "src/frontends/frontend.h"
@@ -480,6 +479,9 @@ TEST(ReplanningTest, NineWorkflowsStayIdenticalUnderForcedReplan) {
         load(&dfs);
         ShardCoordinator coordinator(&dfs);
         result = coordinator.Run(setup.workflow, options);
+        // Re-planned jobs are placed by the same byte rule as planned ones.
+        CoordinatorStats stats = coordinator.stats();
+        EXPECT_EQ(stats.locality_hits, stats.placements) << WfName(wf);
       } else {
         Dfs dfs;
         load(&dfs);
@@ -573,14 +575,12 @@ bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 // Every segment the DP offers — order[k, i) inside the merge window, grown
 // one operator at a time and kept sorted by insertion, as the DP grows it —
 // summarized once and priced per engine must cost exactly what JobCost
-// says for that engine: every engine, conservative merging on and off, and
-// with and without a shard-locality term.
+// says for that engine: every engine, conservative merging on and off.
 void ExpectSummaryPricesMatchJobCost(const Dag& dag, const RelationSizes& base,
                                      const std::string& what) {
   std::vector<int> order = OperatorIds(dag);
   const int n = static_cast<int>(order.size());
   const int cap = std::max(1, n > kDpSegmentCapAbove ? kDpSegmentCap : n);
-  ShardMap shards(3);
   int compared = 0;
   for (bool conservative : {false, true}) {
     CostModel model(Ec2Cluster(16), nullptr, "pricing", conservative);
@@ -598,21 +598,11 @@ void ExpectSummaryPricesMatchJobCost(const Dag& dag, const RelationSizes& base,
           if (!BackendFor(e).CanRunAsSingleJob(dag, segment)) {
             continue;
           }
-          double split = model.PriceSummary(dag, *sizes, summary, e);
+          double split = model.PriceSummary(summary, e);
           double whole = model.JobCost(dag, segment, e, *sizes);
           ASSERT_TRUE(SameBits(split, whole))
               << what << " segment [" << k << "," << i << ") on "
               << EngineKindName(e) << ": " << split << " vs " << whole;
-          for (int shard = 0; shard < 3; ++shard) {
-            ShardLocality locality{&shards, shard, 42.0};
-            double split_local =
-                model.PriceSummary(dag, *sizes, summary, e, &locality);
-            double whole_local =
-                model.JobCost(dag, segment, e, *sizes, &locality);
-            ASSERT_TRUE(SameBits(split_local, whole_local))
-                << what << " segment [" << k << "," << i << ") on "
-                << EngineKindName(e) << " shard " << shard;
-          }
           ++compared;
         }
       }

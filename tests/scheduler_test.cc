@@ -363,53 +363,6 @@ TEST(HistoryTest, LoadFromMergesIntoWarmStore) {
   EXPECT_EQ(warm.EntriesFor("wf"), 3);
 }
 
-// The cost model's cross-shard term: a candidate shard that owns the job's
-// inputs costs exactly the engine time; a shard that must fetch them pays
-// extra transfer seconds at the supplied byte rate — so the owner is argmin,
-// and a faster measured network shrinks the penalty.
-TEST(CostModelTest, ShardLocalityChargesRemoteInputsAtMeasuredRate) {
-  auto dag = MaxPropertyPriceDag();
-  CostModel model(LocalCluster(), nullptr, "wf");
-  auto sizes = model.PredictSizes(*dag, PropertySizes());
-  ASSERT_TRUE(sizes.ok());
-  std::vector<int> ops;
-  for (const auto& n : dag->nodes()) {
-    if (n.kind != OpKind::kInput) {
-      ops.push_back(n.id);
-    }
-  }
-
-  ShardMap map(2);
-  map.Pin("properties", 0);
-  map.Pin("prices", 0);
-
-  const double base = model.JobCost(*dag, ops, EngineKind::kNaiad, *sizes);
-  ShardLocality on_owner{&map, /*shard=*/0, /*remote_mbps=*/100.0};
-  ShardLocality off_owner{&map, /*shard=*/1, /*remote_mbps=*/100.0};
-  ShardLocality off_owner_fast{&map, /*shard=*/1, /*remote_mbps=*/1000.0};
-
-  EXPECT_DOUBLE_EQ(model.JobCost(*dag, ops, EngineKind::kNaiad, *sizes,
-                                 &on_owner),
-                   base);
-  const double remote =
-      model.JobCost(*dag, ops, EngineKind::kNaiad, *sizes, &off_owner);
-  const double remote_fast =
-      model.JobCost(*dag, ops, EngineKind::kNaiad, *sizes, &off_owner_fast);
-  EXPECT_GT(remote, base);
-  EXPECT_GT(remote_fast, base);
-  EXPECT_LT(remote_fast, remote);  // 10x the bandwidth, smaller penalty
-
-  // Split ownership: each candidate pays only for the inputs it lacks, so
-  // the shard owning the bigger input (properties, 4 GB vs 2 GB) wins.
-  map.Pin("prices", 1);
-  const double shard0 =
-      model.JobCost(*dag, ops, EngineKind::kNaiad, *sizes, &on_owner);
-  const double shard1 =
-      model.JobCost(*dag, ops, EngineKind::kNaiad, *sizes, &off_owner);
-  EXPECT_LT(shard0, shard1);
-  EXPECT_GT(shard0, base);  // still pays for fetching `prices`
-}
-
 TEST(PlacementTest, LocalityPicksByteArgmaxRandomIsSeededAndBlind) {
   ShardMap map(3);
   map.Pin("big", 2);
@@ -426,14 +379,6 @@ TEST(PlacementTest, LocalityPicksByteArgmaxRandomIsSeededAndBlind) {
   EXPECT_DOUBLE_EQ(d.remote_bytes, 1 * kGB);
   EXPECT_EQ(locality.locality_hits(), 1u);
   EXPECT_DOUBLE_EQ(locality.cross_shard_bytes(), 1 * kGB);
-
-  // Adopt records an externally made choice, scoring it against the optimum.
-  PlacementDecision adopted = locality.Adopt(inputs, candidates, 1);
-  EXPECT_EQ(adopted.shard, 1);
-  EXPECT_FALSE(adopted.locality_hit);  // shard 1 owns nothing
-  EXPECT_DOUBLE_EQ(adopted.remote_bytes, 4 * kGB);
-  EXPECT_EQ(locality.placements(), 2u);
-  EXPECT_EQ(locality.locality_hits(), 1u);
 
   // Random is a pure function of (seed, job name): reproducible across
   // placers, and different jobs spread (not all on one shard).

@@ -16,9 +16,10 @@
 # thread-scaling floors in bench_columnar_ops plus the kernel and
 # engine-equivalence tests under TSan at 8 threads), and finally the
 # sharded-execution gate (shard coordinator tests under TSan, a scripted CLI
-# run asserting --shards=3 output is byte-identical to --shards=1 even across
-# a seeded mid-run shard death, and bench_shard_scaling's locality hit-rate /
-# cross-shard-bytes / no-regression acceptance), and lastly the incremental
+# run asserting --shards=3 output is byte-identical to --shards=1 under
+# random placement and across a seeded mid-run shard death, and
+# bench_shard_scaling's locality hit-rate / cross-shard-bytes /
+# no-regression acceptance), and lastly the incremental
 # gate (the incremental-recomputation tests under TSan, a scripted CLI run
 # asserting --incremental output is byte-identical to a plain run, and
 # bench_incremental's reused-job / delta-equals-cold acceptance), and
@@ -211,8 +212,8 @@ echo "== [9/11] sharded execution: TSan coordinator tests + CLI bit-identity + s
     --gtest_filter='ReplanningTest.NineWorkflowsStayIdenticalUnderForcedReplan'
 
 # Scripted CLI bit-identity: the same workflow at --shards=1 and --shards=3
-# (and at 3 shards with a mid-run shard death) must produce byte-identical
-# output files. This is the tentpole's headline contract end to end.
+# (at 3 shards also with random placement, and with a mid-run shard death)
+# must produce byte-identical output files: placement never changes the bits.
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
     --output=joined=shard1.csv --shards=1 tiny.beer > shard1_out.txt)
@@ -223,8 +224,13 @@ echo "== [9/11] sharded execution: TSan coordinator tests + CLI bit-identity + s
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
     --output=joined=shard3f.csv --shards=3 --shard-fault=0@1 \
     --max-retries=3 tiny.beer > shard3f_out.txt)
+(cd "$obs_tmp" && "$repo/build/tools/musketeer" \
+    --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
+    --output=joined=shard3r.csv --shards=3 --placement=random \
+    tiny.beer > shard3r_out.txt)
 cmp "$obs_tmp/shard1.csv" "$obs_tmp/shard3.csv"
 cmp "$obs_tmp/shard1.csv" "$obs_tmp/shard3f.csv"
+cmp "$obs_tmp/shard1.csv" "$obs_tmp/shard3r.csv"
 grep -q "sharding: 3 shard(s)" "$obs_tmp/shard3_out.txt"
 
 # Scaling + placement gate: the 9-workflow suite across 1/2/3 shards must

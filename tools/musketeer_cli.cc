@@ -35,7 +35,8 @@
 //                                    bit-identical to --shards=1 at any M)
 //   --placement=locality|random      shard placement policy
 //   --shard-fault=SHARD@N            kill a shard's compute mid-run (demo of
-//                                    next-cheapest-shard failover)
+//                                    shard failover: jobs re-place on the
+//                                    surviving shards)
 //   --shard-of=K/M --peers=...       socket mode: serve shard K of an
 //                                    M-process cluster (compose with
 //                                    --listen; peers exchange relations over
