@@ -7,47 +7,61 @@
 
 namespace musketeer {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+namespace {
+
+// True for the bytes JSON string literals must escape.
+bool NeedsEscape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+}  // namespace
+
+void JsonEscapeTo(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the bytes not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (!NeedsEscape(c)) {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\b':
-        out += "\\b";
+        out->append("\\b");
         break;
       case '\f':
-        out += "\\f";
+        out->append("\\f");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out->append(escaped, sizeof(escaped));
+      }
     }
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
 
 std::string JsonQuote(std::string_view s) {
-  return "\"" + JsonEscape(s) + "\"";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  JsonEscapeTo(s, &out);
+  out += '"';
+  return out;
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
@@ -248,6 +262,14 @@ class JsonParser {
     ++pos_;  // '"'
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, escape or control byte in bulk.
+      size_t run_end = pos_;
+      while (run_end < text_.size() &&
+             !NeedsEscape(static_cast<unsigned char>(text_[run_end]))) {
+        ++run_end;
+      }
+      out.append(text_.data() + pos_, run_end - pos_);
+      pos_ = run_end;
       if (pos_ >= text_.size()) {
         return Error("unterminated string");
       }
@@ -255,12 +277,8 @@ class JsonParser {
       if (c == '"') {
         return out;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
       if (c != '\\') {
-        out += c;
-        continue;
+        return Error("unescaped control character in string");
       }
       if (pos_ >= text_.size()) {
         return Error("unterminated escape");

@@ -18,8 +18,9 @@
 
 namespace musketeer {
 
-// Escapes `s` for inclusion inside a JSON string literal (no quotes added).
-std::string JsonEscape(std::string_view s);
+// Appends `s` escaped for inclusion inside a JSON string literal (no quotes
+// added) to `*out`, copying runs that need no escape in bulk.
+void JsonEscapeTo(std::string_view s, std::string* out);
 
 // `s` escaped and wrapped in double quotes.
 std::string JsonQuote(std::string_view s);

@@ -85,7 +85,7 @@ StatusOr<HttpResponseParser::Response> NetClient::Request(
       return InternalError("bad response: " + parser.error_message());
     }
   }
-  return responses.front();
+  return std::move(responses.front());
 }
 
 StatusOr<NetClient::SubmitReply> NetClient::SubmitWorkflow(

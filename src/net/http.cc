@@ -69,6 +69,18 @@ const std::string* FindIn(
   return nullptr;
 }
 
+// Moves the first `n` bytes of `*buffer` into `*body`. The usual case, a
+// buffer holding exactly the body, moves the string instead of copying it.
+void TakeBody(std::string* buffer, size_t n, std::string* body) {
+  if (buffer->size() == n) {
+    *body = std::move(*buffer);
+    buffer->clear();
+    return;
+  }
+  body->assign(*buffer, 0, n);
+  buffer->erase(0, n);
+}
+
 }  // namespace
 
 const std::string* HttpRequest::FindHeader(std::string_view name) const {
@@ -112,7 +124,7 @@ const char* HttpStatusText(int status) {
   }
 }
 
-std::string SerializeResponse(const HttpResponse& response) {
+std::string ResponseHead(const HttpResponse& response) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     HttpStatusText(response.status) + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
@@ -124,7 +136,6 @@ std::string SerializeResponse(const HttpResponse& response) {
     out += "Connection: close\r\n";
   }
   out += "\r\n";
-  out += response.body;
   return out;
 }
 
@@ -226,8 +237,7 @@ bool HttpParser::ParseBuffered(std::vector<HttpRequest>* out) {
     if (buffer_.size() < body_remaining_) {
       return true;  // body still arriving
     }
-    partial_.body = buffer_.substr(0, body_remaining_);
-    buffer_.erase(0, body_remaining_);
+    TakeBody(&buffer_, body_remaining_, &partial_.body);
     body_remaining_ = 0;
     in_body_ = false;
     out->push_back(std::move(partial_));
@@ -299,8 +309,7 @@ bool HttpResponseParser::ParseBuffered(std::vector<Response>* out) {
     if (buffer_.size() < body_remaining_) {
       return true;
     }
-    partial_.body = buffer_.substr(0, body_remaining_);
-    buffer_.erase(0, body_remaining_);
+    TakeBody(&buffer_, body_remaining_, &partial_.body);
     body_remaining_ = 0;
     in_body_ = false;
     out->push_back(std::move(partial_));

@@ -55,8 +55,9 @@ struct HttpResponse {
 // "OK", "Too Many Requests", ... ; "Unknown" for unmapped codes.
 const char* HttpStatusText(int status);
 
-// Full wire form: status line, Content-Length, headers, body.
-std::string SerializeResponse(const HttpResponse& response);
+// Wire form up to the body: status line, Content-Type, Content-Length,
+// extra headers and the blank line. The body's bytes follow it unchanged.
+std::string ResponseHead(const HttpResponse& response);
 
 // Wire form of a request (used by the blocking client).
 std::string SerializeRequest(const HttpRequest& request);

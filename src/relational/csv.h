@@ -6,6 +6,7 @@
 #define MUSKETEER_SRC_RELATIONAL_CSV_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/base/status.h"
 #include "src/relational/table.h"
@@ -15,7 +16,7 @@ namespace musketeer {
 // Parses `text` into a table with the given schema. Fields are converted
 // according to schema types; malformed lines produce an error naming the
 // line number.
-StatusOr<Table> ParseCsv(const std::string& text, const Schema& schema,
+StatusOr<Table> ParseCsv(std::string_view text, const Schema& schema,
                          char delimiter = ',');
 
 // Serializes a table (no header row).
@@ -24,6 +25,12 @@ StatusOr<Table> ParseCsv(const std::string& text, const Schema& schema,
 // default keeps the human-friendly %.6g rendering.
 std::string WriteCsv(const Table& table, char delimiter = ',',
                      bool round_trip_doubles = false);
+
+// Appends WriteCsv(table, ',', true), escaped as by JsonEscapeTo
+// (src/base/json.h), to `*out` in one pass with no intermediate CSV string:
+// the wire form of a table inside a JSON string literal (the /result and
+// /relation bodies, src/net/server.cc).
+void AppendJsonEscapedCsv(const Table& table, std::string* out);
 
 // File variants.
 StatusOr<Table> LoadCsvFile(const std::string& path, const Schema& schema,

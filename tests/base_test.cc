@@ -159,6 +159,23 @@ TEST(JsonTest, StringEscapesRoundTrip) {
   EXPECT_EQ(esc->string_value, "caf\xc3\xa9 \xf0\x9f\x98\x80");
 }
 
+// Every byte value survives JsonQuote + ParseJson, whichever side of an
+// escape or a bulk-copied run it falls on; unescaped control bytes and
+// unterminated strings are still rejected.
+TEST(JsonTest, EveryByteRoundTripsThroughQuoteAndParse) {
+  std::string raw;
+  for (int c = 0; c < 256; ++c) {
+    raw += static_cast<char>(c);
+    raw += "run";
+  }
+  auto doc = ParseJson(JsonQuote(raw));
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->string_value, raw);
+  EXPECT_FALSE(ParseJson("\"tab\there\"").ok());
+  EXPECT_FALSE(ParseJson("\"unterminated").ok());
+  EXPECT_FALSE(ParseJson("\"escape at end\\").ok());
+}
+
 TEST(JsonTest, DumpRoundTripsPreservingOrder) {
   const std::string text = R"({"z":1,"a":[2,3],"m":{"nested":"v"}})";
   auto doc = ParseJson(text);

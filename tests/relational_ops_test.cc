@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "src/base/json.h"
 #include "src/relational/csv.h"
 #include "src/relational/schema.h"
 
@@ -275,6 +276,20 @@ TEST(CsvTest, RoundTrips) {
   auto back = ParseCsv(text, t.schema());
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(Table::SameContent(t, *back));
+}
+
+// The one-pass wire encoder writes exactly the bytes of quoting the
+// round-trip CSV separately.
+TEST(CsvTest, JsonEscapedCsvMatchesQuotedWriteCsv) {
+  Table t(Schema({{"id", FieldType::kInt64},
+                  {"x", FieldType::kDouble},
+                  {"s", FieldType::kString}}));
+  t.AddRow({int64_t{-7}, 0.1, std::string("say \"hi\"\\\x01\x1f caf\xc3\xa9")});
+  t.AddRow({int64_t{9}, -0.0, std::string("")});
+  std::string body = "\"";
+  AppendJsonEscapedCsv(t, &body);
+  body += "\"";
+  EXPECT_EQ(body, JsonQuote(WriteCsv(t, ',', /*round_trip_doubles=*/true)));
 }
 
 TEST(CsvTest, RejectsMalformedLines) {

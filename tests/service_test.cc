@@ -167,6 +167,40 @@ TEST(WorkflowServiceTest, FailedWorkflowCarriesPipelineError) {
   EXPECT_FALSE(h->result().ok());
 }
 
+// The DoneCallback runs on the worker before the ticket turns DONE, with the
+// result the ticket then holds, and not at all for a failed run.
+TEST(WorkflowServiceTest, DoneCallbackRunsBeforeDoneOnlyOnSuccess) {
+  Dfs dfs;
+  SeedDfs(&dfs);
+  ServiceConfig config;
+  config.num_workers = 1;
+  WorkflowService service(&dfs, config);
+  std::atomic<int> calls{0};
+  bool terminal_at_call = true;  // written by the worker before DONE
+  size_t outputs_at_call = 0;
+  DoneCallback on_done = [&](const WorkflowTicket& ticket,
+                             const RunResult& result, bool) {
+    ++calls;
+    terminal_at_call = ticket.terminal();
+    outputs_at_call = result.outputs.size();
+  };
+  WorkflowHandle ok = service.SubmitAs("", JoinSpec(),
+                                       service.default_options(), on_done);
+  ok->Wait();
+  ASSERT_EQ(ok->state(), WorkflowState::kDone);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_FALSE(terminal_at_call);
+  EXPECT_EQ(outputs_at_call, ok->result()->outputs.size());
+
+  WorkflowHandle bad = service.SubmitAs(
+      "",
+      {.id = "bad", .language = FrontendLanguage::kBeer, .source = "syntax !!"},
+      service.default_options(), on_done);
+  bad->Wait();
+  EXPECT_EQ(bad->state(), WorkflowState::kFailed);
+  EXPECT_EQ(calls.load(), 1);
+}
+
 // ---- The central concurrency-correctness claim -----------------------------
 
 TEST(WorkflowServiceTest, ConcurrentMatchesSequential) {
