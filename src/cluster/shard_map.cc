@@ -144,11 +144,6 @@ bool ShardMap::IsAlive(int shard) const {
   return std::binary_search(alive_.begin(), alive_.end(), shard);
 }
 
-std::vector<int> ShardMap::AliveShards() const {
-  std::shared_lock lock(mu_);
-  return alive_;
-}
-
 int ShardMap::num_alive() const {
   std::shared_lock lock(mu_);
   return static_cast<int>(alive_.size());

@@ -68,7 +68,6 @@ class ShardMap {
   int AddShard();
   void RemoveShard(int shard);
   bool IsAlive(int shard) const;
-  std::vector<int> AliveShards() const;  // sorted
   int num_alive() const;
   // Upper bound over all ids ever issued (alive or not).
   int max_shard_id() const;

@@ -237,7 +237,7 @@ class Musketeer {
   // the only job-execution loop: fingerprint reuse, retry and failover,
   // calibration and suffix re-planning all live here. `runner` places each
   // attempt; the default runs it inline via ExecuteJobCharged on this
-  // DFS, and the sharded coordinator hands it to a shard's worker instead.
+  // DFS, and the sharded coordinator runs it inline on a placed shard's.
   StatusOr<RunResult> Execute(const WorkflowSpec& workflow,
                               const WorkflowPlan& plan,
                               const RunOptions& options = {},

@@ -34,12 +34,6 @@ Tracer::ThreadLog* Tracer::LocalLog() {
   return log.get();
 }
 
-double Tracer::NowUs() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
 void Tracer::Record(SpanRecord record) {
   ThreadLog* log = LocalLog();
   record.tid = log->tid;

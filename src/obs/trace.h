@@ -105,7 +105,6 @@ class Tracer {
   uint64_t NextSpanId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  double NowUs() const;
   void Record(SpanRecord record);
 
   std::atomic<bool> enabled_{false};

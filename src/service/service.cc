@@ -256,13 +256,6 @@ WorkflowHandle WorkflowService::SubmitBlocking(WorkflowSpec spec,
   return Enqueue("", std::move(spec), std::move(options), /*blocking=*/true);
 }
 
-WorkflowHandle WorkflowService::SubmitBlockingAs(const std::string& tenant,
-                                                 WorkflowSpec spec,
-                                                 RunOptions options) {
-  return Enqueue(tenant, std::move(spec), std::move(options),
-                 /*blocking=*/true);
-}
-
 WorkflowHandle WorkflowService::ResubmitIncremental(WorkflowSpec spec) {
   return ResubmitIncrementalAs("", std::move(spec), config_.default_options);
 }
@@ -299,7 +292,7 @@ WorkflowHandle WorkflowService::Enqueue(const std::string& tenant,
     std::lock_guard lock(mu_);
     ++outstanding_;
   }
-  QueueItem item{ticket, std::move(options), nullptr, std::move(on_done)};
+  QueueItem item{ticket, std::move(options), std::move(on_done)};
   const AdmitResult admitted = blocking
                                    ? queue_.Push(tenant, std::move(item))
                                    : queue_.TryPush(tenant, std::move(item));
@@ -330,26 +323,6 @@ WorkflowHandle WorkflowService::Enqueue(const std::string& tenant,
   return ticket;
 }
 
-bool WorkflowService::SubmitTask(std::function<void()> task) {
-  {
-    // Outstanding before visible to a worker, same as Enqueue: Drain() must
-    // never observe accepted-but-uncounted work.
-    std::lock_guard lock(mu_);
-    ++outstanding_;
-  }
-  QueueItem item;
-  item.task = std::move(task);
-  if (queue_.Push("", std::move(item)) != AdmitResult::kOk) {
-    {
-      std::lock_guard lock(mu_);
-      --outstanding_;
-    }
-    idle_cv_.notify_all();
-    return false;
-  }
-  return true;
-}
-
 void WorkflowService::WorkerLoop() {
   // Pin this worker's intra-query parallelism for every workflow it runs;
   // the override is thread-local, so concurrent workers do not interfere.
@@ -370,17 +343,6 @@ void WorkflowService::WorkerLoop() {
 }
 
 void WorkflowService::RunOne(const QueueItem& item) {
-  // Raw tasks (SubmitTask) bypass the ticket lifecycle entirely: run, then
-  // settle the outstanding count so Drain() sees them.
-  if (item.task) {
-    item.task();
-    {
-      std::lock_guard lock(mu_);
-      --outstanding_;
-    }
-    idle_cv_.notify_all();
-    return;
-  }
   // Enforce cancellation/deadline for work that never left the queue.
   if (item.options.cancel.cancel_requested()) {
     item.ticket->Finish(WorkflowState::kCancelled,

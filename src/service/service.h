@@ -249,8 +249,6 @@ class WorkflowService {
   // waiting).
   WorkflowHandle SubmitBlocking(WorkflowSpec spec);
   WorkflowHandle SubmitBlocking(WorkflowSpec spec, RunOptions options);
-  WorkflowHandle SubmitBlockingAs(const std::string& tenant, WorkflowSpec spec,
-                                  RunOptions options);
 
   // Incremental resubmission (DESIGN.md "Incremental execution"): re-runs
   // `spec` with RunOptions::incremental set, so any job whose input
@@ -262,16 +260,6 @@ class WorkflowService {
   WorkflowHandle ResubmitIncrementalAs(const std::string& tenant,
                                        WorkflowSpec spec, RunOptions options,
                                        DoneCallback on_done = nullptr);
-
-  // Raw-task submission (PR 8): enqueues `task` to run on a worker thread,
-  // in the default tenant's fair-queue lane, blocking for queue space. The
-  // ShardCoordinator uses this to route individual job dispatches to a
-  // shard's worker pool without minting a whole workflow ticket. Returns
-  // false (task not run) once the service is shut down. Tasks count toward
-  // Drain() like any accepted submission. The task must not call back into
-  // this service's blocking APIs (a worker waiting on its own pool
-  // deadlocks a single-worker service).
-  bool SubmitTask(std::function<void()> task);
 
   // Blocks until every accepted submission has reached a terminal state.
   // New submissions may still arrive while draining.
@@ -289,8 +277,7 @@ class WorkflowService {
 
   int num_workers() const { return config_.num_workers; }
   size_t queue_capacity() const { return queue_.capacity(); }
-  // The storage layer this service executes against (a per-shard view when
-  // instantiated by the ShardCoordinator).
+  // The storage layer this service executes against.
   Dfs* dfs() const { return dfs_; }
   // The options applied to submissions that carry none — the network edge
   // copies these to layer per-request settings (deadlines) on top.
@@ -302,10 +289,9 @@ class WorkflowService {
 
  private:
   struct QueueItem {
-    WorkflowHandle ticket;  // null for raw tasks
+    WorkflowHandle ticket;
     RunOptions options;
-    std::function<void()> task;  // non-null: run this instead of a workflow
-    DoneCallback on_done;        // optional; see SubmitAs
+    DoneCallback on_done;  // optional; see SubmitAs
   };
 
   WorkflowHandle MakeTicket(WorkflowSpec spec, const std::string& tenant);

@@ -1,9 +1,10 @@
 #include "src/service/shard_coordinator.h"
 
 #include <algorithm>
-#include <future>
+#include <optional>
 
 #include "src/base/logging.h"
+#include "src/base/parallel.h"
 
 namespace musketeer {
 
@@ -11,24 +12,10 @@ ShardCoordinator::ShardCoordinator(ShardedDfs* dfs, CoordinatorConfig config)
     : dfs_(dfs),
       config_(std::move(config)),
       placer_(&dfs->shard_map(), config_.placement, config_.placement_seed) {
-  const int count = dfs_->num_shards();
-  shards_.reserve(static_cast<size_t>(count));
-  alive_.assign(static_cast<size_t>(count), 1);
-  jobs_per_shard_.assign(static_cast<size_t>(count), 0);
-  for (int k = 0; k < count; ++k) {
-    ServiceConfig sc;
-    sc.num_workers = std::max(1, config_.workers_per_shard);
-    sc.threads = config_.threads;
-    sc.plan_cache_capacity = 0;  // shards execute jobs, they do not plan
-    shards_.push_back(
-        std::make_unique<WorkflowService>(dfs_->View(k), std::move(sc)));
-  }
-}
-
-ShardCoordinator::~ShardCoordinator() {
-  for (auto& shard : shards_) {
-    shard->Shutdown();
-  }
+  const auto count = static_cast<size_t>(dfs_->num_shards());
+  alive_.assign(count, 1);
+  jobs_per_shard_.assign(count, 0);
+  in_flight_.assign(count, 0);
 }
 
 std::vector<int> ShardCoordinator::AliveShardsLocked() const {
@@ -71,7 +58,6 @@ CoordinatorStats ShardCoordinator::stats() const {
     out.placements = placer_.placements();
     out.locality_hits = placer_.locality_hits();
     out.placed_cross_shard_bytes = placer_.cross_shard_bytes();
-    out.shard_failovers = shard_failovers_;
     out.jobs_per_shard = jobs_per_shard_;
   }
   out.remote_fetches = dfs_->remote_fetches();
@@ -94,7 +80,7 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
 
   int shard = -1;
   {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
     ++dispatches_;
     // Seeded shard fault: a deterministic point in the dispatch sequence at
     // which the victim's compute dies. Placement-visible immediately.
@@ -110,39 +96,28 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
     }
     shard = placer_.Place(job.name, inputs, candidates).shard;
     ++jobs_per_shard_[static_cast<size_t>(shard)];
+    // Concurrent Run callers share each shard's workers_per_shard slots.
+    int& running = in_flight_[static_cast<size_t>(shard)];
+    const int cap = std::max(1, config_.workers_per_shard);
+    slot_free_.wait(lock, [&] { return running < cap; });
+    ++running;
   }
 
-  // Route the attempt to the placed shard's worker pool and wait for it.
-  // The worker counts the DFS bytes the attempt charges on its own thread
-  // (the coordinator thread never executes jobs); the future's wait makes
-  // them visible here.
-  StatusOr<JobResult> out = InternalError("shard task did not run");
-  std::promise<void> done;
-  std::future<void> done_future = done.get_future();
+  // Run the attempt here, against the placed shard's DFS view;
+  // ExecuteJobCharged counts the bytes it charges on this thread.
+  std::optional<ScopedParallelThreads> width;
+  if (config_.threads > 0) {
+    width.emplace(config_.threads);
+  }
   ExecutionContext shard_ctx = ctx;
   shard_ctx.shard = shard;
-  const bool accepted = shards_[static_cast<size_t>(shard)]->SubmitTask(
-      [this, &job, &options, &shard_ctx, &out, &done, charged, shard] {
-        out = ExecuteJobCharged(job, options.cluster, dfs_->View(shard),
-                                shard_ctx, charged);
-        done.set_value();
-      });
-  if (!accepted) {
+  StatusOr<JobResult> out = ExecuteJobCharged(
+      job, options.cluster, dfs_->View(shard), shard_ctx, charged);
+  {
     std::lock_guard lock(mu_);
-    ++shard_failovers_;
-    return UnavailableError("shard " + std::to_string(shard) +
-                            " rejected job '" + job.name + "' (shut down)");
+    --in_flight_[static_cast<size_t>(shard)];
   }
-  done_future.wait();
-
-  if (!out.ok()) {
-    // A dead shard surfaces as a retryable failure; the dispatcher's next
-    // attempt re-places among the survivors.
-    std::lock_guard lock(mu_);
-    if (!alive_[static_cast<size_t>(shard)]) {
-      ++shard_failovers_;
-    }
-  }
+  slot_free_.notify_all();
   return out;
 }
 

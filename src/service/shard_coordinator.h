@@ -1,11 +1,11 @@
 // Cross-shard workflow fan-out.
 //
 // The ShardCoordinator is the front of a sharded Musketeer deployment: one
-// ShardedDfs (M partitions behind a ShardMap directory) and M in-process
-// WorkflowService shard instances, each executing against its own per-shard
-// DFS view. A workflow is planned ONCE against the global namespace —
-// parse→optimize→partition→codegen are shard-agnostic — and then each job of
-// the plan is *placed* by ShardPlacer (src/scheduler/placement.h):
+// ShardedDfs (M partitions behind a ShardMap directory) whose per-shard DFS
+// views the jobs execute against. A workflow is planned ONCE against the
+// global namespace — parse→optimize→partition→codegen are shard-agnostic —
+// and then each job of the plan is *placed* by ShardPlacer
+// (src/scheduler/placement.h):
 //
 //   - kLocality (default): the job goes to the alive shard holding the most
 //     of its input bytes at their actual current DFS sizes, lowest shard id
@@ -19,19 +19,20 @@
 // as that loop's JobRunner, so a sharded run shares everything else with an
 // unsharded one: fingerprint reuse, per-engine retries and cross-engine
 // failover (src/core/job_dispatch.h), calibration, suffix re-planning, sink
-// collection and history. Shard failover composes with the recovery loop: a
-// dead shard (DrainShard, or the seeded shard-fault config) surfaces as a
-// retryable kUnavailable, and the re-attempt re-places among the shards
-// still alive by the same byte rule.
+// collection and history. Each attempt runs on the thread that called Run,
+// against the placed shard's DFS view; the coordinator owns no threads.
+// A dead shard (DrainShard, or the seeded shard-fault config) leaves
+// placement, so later attempts place among the shards still alive by the
+// same byte rule; an attempt already running there finishes.
 // The dead shard's DFS partition survives (the HDFS-replication stand-in):
 // reads fall back to a directory-repairing scan, so results stay
-// Table::Identical to the 1-shard run even across failovers.
+// Table::Identical to the 1-shard run even across shard deaths.
 
 #ifndef MUSKETEER_SRC_SERVICE_SHARD_COORDINATOR_H_
 #define MUSKETEER_SRC_SERVICE_SHARD_COORDINATOR_H_
 
+#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -39,20 +40,23 @@
 #include "src/cluster/sharded_dfs.h"
 #include "src/core/musketeer.h"
 #include "src/scheduler/placement.h"
-#include "src/service/service.h"
 
 namespace musketeer {
 
 struct CoordinatorConfig {
   PlacementPolicy placement = PlacementPolicy::kLocality;
   uint64_t placement_seed = 0;  // kRandom's determinism knob
-  // Worker pool and intra-query width of each shard's WorkflowService.
+  // The most attempts that run on one shard at once when several threads
+  // call Run concurrently; a placed attempt waits for a free slot on its
+  // shard. perfbench's shard_batch workload pins this field.
   int workers_per_shard = 2;
+  // Intra-query width each attempt runs its kernels at; 0 inherits the
+  // calling thread's.
   int threads = 0;
   // Seeded shard-fault injection: once the coordinator has dispatched
   // `fault_after_dispatches` jobs, shard `fault_shard`'s compute dies — it
-  // is removed from placement and an attempt already routed to it fails
-  // retryably. Its DFS partition stays readable. -1 disables.
+  // is removed from placement, and that dispatch and every later one place
+  // among the other shards. Its DFS partition stays readable. -1 disables.
   int fault_shard = -1;
   int fault_after_dispatches = 0;
   // Applied to Run(workflow) calls that carry no options.
@@ -64,7 +68,6 @@ struct CoordinatorStats {
   uint64_t placements = 0;
   uint64_t locality_hits = 0;       // chose a byte-optimal shard
   Bytes placed_cross_shard_bytes = 0;  // placer's accounting at decision time
-  uint64_t shard_failovers = 0;     // attempts re-placed off a dead shard
   std::vector<uint64_t> jobs_per_shard;
   // Mirrors of the ShardedDfs fetch accounting (measured, not predicted).
   uint64_t remote_fetches = 0;
@@ -75,18 +78,18 @@ struct CoordinatorStats {
 class ShardCoordinator {
  public:
   // `dfs` is the sharded storage layer; not owned, must outlive the
-  // coordinator. One WorkflowService is spun up per DFS shard.
+  // coordinator.
   explicit ShardCoordinator(ShardedDfs* dfs, CoordinatorConfig config = {});
-  ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
   // Plans `workflow` against the global namespace and runs it through
   // Musketeer::Execute with placement as the job runner, so its jobs fan out
-  // across the shards. Blocking; the returned RunResult is byte-for-byte
-  // comparable to an unsharded Musketeer::Run (same makespan accounting,
-  // outputs Table::Identical at any shard count).
+  // across the shards. Every attempt runs on the calling thread; several
+  // threads may call Run at once. Blocking; the returned RunResult is
+  // byte-for-byte comparable to an unsharded Musketeer::Run (same makespan
+  // accounting, outputs Table::Identical at any shard count).
   StatusOr<RunResult> Run(const WorkflowSpec& workflow);
   StatusOr<RunResult> Run(const WorkflowSpec& workflow, RunOptions options);
 
@@ -95,15 +98,14 @@ class ShardCoordinator {
   void DrainShard(int shard);
   bool IsShardAlive(int shard) const;
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return dfs_->num_shards(); }
   ShardedDfs* dfs() { return dfs_; }
-  WorkflowService& shard_service(int shard) { return *shards_[shard]; }
 
   CoordinatorStats stats() const;
 
  private:
-  // The JobRunner Run() hands to Execute: place `job`, run it on the placed
-  // shard's service, and add the DFS bytes it charged there to *charged.
+  // The JobRunner Run() hands to Execute: place `job`, run it here against
+  // the placed shard's DFS view, and add the bytes it charged to *charged.
   StatusOr<JobResult> DispatchAttempt(const JobPlan& job,
                                       const ExecutionContext& ctx,
                                       const RunOptions& options,
@@ -115,14 +117,14 @@ class ShardCoordinator {
   ShardedDfs* const dfs_;
   const CoordinatorConfig config_;
   ShardPlacer placer_;  // guarded by mu_ (stats are plain members)
-  std::vector<std::unique_ptr<WorkflowService>> shards_;
 
   mutable std::mutex mu_;
+  std::condition_variable slot_free_;  // an in_flight_ count dropped
   std::vector<char> alive_;       // guarded by mu_
   uint64_t dispatches_ = 0;       // guarded by mu_
-  uint64_t shard_failovers_ = 0;  // guarded by mu_
   bool fault_fired_ = false;      // guarded by mu_
   std::vector<uint64_t> jobs_per_shard_;  // guarded by mu_
+  std::vector<int> in_flight_;    // guarded by mu_; attempts running per shard
 };
 
 }  // namespace musketeer

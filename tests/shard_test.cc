@@ -1,5 +1,5 @@
-// Sharded execution tests (PR 8). The contract under test: a workflow fanned
-// out across M service shards by the ShardCoordinator produces BIT-identical
+// Sharded execution tests. The contract under test: a workflow fanned out
+// across M shards by the ShardCoordinator produces BIT-identical
 // outputs (Table::Identical, not just SameContent) to the unsharded
 // Musketeer::Run — at every shard count, under locality or random placement,
 // with a shard drained ahead of the run, and across a seeded mid-run shard
@@ -10,7 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+#include <map>
+#include <thread>
+
 #include "src/core/musketeer.h"
+#include "src/obs/trace.h"
 #include "tests/workflow_setups.h"
 
 namespace musketeer {
@@ -222,6 +228,115 @@ TEST(ShardCoordinatorTest, StatsMirrorDfsFetchAccounting) {
     EXPECT_GT(stats.remote_bytes_fetched, 0.0);
     EXPECT_GT(stats.measured_remote_mbps, 0.0);
   }
+}
+
+// Live threads of this process: the entries under /proc/self/task.
+std::ptrdiff_t ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+// A sharded run is one span tree on one thread: every job attempt runs on
+// the thread that called Run, under that run's stage.execute span. Building
+// the coordinator starts no threads.
+TEST(ShardCoordinatorTest, RunIsOneSpanTreeOnTheCallingThread) {
+  WfSetup setup = MakeSetup(Wf::kTpchHive);
+  ShardedDfs dfs(3);
+  for (const auto& [name, table] : setup.inputs) {
+    dfs.Put(name, table);
+  }
+  const std::ptrdiff_t threads_before = ThreadCount();
+  ShardCoordinator coordinator(&dfs);
+  EXPECT_EQ(ThreadCount(), threads_before);
+
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.Enable(true);
+  auto result = coordinator.Run(setup.workflow, BaseOptions());
+  tracer.Enable(false);
+  const std::vector<SpanRecord> spans = tracer.Snapshot();
+  tracer.Clear();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  std::map<uint64_t, const SpanRecord*> by_id;
+  const SpanRecord* execute = nullptr;
+  for (const SpanRecord& span : spans) {
+    by_id[span.id] = &span;
+    if (span.name == "stage.execute") {
+      ASSERT_EQ(execute, nullptr) << "more than one stage.execute span";
+      execute = &span;
+    }
+  }
+  ASSERT_NE(execute, nullptr);
+
+  size_t job_spans = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name.rfind("job:", 0) != 0) {
+      continue;
+    }
+    ++job_spans;
+    EXPECT_EQ(span.tid, execute->tid) << span.name;
+    uint64_t ancestor = span.parent_id;
+    while (ancestor != 0 && ancestor != execute->id) {
+      auto it = by_id.find(ancestor);
+      ancestor = it == by_id.end() ? 0 : it->second->parent_id;
+    }
+    EXPECT_EQ(ancestor, execute->id)
+        << span.name << " does not descend from stage.execute";
+  }
+  EXPECT_GE(job_spans, result->plans.size());
+}
+
+// Several threads share one coordinator, one attempt slot per shard: each
+// run's output stays bit-identical to its unsharded run and every dispatch
+// is accounted to a shard. The workflows read and write disjoint relations.
+TEST(ShardCoordinatorTest, ConcurrentRunsStayIdentical) {
+  const Wf workflows[] = {Wf::kTopShopper, Wf::kTpchHive, Wf::kNetflix,
+                          Wf::kSimpleJoin};
+  std::vector<WfSetup> setups;
+  std::vector<TablePtr> expected;
+  ShardedDfs dfs(3);
+  for (Wf wf : workflows) {
+    setups.push_back(MakeSetup(wf));
+    auto baseline = RunUnsharded(setups.back());
+    ASSERT_TRUE(baseline.ok()) << WfName(wf) << ": " << baseline.status();
+    ASSERT_EQ(baseline->outputs.count(setups.back().result_relation), 1u);
+    expected.push_back(baseline->outputs[setups.back().result_relation]);
+    for (const auto& [name, table] : setups.back().inputs) {
+      dfs.Put(name, table);
+    }
+  }
+
+  CoordinatorConfig config;
+  config.workers_per_shard = 1;
+  ShardCoordinator coordinator(&dfs, config);
+  std::vector<StatusOr<RunResult>> results(
+      setups.size(), InternalError("not run"));
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < setups.size(); ++i) {
+    callers.emplace_back([&, i] {
+      results[i] = coordinator.Run(setups[i].workflow, BaseOptions());
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+
+  for (size_t i = 0; i < setups.size(); ++i) {
+    const char* name = WfName(workflows[i]);
+    ASSERT_TRUE(results[i].ok()) << name << ": " << results[i].status();
+    ASSERT_EQ(results[i]->outputs.count(setups[i].result_relation), 1u);
+    EXPECT_TRUE(Table::Identical(
+        *expected[i], *results[i]->outputs[setups[i].result_relation]))
+        << name << " diverged from its unsharded run";
+  }
+  const CoordinatorStats stats = coordinator.stats();
+  uint64_t landed = 0;
+  for (uint64_t jobs : stats.jobs_per_shard) {
+    landed += jobs;
+  }
+  EXPECT_GT(stats.jobs_dispatched, 0u);
+  EXPECT_EQ(landed, stats.jobs_dispatched);
 }
 
 }  // namespace

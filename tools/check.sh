@@ -201,13 +201,14 @@ MUSKETEER_THREADS=8 "$repo/build-tsan/tests/engine_equivalence_test" \
     --gtest_filter='*Parallel*:*RowReference*:*InterpreterBitIdentical*'
 
 echo "== [9/11] sharded execution: TSan coordinator tests + CLI bit-identity + scaling gate =="
-# The shard coordinator under ThreadSanitizer: per-shard worker pools execute
-# against per-shard DFS views of one ShardedDfs while the coordinator thread
-# reads the shared directory and fetch counters.
+# The shard coordinator under ThreadSanitizer: job attempts run on the
+# calling thread against per-shard DFS views of one ShardedDfs, and
+# ConcurrentRunsStayIdentical has four callers share one coordinator, its
+# directory, fetch counters and per-shard attempt slots.
 "$repo/build-tsan/tests/shard_test" \
     --gtest_filter='ShardCoordinatorTest.*:*SeededShardDeath*'
 # Forced mid-run re-planning through the 3-shard coordinator: the suffix
-# re-plan happens in Execute's loop while shard workers run the jobs.
+# re-plan happens in Execute's loop, between the placed job attempts.
 "$repo/build-tsan/tests/planner_scale_test" \
     --gtest_filter='ReplanningTest.NineWorkflowsStayIdenticalUnderForcedReplan'
 

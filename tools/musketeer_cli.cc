@@ -920,10 +920,6 @@ int main(int argc, char** argv) {
                 "%.1f MB/s measured\n",
                 (unsigned long long)cs.remote_fetches,
                 cs.remote_bytes_fetched / kMB, cs.measured_remote_mbps);
-    if (cs.shard_failovers > 0) {
-      std::printf("          %llu shard failover(s)\n",
-                  (unsigned long long)cs.shard_failovers);
-    }
   }
   if (explain) {
     for (const JobPlan& plan : result->plans) {
