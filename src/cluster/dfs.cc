@@ -5,11 +5,6 @@
 
 namespace musketeer {
 
-namespace {
-// Innermost run-counter scope on this thread (nullptr = no scope active).
-thread_local ScopedDfsRunCounters* t_run_counters = nullptr;
-}  // namespace
-
 // ---- DfsPartition ----------------------------------------------------------
 
 void DfsPartition::Put(const std::string& name, TablePtr table) {
@@ -55,41 +50,6 @@ size_t DfsPartition::size() const {
 }
 
 // ---- Dfs -------------------------------------------------------------------
-
-void Dfs::RecordRead(Bytes bytes) {
-  TallyRead(bytes);
-  if (t_run_counters != nullptr) {
-    t_run_counters->read_ += bytes;
-  }
-}
-
-void Dfs::RecordWrite(Bytes bytes) {
-  TallyWrite(bytes);
-  if (t_run_counters != nullptr) {
-    t_run_counters->written_ += bytes;
-  }
-}
-
-void Dfs::RecordRemoteRead(Bytes bytes) {
-  TallyRemoteRead(bytes);
-  if (t_run_counters != nullptr) {
-    t_run_counters->read_ += bytes;
-    t_run_counters->remote_read_ += bytes;
-  }
-}
-
-ScopedDfsRunCounters::ScopedDfsRunCounters() : prev_(t_run_counters) {
-  t_run_counters = this;
-}
-
-ScopedDfsRunCounters::~ScopedDfsRunCounters() {
-  t_run_counters = prev_;
-  if (prev_ != nullptr) {
-    prev_->read_ += read_;
-    prev_->written_ += written_;
-    prev_->remote_read_ += remote_read_;
-  }
-}
 
 void Dfs::Put(const std::string& name, TablePtr table) {
   local_.Put(name, std::move(table));

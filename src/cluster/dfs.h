@@ -12,16 +12,18 @@
 // partitions behind a ShardMap relation-location directory and hands out
 // per-shard views whose Get() pays a measured fetch-over-network charge for
 // relations another shard owns. The namespace operations are virtual so
-// those views slot in anywhere a Dfs* is accepted (engines, the service,
-// the network layer), while plain `Dfs dfs;` keeps the one-partition seed
-// semantics.
+// those views slot in anywhere a Dfs* is accepted (engines, the planner),
+// while plain `Dfs dfs;` keeps the one-partition seed semantics.
+//
+// Byte accounting lives with the jobs, not here: ExecuteJob returns the
+// bytes a job pulled and pushed in its JobResult, and a run's DFS traffic
+// (RunResult::dfs_bytes_*) is the sum over its jobs' results.
 //
 // Thread-safety contract: a single Dfs is shared by every concurrently
 // executing workflow (src/service/), so the namespace is guarded by a
-// shared_mutex (concurrent readers, exclusive writers) and the byte
-// counters are relaxed atomics. Tables themselves are immutable once Put
-// (TablePtr is shared_ptr<const Table>), so handing out the pointer under a
-// shared lock is safe.
+// shared_mutex (concurrent readers, exclusive writers). Tables themselves
+// are immutable once Put (TablePtr is shared_ptr<const Table>), so handing
+// out the pointer under a shared lock is safe.
 
 #ifndef MUSKETEER_SRC_CLUSTER_DFS_H_
 #define MUSKETEER_SRC_CLUSTER_DFS_H_
@@ -40,8 +42,7 @@
 namespace musketeer {
 
 // The raw relation store one shard owns: a name → table map under a
-// shared_mutex. No byte accounting here — partitions are storage, the Dfs
-// layers above them are the accounting boundary.
+// shared_mutex.
 class DfsPartition {
  public:
   DfsPartition() = default;
@@ -79,18 +80,18 @@ class Dfs {
   virtual std::vector<std::string> ListRelations() const;
 
   // Local-partition namespace: ONLY what this node physically holds, never
-  // resolved through a directory or fetched from peers. The network relation
-  // endpoints (GET/PUT /relation) serve from these — a peer asking "what do
-  // you hold" must not trigger recursive cross-shard resolution (two event
-  // loops asking each other is a distributed deadlock). The base Dfs is its
-  // own single partition, so the defaults are just the plain operations.
-  virtual StatusOr<TablePtr> GetLocal(const std::string& name) const {
+  // resolved through peers. The network relation endpoints (GET/PUT
+  // /relation) serve from these — a peer asking "what do you hold" must not
+  // trigger recursive cross-shard resolution (two event loops asking each
+  // other is a distributed deadlock). A server fronts a plain Dfs or a
+  // PeerDfs, and both keep their own relations in the base partition.
+  StatusOr<TablePtr> GetLocal(const std::string& name) const {
     return Dfs::Get(name);
   }
-  virtual void PutLocal(const std::string& name, TablePtr table) {
+  void PutLocal(const std::string& name, TablePtr table) {
     Dfs::Put(name, std::move(table));
   }
-  virtual std::vector<std::string> ListLocalRelations() const {
+  std::vector<std::string> ListLocalRelations() const {
     return Dfs::ListRelations();
   }
 
@@ -107,35 +108,10 @@ class Dfs {
   // read costs local DFS bandwidth, not a cross-shard fetch. The
   // single-partition base stores everything locally; sharded views answer
   // from the relation-location directory. Engines split their pull
-  // accounting on this (RecordRead vs RecordRemoteRead).
+  // accounting on this (JobResult::bytes_pulled_remote).
   virtual bool IsLocal(const std::string& name) const {
     (void)name;
     return true;
-  }
-
-  // Aggregate statistics maintained by the engines (bytes moved through the
-  // DFS over a workflow's lifetime). Relaxed ordering: the counters are
-  // monotonic tallies, never used to synchronize other memory. Each call
-  // also charges the calling thread's active ScopedDfsRunCounters (if any),
-  // which is how per-run byte accounting stays exact under concurrency.
-  // Virtual so per-shard views can forward into their owning ShardedDfs and
-  // keep its aggregate counters whole. RecordRemoteRead charges BOTH the
-  // read tally and the remote subset: bytes_remote_read() <= bytes_read()
-  // always, and totals are unchanged whether a read was local or fetched.
-  virtual void RecordRead(Bytes bytes);
-  virtual void RecordWrite(Bytes bytes);
-  virtual void RecordRemoteRead(Bytes bytes);
-  Bytes bytes_read() const { return bytes_read_.load(std::memory_order_relaxed); }
-  Bytes bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-  Bytes bytes_remote_read() const {
-    return bytes_remote_read_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    bytes_read_.store(0, std::memory_order_relaxed);
-    bytes_written_.store(0, std::memory_order_relaxed);
-    bytes_remote_read_.store(0, std::memory_order_relaxed);
   }
 
  protected:
@@ -148,16 +124,6 @@ class Dfs {
     }
   }
 
-  // Counter-only tallies (no thread-scoped run-counter charge). Sharded
-  // views forward these into their parent so the aggregate stays whole
-  // without double-charging the per-run scope.
-  void TallyRead(Bytes bytes) { AtomicAdd(&bytes_read_, bytes); }
-  void TallyWrite(Bytes bytes) { AtomicAdd(&bytes_written_, bytes); }
-  void TallyRemoteRead(Bytes bytes) {
-    AtomicAdd(&bytes_read_, bytes);
-    AtomicAdd(&bytes_remote_read_, bytes);
-  }
-
   // Advances the content-version of `name`. Dfs::Put calls this; overrides
   // that store without going through the base Put (sharded routing, peer
   // pushes) must call it themselves or forward into their parent.
@@ -167,37 +133,6 @@ class Dfs {
   mutable std::shared_mutex version_mu_;
   std::unordered_map<std::string, uint64_t> versions_;  // guarded by version_mu_
   DfsPartition local_;
-  std::atomic<Bytes> bytes_read_{0};
-  std::atomic<Bytes> bytes_written_{0};
-  std::atomic<Bytes> bytes_remote_read_{0};
-};
-
-// Attributes DFS traffic to one logical run. While an instance is alive,
-// every RecordRead/RecordWrite/RecordRemoteRead made *on this thread* is
-// also tallied here, so a run's byte deltas exclude traffic from
-// concurrently executing workflows on other threads (which the old
-// before/after snapshot of the shared counters could not). Scopes nest: an
-// inner scope's totals propagate into the enclosing scope when it closes,
-// so an outer "whole submission" scope still sees bytes charged inside a
-// per-job scope. Remote-fetch bytes are a subset of bytes_read(): the
-// cross-shard traffic a sharded run reports.
-class ScopedDfsRunCounters {
- public:
-  ScopedDfsRunCounters();
-  ~ScopedDfsRunCounters();
-  ScopedDfsRunCounters(const ScopedDfsRunCounters&) = delete;
-  ScopedDfsRunCounters& operator=(const ScopedDfsRunCounters&) = delete;
-
-  Bytes bytes_read() const { return read_; }
-  Bytes bytes_written() const { return written_; }
-  Bytes bytes_remote_read() const { return remote_read_; }
-
- private:
-  friend class Dfs;
-  Bytes read_ = 0;
-  Bytes written_ = 0;
-  Bytes remote_read_ = 0;
-  ScopedDfsRunCounters* prev_;  // enclosing scope on this thread, if any
 };
 
 }  // namespace musketeer

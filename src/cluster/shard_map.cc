@@ -8,6 +8,10 @@ namespace musketeer {
 
 namespace {
 
+// Virtual nodes per shard on the ring. 128 keeps the expected move fraction
+// on membership change within a few percent of the ideal 1/(M+1).
+constexpr int kVnodesPerShard = 128;
+
 // SplitMix64 finalizer: decorrelates the (shard, vnode) lattice into ring
 // positions so vnodes of one shard do not cluster.
 uint64_t Mix64(uint64_t x) {
@@ -19,16 +23,6 @@ uint64_t Mix64(uint64_t x) {
 
 }  // namespace
 
-const char* ShardingStrategyName(ShardingStrategy strategy) {
-  switch (strategy) {
-    case ShardingStrategy::kConsistentHash:
-      return "consistent-hash";
-    case ShardingStrategy::kModulo:
-      return "modulo";
-  }
-  return "unknown";
-}
-
 uint64_t ShardMap::HashName(const std::string& name) {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
   for (unsigned char c : name) {
@@ -38,9 +32,7 @@ uint64_t ShardMap::HashName(const std::string& name) {
   return h;
 }
 
-ShardMap::ShardMap(int num_shards, ShardingStrategy strategy,
-                   int vnodes_per_shard)
-    : strategy_(strategy), vnodes_(std::max(1, vnodes_per_shard)) {
+ShardMap::ShardMap(int num_shards) {
   const int count = std::max(1, num_shards);
   alive_.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -52,12 +44,9 @@ ShardMap::ShardMap(int num_shards, ShardingStrategy strategy,
 
 void ShardMap::RebuildRingLocked() {
   ring_.clear();
-  if (strategy_ != ShardingStrategy::kConsistentHash) {
-    return;
-  }
-  ring_.reserve(alive_.size() * static_cast<size_t>(vnodes_));
+  ring_.reserve(alive_.size() * static_cast<size_t>(kVnodesPerShard));
   for (int shard : alive_) {
-    for (int v = 0; v < vnodes_; ++v) {
+    for (int v = 0; v < kVnodesPerShard; ++v) {
       const uint64_t pos =
           Mix64((static_cast<uint64_t>(shard) << 32) | static_cast<uint64_t>(v));
       ring_.emplace_back(pos, shard);
@@ -66,43 +55,32 @@ void ShardMap::RebuildRingLocked() {
   std::sort(ring_.begin(), ring_.end());
 }
 
-int ShardMap::OwnerOf(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  auto pin = pins_.find(name);
-  if (pin != pins_.end()) {
-    return pin->second;
-  }
+int ShardMap::RingOwnerLocked(const std::string& name) const {
   if (alive_.empty()) {
     return 0;
   }
-  const uint64_t h = HashName(name);
-  if (strategy_ == ShardingStrategy::kModulo) {
-    return alive_[h % alive_.size()];
-  }
   // First vnode clockwise of the key's ring position (wrapping).
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(h, std::numeric_limits<int>::min()));
+  auto it = std::lower_bound(
+      ring_.begin(), ring_.end(),
+      std::make_pair(HashName(name), std::numeric_limits<int>::min()));
   if (it == ring_.end()) {
     it = ring_.begin();
   }
   return it->second;
 }
 
+int ShardMap::OwnerOf(const std::string& name) const {
+  std::shared_lock lock(mu_);
+  auto pin = pins_.find(name);
+  if (pin != pins_.end()) {
+    return pin->second;
+  }
+  return RingOwnerLocked(name);
+}
+
 int ShardMap::StrategyOwnerOf(const std::string& name) const {
   std::shared_lock lock(mu_);
-  if (alive_.empty()) {
-    return 0;
-  }
-  const uint64_t h = HashName(name);
-  if (strategy_ == ShardingStrategy::kModulo) {
-    return alive_[h % alive_.size()];
-  }
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(h, std::numeric_limits<int>::min()));
-  if (it == ring_.end()) {
-    it = ring_.begin();
-  }
-  return it->second;
+  return RingOwnerLocked(name);
 }
 
 void ShardMap::Pin(const std::string& name, int shard) {

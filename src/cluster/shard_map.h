@@ -2,16 +2,13 @@
 //
 // Maps every relation name to the shard that owns its partition. Two layers:
 //
-//   1. A pluggable hash-partitioning *strategy* decides where unseen (base)
-//      relations live. kConsistentHash builds the classic ring with virtual
-//      nodes, so adding or removing a shard moves only ~1/M of the keyspace
-//      (the stability property cluster_test asserts); kModulo is the naive
-//      hash(name) % M baseline the RDF-partitioning comparison (PAPERS.md)
-//      measures against — cheap, but re-sharding moves almost everything.
+//   1. A consistent-hash ring with virtual nodes decides where unseen (base)
+//      relations live, so adding or removing a shard moves only ~1/M of the
+//      keyspace (the stability property cluster_test asserts).
 //   2. A *pin* directory recording where produced relations actually landed:
 //      a shard that executes a job Put()s the outputs into its own partition
 //      and pins them there, which is what makes placement-near-data work for
-//      intermediates (the strategy only ever places base inputs).
+//      intermediates (the ring only ever places base inputs).
 //
 // Thread-safety: all operations take a shared_mutex; reads (OwnerOf — the
 // placement hot path) share the lock, membership changes and pins are
@@ -30,28 +27,16 @@
 
 namespace musketeer {
 
-enum class ShardingStrategy {
-  kConsistentHash,  // ring + virtual nodes; <= ~1/M keys move per change
-  kModulo,          // hash(name) % alive-count; re-sharding moves ~all keys
-};
-
-const char* ShardingStrategyName(ShardingStrategy strategy);
-
 class ShardMap {
  public:
-  // Shards are born 0..num_shards-1 and all alive. `vnodes_per_shard` spreads
-  // each shard over the ring (consistent hashing only); 128 keeps the
-  // expected move fraction on membership change within a few percent of the
-  // ideal 1/(M+1).
-  explicit ShardMap(int num_shards,
-                    ShardingStrategy strategy = ShardingStrategy::kConsistentHash,
-                    int vnodes_per_shard = 128);
+  // Shards are born 0..num_shards-1 and all alive.
+  explicit ShardMap(int num_shards);
 
   // The shard owning `name`: its pinned location when one exists, otherwise
-  // the strategy's placement among alive shards.
+  // the ring's placement among alive shards.
   int OwnerOf(const std::string& name) const;
 
-  // The strategy's placement, ignoring pins (what OwnerOf returns for a
+  // The ring's placement, ignoring pins (what OwnerOf returns for a
   // relation no shard has produced yet).
   int StrategyOwnerOf(const std::string& name) const;
 
@@ -63,7 +48,7 @@ class ShardMap {
   std::optional<int> PinnedOwner(const std::string& name) const;
 
   // Membership. AddShard returns the new shard's id (ids are never reused).
-  // RemoveShard only changes future *strategy* placements; pinned relations
+  // RemoveShard only changes future *ring* placements; pinned relations
   // keep reporting their (now dead) owner until re-pinned.
   int AddShard();
   void RemoveShard(int shard);
@@ -72,8 +57,6 @@ class ShardMap {
   // Upper bound over all ids ever issued (alive or not).
   int max_shard_id() const;
 
-  ShardingStrategy strategy() const { return strategy_; }
-
   // Deterministic FNV-1a over the name bytes — fixed across platforms and
   // runs, so ownership (and therefore placement and every test asserting on
   // it) is stable.
@@ -81,9 +64,9 @@ class ShardMap {
 
  private:
   void RebuildRingLocked();  // requires exclusive mu_
-
-  const ShardingStrategy strategy_;
-  const int vnodes_;
+  // The ring's placement of `name` among alive shards; requires mu_ (shared
+  // or exclusive).
+  int RingOwnerLocked(const std::string& name) const;
 
   mutable std::shared_mutex mu_;
   int next_shard_id_ = 0;                         // guarded by mu_

@@ -47,37 +47,9 @@ bool ShardViewDfs::IsLocal(const std::string& name) const {
   return parent_->map_.OwnerOf(name) == shard_;
 }
 
-StatusOr<TablePtr> ShardViewDfs::GetLocal(const std::string& name) const {
-  return parent_->partitions_[static_cast<size_t>(shard_)]->Get(name);
-}
-
-void ShardViewDfs::PutLocal(const std::string& name, TablePtr table) {
-  Put(name, std::move(table));  // already stores into this shard + pins
-}
-
-std::vector<std::string> ShardViewDfs::ListLocalRelations() const {
-  return parent_->partitions_[static_cast<size_t>(shard_)]->ListRelations();
-}
-
-void ShardViewDfs::RecordRead(Bytes bytes) {
-  Dfs::RecordRead(bytes);  // view tally + the thread-scoped run counters
-  parent_->AggregateRead(bytes);  // aggregate tally only (no double charge)
-}
-
-void ShardViewDfs::RecordWrite(Bytes bytes) {
-  Dfs::RecordWrite(bytes);
-  parent_->AggregateWrite(bytes);
-}
-
-void ShardViewDfs::RecordRemoteRead(Bytes bytes) {
-  Dfs::RecordRemoteRead(bytes);
-  parent_->AggregateRemoteRead(bytes);
-}
-
 // ---- ShardedDfs ------------------------------------------------------------
 
-ShardedDfs::ShardedDfs(int num_shards, ShardingStrategy strategy)
-    : map_(num_shards, strategy) {
+ShardedDfs::ShardedDfs(int num_shards) : map_(num_shards) {
   const int count = std::max(1, num_shards);
   partitions_.reserve(static_cast<size_t>(count));
   views_.reserve(static_cast<size_t>(count));

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/cluster/dfs.h"
@@ -37,9 +36,9 @@ namespace musketeer {
 
 class ShardedDfs;
 
-// The Dfs a shard's service and engines see: local partition at native
-// speed, everything else a measured fetch. Obtained from ShardedDfs::View;
-// lifetime is owned by the parent.
+// The Dfs a shard's engines see: local partition at native speed,
+// everything else a measured fetch. Obtained from ShardedDfs::View; lifetime
+// is owned by the parent.
 class ShardViewDfs final : public Dfs {
  public:
   void Put(const std::string& name, TablePtr table) override;
@@ -51,18 +50,6 @@ class ShardViewDfs final : public Dfs {
   bool IsLocal(const std::string& name) const override;
   // Content-versions are namespace-global, shared with the parent.
   uint64_t VersionOf(const std::string& name) const override;
-
-  // Local-partition namespace: this shard's partition only (the relation
-  // endpoints' serving surface — no directory resolution, no fetch).
-  StatusOr<TablePtr> GetLocal(const std::string& name) const override;
-  void PutLocal(const std::string& name, TablePtr table) override;
-  std::vector<std::string> ListLocalRelations() const override;
-
-  // Byte tallies forward to the parent so ShardedDfs aggregates stay whole
-  // (the thread-scoped run counters fire in the base implementations).
-  void RecordRead(Bytes bytes) override;
-  void RecordWrite(Bytes bytes) override;
-  void RecordRemoteRead(Bytes bytes) override;
 
   int shard() const { return shard_; }
 
@@ -77,9 +64,7 @@ class ShardViewDfs final : public Dfs {
 
 class ShardedDfs final : public Dfs {
  public:
-  explicit ShardedDfs(
-      int num_shards,
-      ShardingStrategy strategy = ShardingStrategy::kConsistentHash);
+  explicit ShardedDfs(int num_shards);
   ~ShardedDfs() override = default;
 
   // Global namespace operations (the planner / coordinator vantage point).
@@ -88,17 +73,6 @@ class ShardedDfs final : public Dfs {
   bool Contains(const std::string& name) const override;
   void Erase(const std::string& name) override;
   std::vector<std::string> ListRelations() const override;
-
-  // The global vantage point holds everything "locally".
-  StatusOr<TablePtr> GetLocal(const std::string& name) const override {
-    return Get(name);
-  }
-  void PutLocal(const std::string& name, TablePtr table) override {
-    Put(name, std::move(table));
-  }
-  std::vector<std::string> ListLocalRelations() const override {
-    return ListRelations();
-  }
 
   // Per-shard view; k in [0, num_shards).
   Dfs* View(int shard);
@@ -124,11 +98,8 @@ class ShardedDfs final : public Dfs {
  private:
   friend class ShardViewDfs;
 
-  // Aggregate-tally relays for the views (TallyRead et al. are protected in
-  // Dfs and not reachable through a ShardedDfs* from another class).
-  void AggregateRead(Bytes bytes) { TallyRead(bytes); }
-  void AggregateWrite(Bytes bytes) { TallyWrite(bytes); }
-  void AggregateRemoteRead(Bytes bytes) { TallyRemoteRead(bytes); }
+  // Version-bump relay for the views (BumpVersion is protected in Dfs and
+  // not reachable through a ShardedDfs* from another class).
   void AggregateBumpVersion(const std::string& name) { BumpVersion(name); }
 
   // Resolve `name` for a reader on `shard` (-1 = the global view): local

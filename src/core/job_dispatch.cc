@@ -93,8 +93,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
                                  global_attempt)) {
         ++out.recovery.faults_injected;
       }
-      StatusOr<JobResult> attempt =
-          (*env.runner)(*job, *ctx, &out.charged);
+      StatusOr<JobResult> attempt = (*env.runner)(*job, *ctx);
       ++out.recovery.attempts;
       out.recovery.attempt_log.push_back(
           {global_attempt, job->engine,

@@ -8,9 +8,9 @@
 // injector's (workflow, job@engine, attempt) key never repeats within a run.
 //
 // Each attempt goes through the run's JobRunner, so placement composes with
-// recovery: the sharded coordinator's runner routes the attempt to a placed
-// shard's service, a dead shard surfaces as a retryable failure, and the
-// next attempt re-places among the shards still alive.
+// recovery: the sharded coordinator's runner places every attempt afresh
+// among the shards alive at that moment and runs it on the calling thread,
+// so a retry after a shard dies lands on a surviving shard.
 
 #ifndef MUSKETEER_SRC_CORE_JOB_DISPATCH_H_
 #define MUSKETEER_SRC_CORE_JOB_DISPATCH_H_
@@ -41,7 +41,6 @@ struct JobDispatchOutcome {
   JobRecovery recovery;
   int retries = 0;    // failed attempts that were retried (incl. failovers)
   int failovers = 0;  // engine switches after retry exhaustion
-  DfsTraffic charged;  // summed over every attempt, failed ones included
 };
 
 // Drives `*job` to success or terminal failure under `env`. On engine

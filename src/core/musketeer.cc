@@ -67,18 +67,6 @@ CostModel CalibratedCostModel(const WorkflowSpec& workflow,
                    calibration->has_observations ? calibration : nullptr);
 }
 
-StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
-                                      const ClusterConfig& cluster, Dfs* dfs,
-                                      const ExecutionContext& ctx,
-                                      DfsTraffic* charged) {
-  ScopedDfsRunCounters scope;
-  StatusOr<JobResult> result = ExecuteJob(job, cluster, dfs, ctx);
-  charged->read += scope.bytes_read();
-  charged->written += scope.bytes_written();
-  charged->remote_read += scope.bytes_remote_read();
-  return result;
-}
-
 SchemaMap Musketeer::DfsSchemas() const {
   return DfsSchemasOf(dfs_->ListRelations());
 }
@@ -216,15 +204,13 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
   // plan order (a topological order) and hand data to each other only
   // through the DFS. On the simulated clock a job starts when every job
   // producing one of its inputs has finished, so independent jobs overlap
-  // there, and only there. DFS traffic is attributed to this run by summing
-  // what each attempt charged on the thread that ran it, so concurrent
-  // workflows against the same DFS do not pollute each other's deltas.
+  // there, and only there. The run's DFS traffic is the sum of its jobs'
+  // JobResult byte counts.
   Span exec_span("stage.execute", "stage");
   ExecutionContext ctx = MakeContext(workflow, options);
   const JobRunner run_inline = [&](const JobPlan& job,
-                                   const ExecutionContext& c,
-                                   DfsTraffic* charged) {
-    return ExecuteJobCharged(job, options.cluster, dfs_, c, charged);
+                                   const ExecutionContext& c) {
+    return ExecuteJob(job, options.cluster, dfs_, c);
   };
   const JobRunner& run_attempt = runner ? runner : run_inline;
 
@@ -307,9 +293,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       reused_metric.Increment();
     } else {
       jr = std::move(dispatched->result);
-      result.dfs_bytes_read += dispatched->charged.read;
-      result.dfs_bytes_written += dispatched->charged.written;
-      result.dfs_bytes_remote_read += dispatched->charged.remote_read;
       result.total_retries += dispatched->retries;
       result.total_failovers += dispatched->failovers;
       result.total_faults_injected += dispatched->recovery.faults_injected;
@@ -357,6 +340,9 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     }
     makespan = std::max(makespan, finish);
     result.total_engine_time += jr.makespan;
+    result.dfs_bytes_read += jr.bytes_pulled;
+    result.dfs_bytes_written += jr.bytes_pushed;
+    result.dfs_bytes_remote_read += jr.bytes_pulled_remote;
     result.job_results.push_back(std::move(jr));
   };
 

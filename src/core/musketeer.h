@@ -145,13 +145,15 @@ struct RunResult {
   std::vector<JobPlan> plans;            // one per partition job
   std::vector<JobResult> job_results;
   TableMap outputs;                      // the workflow's sink relations
-  // Bytes this run moved through the DFS. Attributed per run via
-  // ScopedDfsRunCounters, so the numbers are exact even while other
-  // workflows execute concurrently against the same DFS.
+  // Bytes this run moved through the DFS: the sums of its jobs'
+  // JobResult::bytes_pulled and bytes_pushed (reused jobs move none), so
+  // workflows running concurrently against the same DFS never pollute each
+  // other's totals.
   Bytes dfs_bytes_read = 0;
   Bytes dfs_bytes_written = 0;
-  // Subset of dfs_bytes_read fetched from another shard's partition
-  // (0 for unsharded runs; the locality objective is minimizing this).
+  // Subset of dfs_bytes_read fetched from another shard's partition: the
+  // sum of JobResult::bytes_pulled_remote (0 for unsharded runs; the
+  // locality objective is minimizing this).
   Bytes dfs_bytes_remote_read = 0;
   OptimizeStats optimizer_stats;
   // Cost-model calibration report, filled when options.runtime_history is
@@ -177,28 +179,11 @@ struct RunResult {
   int replans = 0;
 };
 
-// DFS bytes one job attempt charged, counted by a ScopedDfsRunCounters on
-// the thread that ran it. Execute() sums them into RunResult.dfs_bytes_*.
-struct DfsTraffic {
-  Bytes read = 0;
-  Bytes written = 0;
-  Bytes remote_read = 0;  // subset of `read` fetched from another shard
-};
-
 // Runs one attempt of one job: the placement hook of Musketeer::Execute.
-// The runner adds the DFS bytes the attempt charged, failed attempts
-// included, to *charged — ExecuteJobCharged does that on whichever thread
-// the job runs. Retryable error codes re-enter the recovery loop
-// (src/core/job_dispatch.h); anything else ends the run.
+// Retryable error codes re-enter the recovery loop (src/core/job_dispatch.h);
+// anything else ends the run.
 using JobRunner = std::function<StatusOr<JobResult>(
-    const JobPlan& job, const ExecutionContext& ctx, DfsTraffic* charged)>;
-
-// ExecuteJob on the calling thread under a thread-scoped DFS byte counter;
-// adds what the attempt charged to *charged, whether or not it succeeded.
-StatusOr<JobResult> ExecuteJobCharged(const JobPlan& job,
-                                      const ClusterConfig& cluster, Dfs* dfs,
-                                      const ExecutionContext& ctx,
-                                      DfsTraffic* charged);
+    const JobPlan& job, const ExecutionContext& ctx)>;
 
 // Resolves a relative `deadline` into `absolute_deadline` now (an explicit
 // absolute deadline wins), so one budget spans everything that follows —
@@ -236,8 +221,8 @@ class Musketeer {
   // critical-path scheduling, collects sinks and records history. This is
   // the only job-execution loop: fingerprint reuse, retry and failover,
   // calibration and suffix re-planning all live here. `runner` places each
-  // attempt; the default runs it inline via ExecuteJobCharged on this
-  // DFS, and the sharded coordinator runs it inline on a placed shard's.
+  // attempt; the default runs ExecuteJob inline on this DFS, and the
+  // sharded coordinator runs it inline on a placed shard's view.
   StatusOr<RunResult> Execute(const WorkflowSpec& workflow,
                               const WorkflowPlan& plan,
                               const RunOptions& options = {},

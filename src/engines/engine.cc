@@ -345,14 +345,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   for (const std::string& name : plan.outputs) {
     dfs->Put(name, trace.relations.at(name));
   }
-  // Local/remote read split: the declared inputs that came from another
-  // shard are remote; everything else (including loop-materialized
-  // intermediate bytes, which never leave the executing shard) is local.
-  dfs->RecordRead(shape.pull_bytes - pull_remote_bytes);
-  if (pull_remote_bytes > 0) {
-    dfs->RecordRemoteRead(pull_remote_bytes);
-  }
-  dfs->RecordWrite(shape.push_bytes);
 
   // Harvest observed sizes: top-level operators plus the final iteration of
   // loop bodies (the steady state the cost model should predict).

@@ -30,11 +30,11 @@ std::optional<std::vector<PeerAddress>> ParsePeerList(const std::string& spec) {
 }
 
 PeerDfs::PeerDfs(int self_shard, int num_shards,
-                 std::vector<PeerAddress> peers, ShardingStrategy strategy)
+                 std::vector<PeerAddress> peers)
     : self_(self_shard),
       num_shards_(num_shards),
       peers_(std::move(peers)),
-      map_(num_shards, strategy) {
+      map_(num_shards) {
   conns_.reserve(static_cast<size_t>(num_shards_));
   for (int i = 0; i < num_shards_; ++i) {
     conns_.push_back(std::make_unique<Peer>());
@@ -111,7 +111,7 @@ StatusOr<TablePtr> PeerDfs::Get(const std::string& name) const {
     return fetched;
   }
   // Owner miss (dead peer, or a degraded Put stranded the relation off its
-  // strategy home): ask everyone else, mirroring ShardedDfs's
+  // ring home): ask everyone else, mirroring ShardedDfs's
   // scan-all-partitions directory repair.
   for (int shard = 0; shard < num_shards_; ++shard) {
     if (shard == self_ || shard == owner) {

@@ -8,13 +8,13 @@
 // class is its cross-process twin, with real sockets where the view has a
 // timed deep copy.
 //
-// Ownership is STRATEGY-PURE: every process computes OwnerOf(name) from the
-// name alone (consistent-hash ring or modulo over M shards), with no pin
+// Ownership is HASH-PURE: every process computes OwnerOf(name) from the
+// name alone (the consistent-hash ring over M shards), with no pin
 // directory and no cross-process pin synchronization — processes agree on
 // placement because they run the same hash, not because they talk about it.
 // That trades the in-process ShardedDfs's placement-near-data pinning for
 // zero metadata traffic; a relation produced on a non-owning shard is pushed
-// to its owner at Put time, so reads still find it at the strategy-computed
+// to its owner at Put time, so reads still find it at the ring-computed
 // home.
 //
 // Degraded mode: when the owning peer is unreachable, Put falls back to
@@ -57,8 +57,7 @@ class PeerDfs final : public Dfs {
   // `self_shard` in [0, num_shards); `peers` has one entry per shard (the
   // self entry is ignored). Connections are lazy: nothing is dialed until
   // the first cross-shard operation, so peers can start in any order.
-  PeerDfs(int self_shard, int num_shards, std::vector<PeerAddress> peers,
-          ShardingStrategy strategy = ShardingStrategy::kConsistentHash);
+  PeerDfs(int self_shard, int num_shards, std::vector<PeerAddress> peers);
   ~PeerDfs() override = default;
 
   void Put(const std::string& name, TablePtr table) override;
@@ -94,7 +93,7 @@ class PeerDfs final : public Dfs {
   const int self_;
   const int num_shards_;
   const std::vector<PeerAddress> peers_;
-  ShardMap map_;  // strategy-only resolution; never pinned
+  ShardMap map_;  // ring-only resolution; never pinned
 
   struct Peer {
     std::mutex mu;

@@ -26,10 +26,9 @@
 // Thread-safety contract (see DESIGN.md "Workflow service"): Dfs and
 // HistoryStore are internally synchronized; WorkflowPlan and Table are
 // immutable once published; the service's own state (tickets, stats) is
-// guarded by per-object mutexes. Per-run RunResult.dfs_bytes_* deltas are
-// attributed with thread-scoped counters (ScopedDfsRunCounters), so each
-// run's numbers are exact even while other workflows execute concurrently
-// against the same DFS.
+// guarded by per-object mutexes. Per-run RunResult.dfs_bytes_* totals are
+// the sums of the run's own JobResults, so each run's numbers are exact even
+// while other workflows execute concurrently against the same DFS.
 
 #ifndef MUSKETEER_SRC_SERVICE_SERVICE_H_
 #define MUSKETEER_SRC_SERVICE_SERVICE_H_

@@ -67,8 +67,8 @@ CoordinatorStats ShardCoordinator::stats() const {
 }
 
 StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
-    const JobPlan& job, const ExecutionContext& ctx, const RunOptions& options,
-    DfsTraffic* charged) {
+    const JobPlan& job, const ExecutionContext& ctx,
+    const RunOptions& options) {
   // Placement inputs: the job's declared input relations at their *actual*
   // current nominal sizes (upstream jobs have already committed).
   std::vector<std::pair<std::string, Bytes>> inputs;
@@ -103,16 +103,15 @@ StatusOr<JobResult> ShardCoordinator::DispatchAttempt(
     ++running;
   }
 
-  // Run the attempt here, against the placed shard's DFS view;
-  // ExecuteJobCharged counts the bytes it charges on this thread.
+  // Run the attempt here, against the placed shard's DFS view.
   std::optional<ScopedParallelThreads> width;
   if (config_.threads > 0) {
     width.emplace(config_.threads);
   }
   ExecutionContext shard_ctx = ctx;
   shard_ctx.shard = shard;
-  StatusOr<JobResult> out = ExecuteJobCharged(
-      job, options.cluster, dfs_->View(shard), shard_ctx, charged);
+  StatusOr<JobResult> out =
+      ExecuteJob(job, options.cluster, dfs_->View(shard), shard_ctx);
   {
     std::lock_guard lock(mu_);
     --in_flight_[static_cast<size_t>(shard)];
@@ -139,9 +138,8 @@ StatusOr<RunResult> ShardCoordinator::Run(const WorkflowSpec& workflow,
   // sinks and history — is Execute's one loop.
   return musketeer.Execute(
       workflow, plan, options,
-      [&](const JobPlan& job, const ExecutionContext& ctx,
-          DfsTraffic* charged) {
-        return DispatchAttempt(job, ctx, options, charged);
+      [&](const JobPlan& job, const ExecutionContext& ctx) {
+        return DispatchAttempt(job, ctx, options);
       });
 }
 

@@ -104,12 +104,11 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
-  // The JobRunner Run() hands to Execute: place `job`, run it here against
-  // the placed shard's DFS view, and add the bytes it charged to *charged.
+  // The JobRunner Run() hands to Execute: place `job` and run it here
+  // against the placed shard's DFS view.
   StatusOr<JobResult> DispatchAttempt(const JobPlan& job,
                                       const ExecutionContext& ctx,
-                                      const RunOptions& options,
-                                      DfsTraffic* charged);
+                                      const RunOptions& options);
 
   std::vector<int> AliveShardsLocked() const;  // requires mu_
   void KillShardLocked(int shard);             // requires mu_

@@ -6,7 +6,6 @@
 #include "src/cluster/cluster.h"
 
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -63,60 +62,9 @@ TEST(DfsTest, PutReplacesExisting) {
   EXPECT_EQ((*got)->schema().field(0).name, "y");
 }
 
-TEST(DfsTest, IoAccounting) {
-  Dfs dfs;
-  dfs.RecordRead(100);
-  dfs.RecordRead(50);
-  dfs.RecordWrite(30);
-  EXPECT_DOUBLE_EQ(dfs.bytes_read(), 150);
-  EXPECT_DOUBLE_EQ(dfs.bytes_written(), 30);
-  dfs.ResetStats();
-  EXPECT_DOUBLE_EQ(dfs.bytes_read(), 0);
-}
-
-// The per-run byte attribution the coordinator relies on: reads recorded
-// while a scope is alive land in that scope, remote reads are a subset of
-// reads, inner scopes propagate into enclosing ones on close, and a sibling
-// thread's traffic never leaks in.
-TEST(DfsTest, ScopedRunCountersSplitAndNest) {
-  Dfs dfs;
-  ScopedDfsRunCounters outer;
-  dfs.RecordRead(100);
-  {
-    ScopedDfsRunCounters inner;
-    dfs.RecordRead(40);
-    dfs.RecordRemoteRead(25);
-    dfs.RecordWrite(10);
-    EXPECT_DOUBLE_EQ(inner.bytes_read(), 65);  // remote reads are reads too
-    EXPECT_DOUBLE_EQ(inner.bytes_remote_read(), 25);
-    EXPECT_DOUBLE_EQ(inner.bytes_written(), 10);
-    // While the inner scope is active, this thread's traffic goes there.
-    EXPECT_DOUBLE_EQ(outer.bytes_read(), 100);
-  }
-  // The inner scope folded into the enclosing one when it closed.
-  EXPECT_DOUBLE_EQ(outer.bytes_read(), 165);
-  EXPECT_DOUBLE_EQ(outer.bytes_remote_read(), 25);
-  EXPECT_DOUBLE_EQ(outer.bytes_written(), 10);
-
-  // A concurrent thread's scope sees only its own traffic.
-  std::thread other([&dfs] {
-    ScopedDfsRunCounters mine;
-    dfs.RecordRead(7);
-    EXPECT_DOUBLE_EQ(mine.bytes_read(), 7);
-    EXPECT_DOUBLE_EQ(mine.bytes_remote_read(), 0);
-  });
-  other.join();
-  EXPECT_DOUBLE_EQ(outer.bytes_read(), 165);
-
-  // The shared aggregate counters saw everything regardless of scoping.
-  EXPECT_DOUBLE_EQ(dfs.bytes_read(), 172);
-  EXPECT_DOUBLE_EQ(dfs.bytes_remote_read(), 25);
-  EXPECT_LE(dfs.bytes_remote_read(), dfs.bytes_read());
-}
-
 // ---- ShardMap --------------------------------------------------------------
 
-// Ownership of every key across the shards, strategy placements only.
+// Ownership of every key across the shards, ring placements only.
 std::unordered_map<std::string, int> OwnersOf(const ShardMap& map, int keys) {
   std::unordered_map<std::string, int> owners;
   for (int i = 0; i < keys; ++i) {
@@ -138,12 +86,11 @@ int MovedKeys(const std::unordered_map<std::string, int>& before,
 }
 
 // The consistent-hash stability property: adding or removing a shard moves
-// only about 1/M of the keyspace (we allow 2x slack for vnode variance),
-// while the modulo baseline reshuffles the majority of keys.
+// only about 1/M of the keyspace (we allow 2x slack for vnode variance).
 TEST(ShardMapTest, ConsistentHashMovesFewKeysOnMembershipChange) {
   constexpr int kKeys = 2000;
 
-  ShardMap ring(4, ShardingStrategy::kConsistentHash);
+  ShardMap ring(4);
   auto before = OwnersOf(ring, kKeys);
   ASSERT_EQ(ring.AddShard(), 4);
   auto grown = OwnersOf(ring, kKeys);
@@ -163,14 +110,6 @@ TEST(ShardMapTest, ConsistentHashMovesFewKeysOnMembershipChange) {
   // Removing the shard restores the original assignment exactly.
   ring.RemoveShard(4);
   EXPECT_EQ(MovedKeys(before, OwnersOf(ring, kKeys)), 0);
-
-  // The modulo control arm: the same membership change moves most keys.
-  ShardMap modulo(4, ShardingStrategy::kModulo);
-  auto modulo_before = OwnersOf(modulo, kKeys);
-  modulo.AddShard();
-  const int modulo_moved = MovedKeys(modulo_before, OwnersOf(modulo, kKeys));
-  EXPECT_GT(modulo_moved, kKeys / 2);
-  EXPECT_GT(modulo_moved, 2 * moved_on_add);
 }
 
 TEST(ShardMapTest, PinsWinOverStrategyAndSurviveMembershipChanges) {

@@ -95,8 +95,8 @@ TEST(EngineTest, OutputsLandInDfs) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(dfs.Contains("o"));
   EXPECT_EQ((*dfs.Get("o"))->num_rows(), 10u);
-  EXPECT_GT(dfs.bytes_read(), 0);
-  EXPECT_GT(dfs.bytes_written(), 0);
+  EXPECT_GT(result->bytes_pulled, 0);
+  EXPECT_GT(result->bytes_pushed, 0);
 }
 
 TEST(EngineTest, MapReduceLoopSpawnsPerIterationJobs) {

@@ -260,7 +260,7 @@ TEST(WorkflowServiceTest, ConcurrentMatchesSequential) {
     // Identical makespans: simulated time must not depend on interleaving.
     EXPECT_DOUBLE_EQ(got.makespan, want.makespan) << h->spec().id;
     // Exact per-run DFS byte attribution even while other workflows move
-    // bytes concurrently (thread-scoped counters, not shared-counter deltas).
+    // bytes concurrently (sums of the run's own JobResults).
     EXPECT_DOUBLE_EQ(got.dfs_bytes_read, want.dfs_bytes_read) << h->spec().id;
     EXPECT_DOUBLE_EQ(got.dfs_bytes_written, want.dfs_bytes_written)
         << h->spec().id;
@@ -744,15 +744,11 @@ TEST(SharedStateTest, DfsConcurrentReadersWritersAndCounters) {
         dfs.Put(name, table);
         EXPECT_TRUE(dfs.Contains(name));
         EXPECT_TRUE(dfs.Get(name).ok());
-        dfs.RecordRead(1.0);
-        dfs.RecordWrite(2.0);
         (void)dfs.ListRelations();
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(dfs.bytes_read(), kThreads * kOps * 1.0);
-  EXPECT_DOUBLE_EQ(dfs.bytes_written(), kThreads * kOps * 2.0);
 }
 
 TEST(SharedStateTest, HistoryStoreConcurrentRecordLookup) {

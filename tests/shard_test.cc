@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -228,6 +229,61 @@ TEST(ShardCoordinatorTest, StatsMirrorDfsFetchAccounting) {
     EXPECT_GT(stats.remote_bytes_fetched, 0.0);
     EXPECT_GT(stats.measured_remote_mbps, 0.0);
   }
+}
+
+// A run's DFS byte totals are exactly its jobs' JobResult byte counts: one
+// ledger, whatever ran the attempts. Checked unsharded, on three shards, and
+// unsharded under seeded faults, where failed attempts move no bytes.
+TEST(ShardCoordinatorTest, RunByteTotalsAreTheJobSums) {
+  auto expect_sums = [](const RunResult& run, const std::string& what) {
+    Bytes pulled = 0;
+    Bytes pushed = 0;
+    Bytes remote = 0;
+    for (const JobResult& job : run.job_results) {
+      pulled += job.bytes_pulled;
+      pushed += job.bytes_pushed;
+      remote += job.bytes_pulled_remote;
+    }
+    EXPECT_DOUBLE_EQ(run.dfs_bytes_read, pulled) << what;
+    EXPECT_DOUBLE_EQ(run.dfs_bytes_written, pushed) << what;
+    EXPECT_DOUBLE_EQ(run.dfs_bytes_remote_read, remote) << what;
+  };
+  RunOptions faulty = BaseOptions();
+  faulty.fault_rate = 0.3;
+  faulty.fault_seed = 42;
+  faulty.retry.max_attempts = 4;
+  faulty.retry.initial_backoff = std::chrono::milliseconds(1);
+  faulty.retry.max_backoff = std::chrono::milliseconds(4);
+
+  Bytes sharded_remote = 0;
+  int faulted_retries = 0;
+  for (Wf wf : kAllWorkflows) {
+    WfSetup setup = MakeSetup(wf);
+    const std::string name = WfName(wf);
+
+    auto unsharded = RunUnsharded(setup);
+    ASSERT_TRUE(unsharded.ok()) << name << ": " << unsharded.status();
+    expect_sums(*unsharded, name + " unsharded");
+    EXPECT_DOUBLE_EQ(unsharded->dfs_bytes_remote_read, 0.0) << name;
+
+    ShardedRun sharded = RunSharded(setup, /*shards=*/3);
+    ASSERT_TRUE(sharded.result.ok()) << name << ": " << sharded.result.status();
+    expect_sums(*sharded.result, name + " on 3 shards");
+    sharded_remote += sharded.result->dfs_bytes_remote_read;
+
+    Dfs dfs;
+    for (const auto& [relation, table] : setup.inputs) {
+      dfs.Put(relation, table);
+    }
+    auto faulted = Musketeer(&dfs).Run(setup.workflow, faulty);
+    ASSERT_TRUE(faulted.ok()) << name << ": " << faulted.status();
+    expect_sums(*faulted, name + " under faults");
+    faulted_retries += faulted->total_retries;
+  }
+  // Both arms exercised what they exist for: cross-shard reads, and failed
+  // attempts that were retried.
+  EXPECT_GT(sharded_remote, 0.0);
+  EXPECT_GT(faulted_retries, 0);
 }
 
 // Live threads of this process: the entries under /proc/self/task.

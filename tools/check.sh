@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: normal build + tier-1 suite, then a ThreadSanitizer
+# Full verification gate: normal build + tier-1 suite + a smoke build and run
+# of the repository benchmark (perfbench/), then a ThreadSanitizer
 # build running the same suite (including service_test and parallel_test, the
 # concurrency stresses), then an AddressSanitizer+UBSan build (the columnar
 # data plane's typed vectors and index gathers are exactly where an
@@ -41,6 +42,11 @@ echo "== [1/11] normal build + tests =="
 cmake -S "$repo" -B "$repo/build" >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
+# The repository benchmark compiles its own Release tree from src/ (under
+# .bench_build/); the smoke run builds it, runs every workload at tiny
+# sizes and checks the result lines against BENCHMARK.json, so a src/ API
+# change that breaks perfbench/ fails here.
+python3 "$repo/perfbench/run.py" --smoke
 
 echo "== [2/11] ThreadSanitizer build + tests =="
 cmake -S "$repo" -B "$repo/build-tsan" -DMUSKETEER_SANITIZE=thread >/dev/null

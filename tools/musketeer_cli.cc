@@ -813,9 +813,9 @@ int main(int argc, char** argv) {
 
   if (listen_port >= 0) {
     if (peer_dfs != nullptr) {
-      std::printf("musketeer: serving shard %d of %d (%s partitioning)\n",
-                  shard_of_k, shard_of_m,
-                  ShardingStrategyName(ShardingStrategy::kConsistentHash));
+      std::printf(
+          "musketeer: serving shard %d of %d (consistent-hash partitioning)\n",
+          shard_of_k, shard_of_m);
     }
     return epilogue(RunListen(dfs, workflow_paths, language, options,
                               serve_workers > 0 ? serve_workers : 4,
