@@ -282,6 +282,11 @@ echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selecti
 "$repo/build-tsan/tests/plan_golden_test"
 "$repo/build-relassert/tests/plan_golden_test"
 
+# Price golden: every job of the nine workflows, each forced onto every
+# engine alone, must plan and charge byte-identically to
+# tests/golden/prices.txt in the Release-assert tree too.
+"$repo/build-relassert/tests/price_golden_test"
+
 # Scripted CLI strategy selection: every built-in partitioner must produce
 # byte-identical output on the same workflow (also when the run re-plans on
 # three shards), the report must name the strategy that ran, an unknown
