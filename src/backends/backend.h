@@ -60,10 +60,6 @@ class Backend {
   virtual bool CanRunAsSingleJob(const Dag& dag,
                                  const std::vector<int>& ops) const = 0;
 
-  // Pairwise mergeability (the paper's bidirectional-merge relation),
-  // derived from the set-level rule for adjacent operators.
-  bool CanMerge(const Dag& dag, int a, int b) const;
-
   // Generates the executable plan (and human-readable code) for one job.
   // The job's sub-DAG is type-checked against `schemas`, which must be
   // InferPlanSchemas(dag, ...) for this same `dag`: the check reads the map
@@ -79,11 +75,6 @@ class Backend {
   StatusOr<JobPlan> GeneratePlan(const Dag& dag, const std::vector<int>& ops,
                                  const SchemaMap& base,
                                  const CodeGenOptions& options) const;
-
-  // PROCESS-rate efficiency of Musketeer-generated code relative to the
-  // hand-tuned ideal for this engine (used by both the cost model and the
-  // simulator, so estimates and charges agree).
-  virtual double generated_process_efficiency() const = 0;
 };
 
 // Singleton registry.

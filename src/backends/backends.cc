@@ -9,10 +9,6 @@
 
 namespace musketeer {
 
-bool Backend::CanMerge(const Dag& dag, int a, int b) const {
-  return CanRunAsSingleJob(dag, {a, b});
-}
-
 PlanSchemas InferPlanSchemas(const Dag& dag, const SchemaMap& base) {
   PlanSchemas out;
   out.relations = base;
@@ -102,9 +98,6 @@ struct BackendTraits {
   // family engines support exactly one group-by-key per job (§4.3.2).
   int max_shuffles = -1;
   bool graph_only = false;
-  // PROCESS efficiency of Musketeer-generated code relative to the
-  // hand-tuned baseline (Figs. 10/11 measure 5-30% overhead).
-  double generated_efficiency = 0.9;
 };
 
 class EngineBackend : public Backend {
@@ -112,10 +105,6 @@ class EngineBackend : public Backend {
   explicit EngineBackend(BackendTraits traits) : traits_(traits) {}
 
   EngineKind kind() const override { return traits_.kind; }
-
-  double generated_process_efficiency() const override {
-    return traits_.generated_efficiency;
-  }
 
   bool SupportsOperator(const Dag& dag, int node_id) const override {
     const OperatorNode& n = dag.node(node_id);
@@ -196,11 +185,9 @@ class EngineBackend : public Backend {
     }
 
     // Flavor-specific quirks.
-    plan.quirks.shared_scans = options.shared_scans;
     switch (options.flavor) {
       case CodeGenOptions::Flavor::kMusketeer:
-        plan.quirks.process_efficiency = traits_.generated_efficiency;
-        plan.quirks.model_type_inference_miss = traits_.kind == EngineKind::kSpark;
+        plan.quirks = GeneratedQuirks(traits_.kind);
         break;
       case CodeGenOptions::Flavor::kIdealHandTuned:
         plan.quirks.process_efficiency = 1.0;
@@ -220,6 +207,7 @@ class EngineBackend : public Backend {
         plan.quirks.process_efficiency = 0.85;
         break;
     }
+    plan.quirks.shared_scans = options.shared_scans;
 
     plan.generated_code = GenerateJobCode(plan);
     return plan;
@@ -246,23 +234,16 @@ class EngineBackend : public Backend {
 
 const EngineBackend& Instance(EngineKind kind) {
   static const EngineBackend hadoop({.kind = EngineKind::kHadoop,
-                                     .max_shuffles = 1,
-                                     .generated_efficiency = 0.85});
-  static const EngineBackend spark({.kind = EngineKind::kSpark,
-                                    .generated_efficiency = 0.88});
-  static const EngineBackend naiad({.kind = EngineKind::kNaiad,
-                                    .generated_efficiency = 0.98});
+                                     .max_shuffles = 1});
+  static const EngineBackend spark({.kind = EngineKind::kSpark});
+  static const EngineBackend naiad({.kind = EngineKind::kNaiad});
   static const EngineBackend powergraph({.kind = EngineKind::kPowerGraph,
-                                         .graph_only = true,
-                                         .generated_efficiency = 0.90});
+                                         .graph_only = true});
   static const EngineBackend graphchi({.kind = EngineKind::kGraphChi,
-                                       .graph_only = true,
-                                       .generated_efficiency = 0.90});
+                                       .graph_only = true});
   static const EngineBackend metis({.kind = EngineKind::kMetis,
-                                    .max_shuffles = 1,
-                                    .generated_efficiency = 0.90});
-  static const EngineBackend serial({.kind = EngineKind::kSerialC,
-                                     .generated_efficiency = 0.95});
+                                    .max_shuffles = 1});
+  static const EngineBackend serial({.kind = EngineKind::kSerialC});
   switch (kind) {
     case EngineKind::kHadoop:
       return hadoop;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "src/backends/pricing.h"
 #include "src/base/strings.h"
 
 namespace musketeer {
@@ -177,13 +178,22 @@ std::string GenerateJobCode(const JobPlan& plan) {
   if (!plan.quirks.shared_scans) {
     os << "  // NOTE: shared scans disabled\n";
   }
+  const OperatorNode* miss = plan.quirks.model_type_inference_miss
+                                 ? TypeInferenceMissJoin(*plan.dag)
+                                 : nullptr;
   for (const OperatorNode& n : plan.dag->nodes()) {
     os << style.line_prefix
        << OpStatement(n, *plan.dag, style.assign, style.deref, style.lambda)
        << ";\n";
-    if (plan.quirks.model_type_inference_miss && n.kind == OpKind::kJoin) {
-      os << style.line_prefix << n.output << " " << style.assign << " " << n.output
-         << ".map(" << style.lambda
+    // The extra pass follows the miss join, or the loop whose body holds it.
+    bool holds_miss =
+        miss != nullptr &&
+        (&n == miss ||
+         (n.kind == OpKind::kWhile &&
+          TypeInferenceMissJoin(*std::get<WhileParams>(n.params).body) == miss));
+    if (holds_miss) {
+      os << style.line_prefix << miss->output << " " << style.assign << " "
+         << miss->output << ".map(" << style.lambda
          << " reshape_for_downstream_key(row));  // extra pass: simple type "
             "inference could not fuse\n";
     }

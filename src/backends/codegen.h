@@ -13,7 +13,8 @@
 namespace musketeer {
 
 // Renders source for `plan.dag` targeting `plan.engine`. The quirks influence
-// the emitted code (e.g., a type-inference miss shows up as an extra .map()).
+// the emitted code: a type-inference miss shows up as an extra .map() after
+// the join that pays it (TypeInferenceMissJoin).
 std::string GenerateJobCode(const JobPlan& plan);
 
 }  // namespace musketeer

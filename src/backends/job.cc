@@ -33,6 +33,33 @@ WhileExec WhileModeFor(EngineKind kind, bool vertex_idiom) {
   return WhileExec::kNativeLoop;
 }
 
+PlanQuirks GeneratedQuirks(EngineKind kind) {
+  PlanQuirks quirks;
+  // PROCESS efficiency of generated code relative to the hand-tuned
+  // baseline (Figs. 10/11 measure 5-30% overhead).
+  switch (kind) {
+    case EngineKind::kHadoop:
+      quirks.process_efficiency = 0.85;
+      break;
+    case EngineKind::kSpark:
+      quirks.process_efficiency = 0.88;
+      break;
+    case EngineKind::kNaiad:
+      quirks.process_efficiency = 0.98;
+      break;
+    case EngineKind::kPowerGraph:
+    case EngineKind::kGraphChi:
+    case EngineKind::kMetis:
+      quirks.process_efficiency = 0.90;
+      break;
+    case EngineKind::kSerialC:
+      quirks.process_efficiency = 0.95;
+      break;
+  }
+  quirks.model_type_inference_miss = kind == EngineKind::kSpark;
+  return quirks;
+}
+
 bool IsShuffleOp(OpKind kind) {
   switch (kind) {
     case OpKind::kJoin:

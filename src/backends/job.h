@@ -50,10 +50,12 @@ struct PlanQuirks {
   // Intra-job shared scans and operator fusion are enabled (§4.3.3); turned
   // off for the Fig. 12 ablation.
   bool shared_scans = true;
-  // Additional engine jobs launched by a rigid native planner (Hive emits
-  // extra MapReduce stages that Musketeer's merged plans avoid).
-  int extra_jobs = 0;
 };
+
+// The quirks of Musketeer's generated code for `kind`: the plans its code
+// generation emits by default, and what the cost model prices every
+// candidate job with.
+PlanQuirks GeneratedQuirks(EngineKind kind);
 
 // An executable back-end job.
 struct JobPlan {

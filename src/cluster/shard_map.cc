@@ -38,7 +38,6 @@ ShardMap::ShardMap(int num_shards) {
   for (int i = 0; i < count; ++i) {
     alive_.push_back(i);
   }
-  next_shard_id_ = count;
   RebuildRingLocked();  // constructor: no concurrent access yet
 }
 
@@ -78,11 +77,6 @@ int ShardMap::OwnerOf(const std::string& name) const {
   return RingOwnerLocked(name);
 }
 
-int ShardMap::StrategyOwnerOf(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  return RingOwnerLocked(name);
-}
-
 void ShardMap::Pin(const std::string& name, int shard) {
   std::unique_lock lock(mu_);
   pins_[name] = shard;
@@ -93,43 +87,10 @@ void ShardMap::Unpin(const std::string& name) {
   pins_.erase(name);
 }
 
-std::optional<int> ShardMap::PinnedOwner(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  auto it = pins_.find(name);
-  if (it == pins_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-int ShardMap::AddShard() {
-  std::unique_lock lock(mu_);
-  const int id = next_shard_id_++;
-  alive_.push_back(id);
-  std::sort(alive_.begin(), alive_.end());
-  RebuildRingLocked();
-  return id;
-}
-
 void ShardMap::RemoveShard(int shard) {
   std::unique_lock lock(mu_);
   alive_.erase(std::remove(alive_.begin(), alive_.end(), shard), alive_.end());
   RebuildRingLocked();
-}
-
-bool ShardMap::IsAlive(int shard) const {
-  std::shared_lock lock(mu_);
-  return std::binary_search(alive_.begin(), alive_.end(), shard);
-}
-
-int ShardMap::num_alive() const {
-  std::shared_lock lock(mu_);
-  return static_cast<int>(alive_.size());
-}
-
-int ShardMap::max_shard_id() const {
-  std::shared_lock lock(mu_);
-  return next_shard_id_;
 }
 
 }  // namespace musketeer

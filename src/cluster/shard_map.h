@@ -18,7 +18,6 @@
 #define MUSKETEER_SRC_CLUSTER_SHARD_MAP_H_
 
 #include <cstdint>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -36,26 +35,16 @@ class ShardMap {
   // the ring's placement among alive shards.
   int OwnerOf(const std::string& name) const;
 
-  // The ring's placement, ignoring pins (what OwnerOf returns for a
-  // relation no shard has produced yet).
-  int StrategyOwnerOf(const std::string& name) const;
-
   // Records that `shard` holds the authoritative copy of `name`. Pins
   // survive membership changes (the partition's data outlives its shard's
   // compute — the DFS-replication story); callers re-pin on migration.
   void Pin(const std::string& name, int shard);
   void Unpin(const std::string& name);
-  std::optional<int> PinnedOwner(const std::string& name) const;
 
-  // Membership. AddShard returns the new shard's id (ids are never reused).
-  // RemoveShard only changes future *ring* placements; pinned relations
-  // keep reporting their (now dead) owner until re-pinned.
-  int AddShard();
+  // Membership only shrinks after construction. RemoveShard only changes
+  // future *ring* placements; pinned relations keep reporting their (now
+  // dead) owner until re-pinned.
   void RemoveShard(int shard);
-  bool IsAlive(int shard) const;
-  int num_alive() const;
-  // Upper bound over all ids ever issued (alive or not).
-  int max_shard_id() const;
 
   // Deterministic FNV-1a over the name bytes — fixed across platforms and
   // runs, so ownership (and therefore placement and every test asserting on
@@ -69,7 +58,6 @@ class ShardMap {
   int RingOwnerLocked(const std::string& name) const;
 
   mutable std::shared_mutex mu_;
-  int next_shard_id_ = 0;                         // guarded by mu_
   std::vector<int> alive_;                        // sorted; guarded by mu_
   std::vector<std::pair<uint64_t, int>> ring_;    // sorted by hash; mu_
   std::unordered_map<std::string, int> pins_;     // guarded by mu_

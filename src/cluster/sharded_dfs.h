@@ -51,8 +51,6 @@ class ShardViewDfs final : public Dfs {
   // Content-versions are namespace-global, shared with the parent.
   uint64_t VersionOf(const std::string& name) const override;
 
-  int shard() const { return shard_; }
-
  private:
   friend class ShardedDfs;
   ShardViewDfs(ShardedDfs* parent, int shard)
@@ -80,7 +78,6 @@ class ShardedDfs final : public Dfs {
   ShardMap& shard_map() { return map_; }
   const ShardMap& shard_map() const { return map_; }
   int num_shards() const { return static_cast<int>(partitions_.size()); }
-  DfsPartition& partition(int shard) { return *partitions_[shard]; }
 
   // Fetch-over-network accounting: every remote Get through a view counts
   // here (nominal bytes; copy time measured on the physical sample).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "src/base/memory.h"
 #include "src/base/parallel.h"
@@ -25,65 +24,6 @@ namespace {
 // start a thread.
 [[maybe_unused]] const bool kFreedBlocksKept =
     (KeepFreedBlocksInHeap(), true);
-
-// Joins whose downstream aggregation (possibly through row-wise reshaping
-// operators — the NetFlix join->map->group-by pattern) keys by something
-// other than the join key: Musketeer's simple look-ahead type inference
-// cannot fuse the re-keying map into the join, costing one extra pass over
-// the data per job (§6.4: "an extra pass"); the first qualifying join in
-// plan order pays it.
-void CollectTypeInferenceMisses(const Dag& dag,
-                                std::unordered_set<const OperatorNode*>* out) {
-  for (const OperatorNode& n : dag.nodes()) {
-    if (!out->empty()) {
-      return;
-    }
-    if (n.kind == OpKind::kWhile) {
-      CollectTypeInferenceMisses(*std::get<WhileParams>(n.params).body, out);
-      continue;
-    }
-    if (n.kind != OpKind::kJoin) {
-      continue;
-    }
-    const auto& jp = std::get<JoinParams>(n.params);
-    // Walk forward through single-consumer row-wise chains.
-    int cur = n.id;
-    bool reshaped = false;
-    while (true) {
-      std::vector<int> consumers = dag.ConsumersOf(cur);
-      if (consumers.size() != 1) {
-        break;
-      }
-      const OperatorNode& consumer = dag.node(consumers[0]);
-      if (IsRowwiseOp(consumer.kind)) {
-        reshaped = true;
-        cur = consumer.id;
-        continue;
-      }
-      if (consumer.kind == OpKind::kGroupBy) {
-        const auto& gp = std::get<GroupByParams>(consumer.params);
-        bool same_key = !reshaped && gp.group_columns.size() == 1 &&
-                        gp.group_columns[0] == jp.left_key;
-        if (!same_key) {
-          out->insert(&n);
-        }
-      } else if (consumer.kind == OpKind::kAgg) {
-        out->insert(&n);
-      }
-      break;
-    }
-  }
-}
-
-int ShufflesPerIteration(const ExecTrace& trace) {
-  int count = 0;
-  for (const OpTrace& op : trace.ops) {
-    if (op.iteration == 0 && IsShuffleOp(op.kind)) {
-      ++count;
-    }
-  }
-  return count;
-}
 
 }  // namespace
 
@@ -212,123 +152,27 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   // VerifyOnSubstrate.
   MUSKETEER_ASSIGN_OR_RETURN(ExecTrace trace, TraceExecuteDag(*plan.dag, base));
 
-  std::unordered_set<const OperatorNode*> misses;
-  if (plan.quirks.model_type_inference_miss) {
-    CollectTypeInferenceMisses(*plan.dag, &misses);
-  }
-
-  // 3. Assemble the pricing shape.
-  JobShape shape;
-  shape.pull_bytes = pull_bytes;
-  shape.process_efficiency = plan.quirks.process_efficiency;
-  shape.single_threaded_io = plan.quirks.single_threaded_io;
-  if (RatesFor(plan.engine).load_mbps > 0) {
-    shape.load_bytes = pull_bytes;
-  }
-
-  Bytes push_bytes = 0;
+  // 3. Shape the traced volumes with the planner's pricing policy.
+  JobVolumes volumes;
+  volumes.pull_bytes = pull_bytes;
   for (const std::string& name : plan.outputs) {
     auto it = trace.relations.find(name);
     if (it == trace.relations.end()) {
       return InternalError("job did not produce declared output '" + name + "'");
     }
-    push_bytes += it->second->nominal_bytes();
+    volumes.push_bytes += it->second->nominal_bytes();
   }
-  shape.push_bytes = push_bytes;
-
-  if (plan.while_mode == WhileExec::kVertexRuntime) {
-    // Vertex-centric runtimes do not execute the loop body as dataflow
-    // operators: per superstep they stream the edges once through the
-    // scatter/gather program (one graph-rate pass) and pay network for the
-    // gather communication; the apply step is local and free.
-    int cur_iter = -2;
-    bool charged_scan = false;
-    bool charged_gather = false;
-    for (const OpTrace& op : trace.ops) {
-      if (op.iteration < 0) {
-        PricedOp priced;
-        priced.in_bytes = op.in_bytes;
-        priced.shuffle = IsShuffleOp(op.kind);
-        priced.charge_process = !plan.quirks.shared_scans || !IsRowwiseOp(op.kind);
-        shape.ops.push_back(priced);
-        continue;
-      }
-      if (op.iteration != cur_iter) {
-        cur_iter = op.iteration;
-        charged_scan = false;
-        charged_gather = false;
-      }
-      if (op.kind == OpKind::kJoin && !charged_scan) {
-        charged_scan = true;
-        shape.ops.push_back(PricedOp{.in_bytes = op.in_bytes,
-                                     .shuffle = false,
-                                     .charge_process = true,
-                                     .graph_path = true});
-      } else if ((op.kind == OpKind::kGroupBy || op.kind == OpKind::kAgg) &&
-                 !charged_gather) {
-        charged_gather = true;
-        shape.ops.push_back(PricedOp{.in_bytes = op.in_bytes,
-                                     .shuffle = true,
-                                     .charge_process = false,
-                                     .graph_path = true});
-      }
-      // All other body operators are the local apply step: free.
-    }
-  } else {
-    for (const OpTrace& op : trace.ops) {
-      PricedOp priced;
-      priced.in_bytes = op.in_bytes;
-      priced.shuffle = IsShuffleOp(op.kind);
-      priced.charge_process = !plan.quirks.shared_scans || !IsRowwiseOp(op.kind);
-      priced.single_node = plan.quirks.single_node_group_by &&
-                           (op.kind == OpKind::kGroupBy || op.kind == OpKind::kAgg);
-      shape.ops.push_back(priced);
-      if (misses.count(op.node) > 0) {
-        // Type-inference miss: an extra re-keying pass over the join output.
-        shape.ops.push_back(PricedOp{.in_bytes = op.out_bytes,
-                                     .shuffle = false,
-                                     .charge_process = true});
-      }
-    }
+  volumes.trips = trace.total_iterations;
+  const OperatorNode* miss = TypeInferenceMissJoin(*plan.dag);
+  volumes.ops.reserve(trace.ops.size());
+  for (const OpTrace& op : trace.ops) {
+    volumes.ops.push_back(VolumeOf(*op.node, op.in_bytes, op.out_bytes,
+                                   op.iteration, 1.0, op.node == miss));
   }
+  JobShape shape;
+  ShapeJob(plan.engine, plan.quirks, plan.while_mode, volumes, &shape);
 
-  // GraphChi streams from memory instead of disk when the graph fits.
-  if (plan.engine == EngineKind::kGraphChi &&
-      shape.pull_bytes < kGraphChiInMemoryBytes) {
-    shape.process_efficiency *= kGraphChiInMemoryBoost;
-  }
-
-  // 4. Loop execution strategy.
-  switch (plan.while_mode) {
-    case WhileExec::kNone:
-      shape.job_count = 1;
-      break;
-    case WhileExec::kNativeLoop:
-    case WhileExec::kVertexRuntime:
-      shape.job_count = 1;
-      shape.supersteps = trace.total_iterations;
-      break;
-    case WhileExec::kPerIterationJobs: {
-      // Every shuffle inside the loop body starts a fresh MapReduce job, and
-      // each job's output is materialized to the DFS and re-read by the next
-      // one — the core structural disadvantage of MR for iteration.
-      int jobs_per_iter = std::max(1, ShufflesPerIteration(trace));
-      shape.job_count = std::max(1, jobs_per_iter * trace.total_iterations);
-      Bytes materialized = 0;
-      for (const OpTrace& op : trace.ops) {
-        if (op.iteration >= 0 && IsShuffleOp(op.kind)) {
-          materialized += op.out_bytes;
-        }
-      }
-      shape.pull_bytes += materialized;
-      shape.push_bytes += materialized;
-      break;
-    }
-  }
-
-  shape.job_count += plan.quirks.extra_jobs;
-
-  // 5. Price and commit results to the DFS.
+  // 4. Price and commit results to the DFS.
   JobResult result;
   result.makespan = PriceJob(plan.engine, cluster, shape);
   result.bytes_pulled = shape.pull_bytes;
@@ -361,7 +205,7 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   std::ostringstream detail;
   detail << EngineKindName(plan.engine) << " job '" << plan.name << "': "
          << HumanSeconds(result.makespan) << ", pull " << HumanBytes(pull_bytes)
-         << ", push " << HumanBytes(push_bytes) << ", " << shape.job_count
+         << ", push " << HumanBytes(volumes.push_bytes) << ", " << shape.job_count
          << " engine job(s)";
   if (pull_remote_bytes > 0) {
     detail << ", " << HumanBytes(pull_remote_bytes) << " fetched cross-shard";

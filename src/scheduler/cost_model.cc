@@ -115,12 +115,12 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
                           SegmentSummary* out) const {
   out->infeasible = false;
   out->pulled.clear();
-  out->pull_bytes = 0;
-  out->push_bytes = 0;
-  out->entries.clear();
-  out->loops.clear();
-  out->spark_miss_after = -1;
-  out->spark_miss_bytes = 0;
+  out->volumes.pull_bytes = 0;
+  out->volumes.push_bytes = 0;
+  out->volumes.ops.clear();
+  out->volumes.trips = 0;
+  out->loop = false;
+  out->loop_idiom = false;
   auto in_set = [&sorted](int id) {
     return std::binary_search(sorted.begin(), sorted.end(), id);
   };
@@ -153,7 +153,7 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
           std::find(out->pulled.begin(), out->pulled.end(), p) ==
               out->pulled.end()) {
         out->pulled.push_back(p);
-        out->pull_bytes += sizes[p];
+        out->volumes.pull_bytes += sizes[p];
       }
     }
   }
@@ -166,18 +166,17 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
       external = external || !in_set(c);
     }
     if (external) {
-      out->push_bytes += sizes[id];
+      out->volumes.push_bytes += sizes[id];
     }
   }
 
-  // Per-operator processing.
+  // Per-operator volumes: a WHILE operator's body, predicted for one trip,
+  // stands for all of its trips.
+  const OperatorNode* miss = TypeInferenceMissJoin(dag, sorted);
   for (int id : sorted) {
     const OperatorNode& node = dag.node(id);
     if (node.kind == OpKind::kWhile) {
       const auto& wp = std::get<WhileParams>(node.params);
-      SegmentSummary::Loop loop;
-      loop.idiom = IsGraphIdiom(dag, id);
-      loop.iterations = wp.iterations;
       RelationSizes body_base;
       for (size_t i = 0; i < wp.bindings.size(); ++i) {
         body_base[wp.bindings[i].loop_input] = sizes[node.inputs[i]];
@@ -191,6 +190,10 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
         return;
       }
       const std::vector<Bytes>& body_sizes = *body_sizes_or;
+      out->loop = true;
+      out->loop_idiom = IsGraphIdiom(dag, id);
+      out->volumes.trips += static_cast<int>(wp.iterations);
+      const double iterations = static_cast<double>(wp.iterations);
       for (const OperatorNode& bn : wp.body->nodes()) {
         if (bn.kind == OpKind::kInput) {
           continue;
@@ -199,12 +202,10 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
         for (int bi : bn.inputs) {
           in_bytes += body_sizes[bi];
         }
-        loop.body.push_back({bn.kind, in_bytes, body_sizes[bn.id]});
+        out->volumes.ops.push_back(VolumeOf(bn, in_bytes, body_sizes[bn.id],
+                                            /*trip=*/0, iterations,
+                                            &bn == miss));
       }
-      SegmentSummary::Entry entry;
-      entry.loop = static_cast<int>(out->loops.size());
-      out->entries.push_back(entry);
-      out->loops.push_back(std::move(loop));
       continue;
     }
 
@@ -212,45 +213,8 @@ void CostModel::Summarize(const Dag& dag, const std::vector<int>& sorted,
     for (int i : node.inputs) {
       in_bytes += sizes[i];
     }
-    PricedOp priced;
-    priced.in_bytes = in_bytes;
-    priced.shuffle = IsShuffleOp(node.kind);
-    priced.charge_process = !IsRowwiseOp(node.kind);
-    out->entries.push_back({priced});
-
-    // Spark type-inference miss (mirrors the executor): a join feeding a
-    // differently-keyed aggregation — possibly through row-wise reshaping —
-    // costs an extra pass over the join output.
-    if (out->spark_miss_after < 0 && node.kind == OpKind::kJoin) {
-      const auto& jp = std::get<JoinParams>(node.params);
-      int cur = id;
-      bool reshaped = false;
-      while (true) {
-        const std::vector<int>& consumers = dag.ConsumersOf(cur);
-        if (consumers.size() != 1 || !in_set(consumers[0])) {
-          break;
-        }
-        const OperatorNode& consumer = dag.node(consumers[0]);
-        if (IsRowwiseOp(consumer.kind)) {
-          reshaped = true;
-          cur = consumer.id;
-          continue;
-        }
-        bool miss = false;
-        if (consumer.kind == OpKind::kGroupBy) {
-          const auto& gp = std::get<GroupByParams>(consumer.params);
-          miss = reshaped || gp.group_columns.size() != 1 ||
-                 gp.group_columns[0] != jp.left_key;
-        } else if (consumer.kind == OpKind::kAgg) {
-          miss = true;
-        }
-        if (miss) {
-          out->spark_miss_after = static_cast<int>(out->entries.size()) - 1;
-          out->spark_miss_bytes = sizes[id];
-        }
-        break;
-      }
-    }
+    out->volumes.ops.push_back(
+        VolumeOf(node, in_bytes, sizes[id], /*trip=*/-1, 1.0, &node == miss));
   }
 }
 
@@ -259,86 +223,12 @@ double CostModel::PriceSummary(const SegmentSummary& summary,
   if (summary.infeasible) {
     return kInfiniteCost;
   }
-  // One shape per thread, reset per call: the DP prices thousands of
-  // segments per plan, and the ops buffer keeps its capacity.
+  // One shape per thread: the DP prices thousands of segments per plan, and
+  // the ops buffer keeps its capacity.
   thread_local JobShape shape;
-  shape = JobShape{.ops = std::move(shape.ops)};
-  shape.ops.clear();
-  shape.process_efficiency = BackendFor(engine).generated_process_efficiency();
-  shape.pull_bytes = summary.pull_bytes;
-  if (RatesFor(engine).load_mbps > 0) {
-    shape.load_bytes = shape.pull_bytes;
-  }
-  shape.push_bytes = summary.push_bytes;
-
-  for (size_t e = 0; e < summary.entries.size(); ++e) {
-    const SegmentSummary::Entry& entry = summary.entries[e];
-    if (entry.loop < 0) {
-      shape.ops.push_back(entry.op);
-    } else {
-      const SegmentSummary::Loop& loop = summary.loops[entry.loop];
-      const double iterations = static_cast<double>(loop.iterations);
-      WhileExec mode = WhileModeFor(engine, loop.idiom);
-      bool graph_path = mode == WhileExec::kVertexRuntime;
-      int body_shuffles = 0;
-      Bytes materialized = 0;
-      bool charged_scan = false;
-      bool charged_gather = false;
-      for (const SegmentSummary::Loop::BodyOp& bn : loop.body) {
-        if (graph_path) {
-          // Vertex runtime: one graph-rate edge scan plus gather
-          // communication per superstep (mirrors ExecuteJob's model).
-          if (bn.kind == OpKind::kJoin && !charged_scan) {
-            charged_scan = true;
-            shape.ops.push_back(PricedOp{.in_bytes = bn.in_bytes * iterations,
-                                         .shuffle = false,
-                                         .charge_process = true,
-                                         .graph_path = true});
-          } else if ((bn.kind == OpKind::kGroupBy ||
-                      bn.kind == OpKind::kAgg) &&
-                     !charged_gather) {
-            charged_gather = true;
-            shape.ops.push_back(PricedOp{.in_bytes = bn.in_bytes * iterations,
-                                         .shuffle = true,
-                                         .charge_process = false,
-                                         .graph_path = true});
-          }
-          continue;
-        }
-        PricedOp priced;
-        priced.in_bytes = bn.in_bytes * iterations;
-        priced.shuffle = IsShuffleOp(bn.kind);
-        priced.charge_process = !IsRowwiseOp(bn.kind);
-        shape.ops.push_back(priced);
-        if (IsShuffleOp(bn.kind)) {
-          ++body_shuffles;
-          materialized += bn.out_bytes * iterations;
-        }
-      }
-      switch (mode) {
-        case WhileExec::kPerIterationJobs:
-          shape.job_count += std::max(1, body_shuffles) *
-                             static_cast<int>(loop.iterations) - 1;
-          shape.pull_bytes += materialized;
-          shape.push_bytes += materialized;
-          break;
-        default:
-          shape.supersteps += static_cast<int>(loop.iterations);
-          break;
-      }
-    }
-    if (engine == EngineKind::kSpark &&
-        static_cast<int>(e) == summary.spark_miss_after) {
-      shape.ops.push_back(PricedOp{.in_bytes = summary.spark_miss_bytes,
-                                   .shuffle = false,
-                                   .charge_process = true});
-    }
-  }
-
-  if (engine == EngineKind::kGraphChi &&
-      shape.pull_bytes < kGraphChiInMemoryBytes) {
-    shape.process_efficiency *= kGraphChiInMemoryBoost;
-  }
+  WhileExec mode = summary.loop ? WhileModeFor(engine, summary.loop_idiom)
+                                : WhileExec::kNone;
+  ShapeJob(engine, GeneratedQuirks(engine), mode, summary.volumes, &shape);
   double cost = PriceJob(engine, cluster_, shape);
   if (calibration_ != nullptr && calibration_->has_observations) {
     cost *= calibration_->TimeScale(EngineKindName(engine));

@@ -17,7 +17,6 @@
 #ifndef MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_
 #define MUSKETEER_SRC_SCHEDULER_COST_MODEL_H_
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -44,36 +43,18 @@ struct SegmentSummary {
   // The set cannot be priced on any engine: conservative merging vetoed
   // it, or a WHILE body's sizes could not be predicted.
   bool infeasible = false;
-  // Externally produced inputs, deduplicated, in first-read order, and
-  // their summed bytes; bytes leaving the job.
+  // Externally produced inputs, deduplicated, in first-read order.
   std::vector<int> pulled;
-  Bytes pull_bytes = 0;
-  Bytes push_bytes = 0;
-  // One entry per operator in id order: a non-WHILE operator's PricedOp,
-  // or (loop >= 0) the WHILE operator loops[loop], whose priced ops depend
-  // on the engine's loop mode.
-  struct Entry {
-    PricedOp op;
-    int loop = -1;
-  };
-  std::vector<Entry> entries;
-  // A WHILE operator's body, predicted once for one trip.
-  struct Loop {
-    bool idiom = false;  // matches the vertex-centric graph idiom
-    int64_t iterations = 1;
-    // Per non-INPUT body node, in body order.
-    struct BodyOp {
-      OpKind kind;
-      Bytes in_bytes;
-      Bytes out_bytes;
-    };
-    std::vector<BodyOp> body;
-  };
-  std::vector<Loop> loops;
-  // Spark's type-inference miss: an extra pass of `spark_miss_bytes` right
-  // after entries[spark_miss_after] (-1: none).
-  int spark_miss_after = -1;
-  Bytes spark_miss_bytes = 0;
+  // What the pricing policy (src/backends/pricing.h) prices: the pulled
+  // bytes, the bytes leaving the job, and one record per operator in id
+  // order. A WHILE operator contributes its body's records for one
+  // predicted trip, weighted by its iteration count, and its trips.
+  JobVolumes volumes;
+  // The set holds a WHILE operator (a job that can run holds at most one)
+  // and whether it matches the vertex-centric graph idiom: together with
+  // the engine they pick the loop mode.
+  bool loop = false;
+  bool loop_idiom = false;
 };
 
 class CostModel {

@@ -52,8 +52,7 @@ TEST(BackendTest, MapReduceAllowsOneShufflePerJob) {
   EXPECT_FALSE(hadoop.CanRunAsSingleJob(*dag, ops));
   // PROJECT + JOIN merges fine.
   EXPECT_TRUE(hadoop.CanRunAsSingleJob(*dag, {ops[0], ops[1]}));
-  EXPECT_TRUE(hadoop.CanMerge(*dag, ops[0], ops[1]));
-  EXPECT_FALSE(hadoop.CanMerge(*dag, ops[1], ops[2]));
+  EXPECT_FALSE(hadoop.CanRunAsSingleJob(*dag, {ops[1], ops[2]}));
 
   // General-purpose engines run the whole thing in one job.
   EXPECT_TRUE(BackendFor(EngineKind::kSpark).CanRunAsSingleJob(*dag, ops));
@@ -304,6 +303,36 @@ TEST(CodegenTest, EmitsEngineStyledSource) {
   EXPECT_NE(plan->generated_code.find("groupBy"), std::string::npos);
   // The modeled type-inference miss appears as an extra map in the code.
   EXPECT_NE(plan->generated_code.find("extra pass"), std::string::npos);
+}
+
+// Spark's type-inference miss is one join per job: the first whose chain of
+// in-job row-wise consumers reaches a differently keyed GROUP BY or an AGG.
+// The generated code prints its extra map after that join and no other.
+TEST(CodegenTest, ExtraMapFollowsOnlyTheMissJoin) {
+  auto dag = ParseWorkflow(FrontendLanguage::kBeer, R"(
+    by_id = JOIN properties, prices ON properties.id = prices.id;
+    max_by_id = AGG MAX(price) AS max_price FROM by_id GROUP BY id;
+    locs = SELECT id, street, town FROM properties;
+    id_price = JOIN locs, prices ON locs.id = prices.id;
+    street_price = AGG MAX(price) AS max_price FROM id_price
+                   GROUP BY street, town;
+  )");
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  const OperatorNode* miss = TypeInferenceMissJoin(**dag);
+  ASSERT_NE(miss, nullptr);
+  EXPECT_EQ(miss->output, "id_price");
+  // Without its GROUP BY in the job, the join misses nothing.
+  EXPECT_EQ(TypeInferenceMissJoin(**dag, {(*dag)->ProducerOf("id_price")}),
+            nullptr);
+
+  auto plan = BackendFor(EngineKind::kSpark)
+                  .GeneratePlan(**dag, NonInputOps(**dag), PropertySchemas(), {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::string& code = plan->generated_code;
+  size_t first = code.find("extra pass");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(code.find("extra pass", first + 1), std::string::npos) << code;
+  EXPECT_NE(code.find("id_price = id_price.map("), std::string::npos) << code;
 }
 
 }  // namespace

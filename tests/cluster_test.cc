@@ -1,7 +1,6 @@
-// Cluster model and DFS tests, including the sharded layer (PR 8): the
-// ShardMap directory's consistent-hash stability under membership change,
-// per-shard DFS views with fetch-over-network accounting, and the
-// thread-scoped run counters' local/remote byte split.
+// Cluster model and DFS tests, including the sharded layer: the ShardMap
+// directory's consistent-hash stability under membership change, pins, and
+// per-shard DFS views with fetch-over-network accounting.
 
 #include "src/cluster/cluster.h"
 
@@ -90,9 +89,9 @@ int MovedKeys(const std::unordered_map<std::string, int>& before,
 TEST(ShardMapTest, ConsistentHashMovesFewKeysOnMembershipChange) {
   constexpr int kKeys = 2000;
 
-  ShardMap ring(4);
-  auto before = OwnersOf(ring, kKeys);
-  ASSERT_EQ(ring.AddShard(), 4);
+  // Five shards are the four plus shard 4.
+  auto before = OwnersOf(ShardMap(4), kKeys);
+  ShardMap ring(5);
   auto grown = OwnersOf(ring, kKeys);
   const int moved_on_add = MovedKeys(before, grown);
   // Ideal is 1/5 of the keys; assert within 2x, and that it actually moved
@@ -115,25 +114,27 @@ TEST(ShardMapTest, ConsistentHashMovesFewKeysOnMembershipChange) {
 TEST(ShardMapTest, PinsWinOverStrategyAndSurviveMembershipChanges) {
   ShardMap map(3);
   const std::string name = "produced_intermediate";
-  const int strategy_owner = map.StrategyOwnerOf(name);
-  const int pinned = (strategy_owner + 1) % 3;
+  const int ring_owner = map.OwnerOf(name);
+  const int pinned = (ring_owner + 1) % 3;
 
   map.Pin(name, pinned);
   EXPECT_EQ(map.OwnerOf(name), pinned);
-  EXPECT_EQ(map.StrategyOwnerOf(name), strategy_owner);
-  ASSERT_TRUE(map.PinnedOwner(name).has_value());
-  EXPECT_EQ(*map.PinnedOwner(name), pinned);
+  // The pin leaves the ring alone: an unpinned map still places the name
+  // where it did.
+  EXPECT_EQ(ShardMap(3).OwnerOf(name), ring_owner);
 
   // Pins outlive the pinned shard's compute (the data is still in its
   // partition) — RemoveShard must not silently re-home the relation.
   map.RemoveShard(pinned);
-  EXPECT_FALSE(map.IsAlive(pinned));
   EXPECT_EQ(map.OwnerOf(name), pinned);
 
+  // Unpinned, the relation goes where the ring of the alive shards puts it.
   map.Unpin(name);
   const int rehomed = map.OwnerOf(name);
   EXPECT_NE(rehomed, pinned);
-  EXPECT_TRUE(map.IsAlive(rehomed));
+  ShardMap alive(3);
+  alive.RemoveShard(pinned);
+  EXPECT_EQ(rehomed, alive.OwnerOf(name));
 }
 
 TEST(ShardMapTest, HashNameIsStableAcrossCalls) {
@@ -193,25 +194,33 @@ TEST(ShardedDfsTest, ViewFetchAccountingSplitsLocalFromRemote) {
 }
 
 // Placement-near-data: a view's Put lands in its own partition, pins the
-// relation there, and drops the stale copy at the strategy owner.
+// relation there, and drops the stale copy at the ring owner.
 TEST(ShardedDfsTest, ViewPutPinsOutputAndDropsStaleCopy) {
   ShardedDfs dfs(3);
   const std::string name = "intermediate";
-  const int strategy_owner = dfs.shard_map().StrategyOwnerOf(name);
-  dfs.Put(name, MakeIntTable(8));  // v1 at the strategy owner
-  ASSERT_TRUE(dfs.partition(strategy_owner).Contains(name));
+  const int ring_owner = dfs.shard_map().OwnerOf(name);
+  dfs.Put(name, MakeIntTable(8));  // v1 at the ring owner
+  ASSERT_TRUE(dfs.View(ring_owner)->IsLocal(name));
 
-  const int producer = (strategy_owner + 1) % 3;
+  const int producer = (ring_owner + 1) % 3;
   dfs.View(producer)->Put(name, MakeIntTable(16));  // v2, produced elsewhere
   EXPECT_EQ(dfs.shard_map().OwnerOf(name), producer);
-  EXPECT_TRUE(dfs.partition(producer).Contains(name));
-  EXPECT_FALSE(dfs.partition(strategy_owner).Contains(name));
+  EXPECT_TRUE(dfs.View(producer)->IsLocal(name));
+  EXPECT_FALSE(dfs.View(ring_owner)->IsLocal(name));
 
   // Exactly one authoritative copy: the global read resolves to v2.
   auto table = dfs.Get(name);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->num_rows(), 16u);
   EXPECT_EQ(dfs.ListRelations(), (std::vector<std::string>{name}));
+
+  // v1 is gone from the ring owner: pointed back there, the directory finds
+  // no copy, and the read falls back to v2 at the producer.
+  dfs.shard_map().Pin(name, ring_owner);
+  table = dfs.Get(name);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->num_rows(), 16u);
+  EXPECT_EQ(dfs.shard_map().OwnerOf(name), producer);
 }
 
 // Post-failover read path: when the directory's answer has no data (the

@@ -9,6 +9,7 @@
 #include "src/core/musketeer.h"
 #include "src/workloads/datasets.h"
 #include "src/workloads/workflows.h"
+#include "tests/workflow_setups.h"
 
 namespace musketeer {
 namespace {
@@ -120,6 +121,56 @@ TEST(CostExecutionConsistencyTest, EstimateRanksEnginesLikeExecution) {
     EXPECT_EQ(by_estimate[i].second, by_actual[i].second)
         << "rank " << i << " differs";
   }
+}
+
+// With full history the planner sees every relation's exact size, so the
+// price it plans for a job is the makespan the engine charges: exactly for
+// jobs without a loop, and up to the steady-state approximation of one
+// predicted trip (history keeps a loop body's last trip) for loop jobs.
+TEST(PricingTest, PlannedCostMatchesMakespanWithFullHistory) {
+  int loop_jobs = 0;
+  for (Wf wf : kAllWorkflows) {
+    WfSetup setup = MakeSetup(wf);
+    HistoryStore history;
+    {
+      Dfs dfs;
+      for (const auto& [name, table] : setup.inputs) {
+        dfs.Put(name, table);
+      }
+      Musketeer m(&dfs);
+      RunOptions options;
+      options.cluster = Ec2Cluster(16);
+      ASSERT_TRUE(m.ProfileWorkflow(setup.workflow, options, &history).ok())
+          << WfName(wf);
+    }
+    for (EngineKind engine : kAllEngines) {
+      Dfs dfs;
+      for (const auto& [name, table] : setup.inputs) {
+        dfs.Put(name, table);
+      }
+      Musketeer m(&dfs);
+      RunOptions options;
+      options.cluster = Ec2Cluster(16);
+      options.engines = {engine};
+      options.history = &history;
+      auto run = m.Run(setup.workflow, options);
+      if (!run.ok()) {
+        continue;  // the engine cannot run this workflow alone
+      }
+      ASSERT_EQ(run->partitioning.jobs.size(), run->job_results.size());
+      for (size_t i = 0; i < run->job_results.size(); ++i) {
+        double planned = run->partitioning.jobs[i].cost;
+        double charged = run->job_results[i].makespan;
+        bool loop = run->plans[i].while_mode != WhileExec::kNone;
+        loop_jobs += loop ? 1 : 0;
+        EXPECT_LE(std::abs(planned - charged) / charged, loop ? 0.03 : 1e-9)
+            << WfName(wf) << " job " << i << " on "
+            << EngineKindName(engine) << ": planned " << planned
+            << ", charged " << charged;
+      }
+    }
+  }
+  EXPECT_GT(loop_jobs, 0);
 }
 
 }  // namespace

@@ -216,24 +216,6 @@ TEST(EngineTest, GraphChiInMemoryBoostOnSmallGraphs) {
   EXPECT_GT(big_res->makespan, 20 * small_res->makespan);
 }
 
-TEST(EngineTest, ExtraJobsQuirkAddsOverhead) {
-  auto dag = ParseWorkflow(FrontendLanguage::kBeer,
-                           "o = SELECT * FROM rel WHERE v > 5;\n");
-  ASSERT_TRUE(dag.ok());
-  Dfs dfs;
-  dfs.Put("rel", SmallKv(1000));
-  SchemaMap schemas{{"rel", SmallKv(1)->schema()}};
-  JobPlan plan = PlanFor(EngineKind::kHadoop, **dag, schemas);
-  auto base = ExecuteJob(plan, LocalCluster(), &dfs, ExecutionContext{});
-  ASSERT_TRUE(base.ok());
-
-  plan.quirks.extra_jobs = 2;
-  auto extra = ExecuteJob(plan, LocalCluster(), &dfs, ExecutionContext{});
-  ASSERT_TRUE(extra.ok());
-  EXPECT_NEAR(extra->makespan - base->makespan,
-              2 * RatesFor(EngineKind::kHadoop).job_overhead_s, 1e-6);
-}
-
 // glibc's malloc serves the process unless a sanitizer replaces it.
 #if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
     !defined(__SANITIZE_THREAD__)
